@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .brane import Brane
+from .brane import Brane, _mod1
 from .errors import (
     InadmissibleD,
     InvalidBrane,
@@ -54,20 +54,13 @@ from .theta import (
     DEFAULT_MAX_RADIUS,
     CertifiedValue,
     ThetaSpec,
+    _resolved_tol,
     iter_ball,
     theta_bar_dk,
     theta_dk,
     truncation_radius,
 )
 from .torus import DoubledTorus, MirrorCoords
-
-
-def _mod1(x: Fraction) -> Fraction:
-    return x - (x.numerator // x.denominator)
-
-
-def _resolved_tol(tol, ctx) -> float:
-    return ctx.default_tol if tol is None else float(tol)
 
 
 def _int_vec(v, n: int, name: str) -> tuple:
@@ -552,7 +545,8 @@ def project_u(space: UPartSpace, vec: FloerVector) -> FloerVector:
 
 def mu2_u(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat, third, vec: FloerVector,
           *, x=None, xi_lin=(), tol: Optional[float] = None,
-          context: str = "double", partitions: int = 1) -> FloerVector:
+          context: str = "double", partitions: int = 1,
+          max_radius: int = DEFAULT_MAX_RADIUS) -> FloerVector:
     """Averaged triangle product against the doubled fiber brane.
 
     ``third`` is the fiber-brane evaluation data (a DoublePoint); a slope
@@ -583,7 +577,7 @@ def mu2_u(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat, third, vec: FloerVector
             raise ValueError("vector must be over doubled intersection points")
         val = mu2_double(tau_re, tau_im, d_mat, e.k, e.l, third,
                          xi_lin=xi_lin, tol=tol, context=context,
-                         partitions=partitions)
+                         partitions=partitions, max_radius=max_radius)
         total += c * complex(val)
     zero = (Fraction(0),) * n
     target = FloerBasisElement(
@@ -598,7 +592,8 @@ def mu2_u(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat, third, vec: FloerVector
 
 def verify_usub(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat, k,
                 points: Sequence, *, xi_lin=(), tol: Optional[float] = None,
-                context: str = "double", partitions: int = 1) -> float:
+                context: str = "double", partitions: int = 1,
+                max_radius: int = DEFAULT_MAX_RADIUS) -> float:
     """Max residual of the fiber-summed factorization over the sample points:
 
         sum_l s_{k,l} = sqrt(det(2 Im tau D)) theta_{D,k}(u)
@@ -613,7 +608,7 @@ def verify_usub(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat, k,
     tol_f = _resolved_tol(tol, ctx)
     k = _int_vec(k, n, "characteristic")
     l_reps = cosets(d_mat.T)
-    spec = ThetaSpec(tau_re, tau_im, d_mat, k, xi_lin, tol_f)
+    spec = ThetaSpec(tau_re, tau_im, d_mat, k, xi_lin, tol_f, max_radius)
     spec0 = spec.with_char((0,) * n)
     root = ctx.sqrt(ctx.real(abs((2 * (tau_im @ d_mat)).det())))
     worst = 0.0
@@ -622,7 +617,8 @@ def verify_usub(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat, k,
         for l in l_reps:
             lhs = lhs + mu2_double(tau_re, tau_im, d_mat, k, l, pt,
                                    xi_lin=xi_lin, tol=tol_f, context=context,
-                                   partitions=partitions).value
+                                   partitions=partitions,
+                                   max_radius=max_radius).value
         u, v = mirror_coordinates(tau_re, tau_im, pt)
         rhs = (root
                * theta_dk(spec, u, context=context, partitions=partitions).value
@@ -655,8 +651,8 @@ class DiagramReport:
 def verify_main_diagram(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat,
                         k_list, z_grid, *, xi_lin=(),
                         tol: Optional[float] = None, context: str = "double",
-                        partitions: int = 1,
-                        reference_char=None) -> DiagramReport:
+                        partitions: int = 1, reference_char=None,
+                        max_radius: int = DEFAULT_MAX_RADIUS) -> DiagramReport:
     """Check that base and doubled products agree through the fiber-summed
     identification.
 
@@ -685,12 +681,14 @@ def verify_main_diagram(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat,
             phi = _rat_vec(phi, n, "flat connection")
             pt = DoublePoint(*MirrorCoords(tau_re, tau_im).point_with_v_zero(r, phi))
             den = mu2_base(tau_re, tau_im, d_mat, k, r, phi, xi_lin=xi_lin,
-                           tol=tol_f, context=context, partitions=partitions)
+                           tol=tol_f, context=context, partitions=partitions,
+                           max_radius=max_radius)
             if abs(complex(den)) <= tol_f ** 0.5:
                 skipped += 1
                 continue
             num = mu2_u(tau_re, tau_im, d_mat, pt, vec, xi_lin=xi_lin,
-                        tol=tol_f, context=context, partitions=partitions)
+                        tol=tol_f, context=context, partitions=partitions,
+                        max_radius=max_radius)
             ratios.append(complex(num.coeffs[0]) / complex(den))
     if not ratios:
         raise ValueError(
@@ -699,7 +697,7 @@ def verify_main_diagram(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat,
         )
     ref = _int_vec(reference_char, n, "reference characteristic") \
         if reference_char is not None else (0,) * n
-    spec = ThetaSpec(tau_re, tau_im, d_mat, ref, xi_lin, tol_f)
+    spec = ThetaSpec(tau_re, tau_im, d_mat, ref, xi_lin, tol_f, max_radius)
     root = ctx.sqrt(ctx.real(abs((2 * (tau_im @ d_mat)).det())))
     predicted = complex(
         root * theta_bar_dk(spec, [0] * n, context=context).value

@@ -117,7 +117,8 @@ def _tolerance(config: JobConfig, spec: TaskSpec) -> float:
 
 def _numeric_kwargs(config: JobConfig):
     num = config.numeric
-    return dict(tol=num.tol, context=num.precision, partitions=num.partitions)
+    return dict(tol=num.tol, context=num.precision, partitions=num.partitions,
+                max_radius=num.max_radius)
 
 
 def _complexes(pairs):
@@ -186,7 +187,6 @@ def _task_identity1(config, spec):
     taus = _complexes(taus) if taus is not None else list(_TAU_DEFAULT)
     zs = _complexes(zs) if zs is not None else list(_Z_DEFAULT)
     kwargs = _numeric_kwargs(config)
-    kwargs["max_radius"] = config.numeric.max_radius
     worst = max(verify_identity_1(tau, z, **kwargs)
                 for tau in taus for z in zs)
     tol = _tolerance(config, spec)
@@ -202,7 +202,6 @@ def _task_identity2(config, spec):
     else:
         pairs = list(_UV_DEFAULT)
     kwargs = _numeric_kwargs(config)
-    kwargs["max_radius"] = config.numeric.max_radius
     worst = max(verify_identity_2(tau, u, v, **kwargs)
                 for tau in taus for (u, v) in pairs)
     tol = _tolerance(config, spec)

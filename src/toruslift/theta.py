@@ -15,11 +15,16 @@ dominated shell by shell by
     (shell count) * e^{pi (-lambda_min (s - s0)^2 + c1 s + c0)},
 
 where lambda_min is an exact rational lower bound for the least eigenvalue
-of the Gaussian Gram form (bisection with Sylvester's criterion over Q) and
-c1, c0 are exact rational bounds on the linear and constant exponent parts.
-The shell series is itself bounded by a geometric series, and the comparison
-arithmetic runs in interval mode (mpmath.iv), so the reported tail bound is
-rigorous, if deliberately crude.
+of the Gaussian Gram form and c1, c0 are exact rational bounds on the linear
+and constant exponent parts.  lambda_min is the largest multiple of
+(least diagonal entry) / 2^80 below the least eigenvalue: a 140-bit
+eigenvalue estimate proposes it and exact Sylvester tests over Q confirm it,
+so it is exactly what an 80-step bisection would return.  It is memoised
+per Gram matrix.  The shell series is itself bounded by a geometric series,
+and the comparison arithmetic runs in interval mode (mpmath.iv), so the
+reported tail bound is rigorous, if deliberately crude.  It bounds the
+truncation error only: the floating-point rounding of the summed terms is
+not included.
 
 Series terms keep exact rational phase bookkeeping: every phase contribution
 that is rational in the inputs (sign structure, characteristic coupling, the
@@ -34,6 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from typing import Iterator, Optional, Sequence
 
@@ -85,27 +91,81 @@ def shell_count(dim: int, s: int) -> int:
 
 # -- certified truncation -----------------------------------------------------
 
-def min_eigenvalue_bound(s_mat: RatMat, steps: int = 80) -> Fraction:
-    """Exact rational lower bound for the least eigenvalue of a symmetric
-    positive-definite rational matrix (bisection + Sylvester's criterion)."""
+LAMBDA_BITS = 80  # lambda_min is resolved to (least diagonal entry) / 2^80
+
+_GUESS_MP = mpmath.mp.clone()
+_GUESS_MP.prec = 140
+
+
+def _eigen_guess(s_mat: RatMat, unit: Fraction) -> int:
+    """ceil(lambda / unit) - 1 from a 140-bit estimate of the least
+    eigenvalue lambda; only a proposal, confirmed exactly by the caller."""
+    mp = _GUESS_MP
+    a = mp.matrix([[mp.mpf(x.numerator) / x.denominator for x in row]
+                   for row in s_mat.rows])
+    lam = min(mp.eigsy(a, eigvals_only=True))
+    return int(mp.ceil(lam * unit.denominator / unit.numerator)) - 1
+
+
+def _last_true(pred, guess: int, top: int) -> int:
+    """Largest k in [0, top) with pred(k), for a predicate that is true up
+    to some point and false after it, with pred(0) true and pred(top) false
+    (neither is evaluated).  Starts at ``guess``: a right guess costs two
+    calls of pred; otherwise it gallops outward and bisects the bracket."""
+
+    def holds(k):
+        return k == 0 or (k < top and pred(k))
+
+    k = min(max(guess, 0), top - 1)
+    if holds(k):
+        lo, hi = k, k + 1
+        while holds(hi):
+            lo, hi = hi, min(top, 3 * hi - 2 * lo)
+    else:
+        lo, hi = k - 1, k
+        while not holds(lo):
+            lo, hi = max(0, 3 * lo - 2 * hi), lo
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@lru_cache(maxsize=256)
+def min_eigenvalue_bound(s_mat: RatMat) -> Fraction:
+    """Exact rational lower bound for the least eigenvalue lambda of a
+    symmetric positive-definite rational matrix S.
+
+    With h the least diagonal entry (h >= lambda) and u = h / 2^LAMBDA_BITS,
+    the bound is k u for the largest k with S - k u I positive definite,
+    i.e. k = ceil(lambda / u) - 1: the value a LAMBDA_BITS-step bisection of
+    [0, h] ends on.  A 140-bit eigenvalue estimate proposes k and exact
+    Sylvester tests prove it (S - k u I positive definite, S - (k+1) u I
+    not); a wrong proposal is corrected by the same exact test.  Results
+    are memoised per Gram; errors are not, and are raised on every call.
+    """
     if s_mat.T != s_mat:
         raise NotPositiveDefinite("Gaussian form is not symmetric")
     if not s_mat.is_positive_definite():
         raise NotPositiveDefinite("Gaussian form is not positive definite")
     n = s_mat.nrows
-    hi = min(s_mat[i, i] for i in range(n))  # always >= least eigenvalue
-    lo = Fraction(0)
+    top = 1 << LAMBDA_BITS
+    unit = min(s_mat[i, i] for i in range(n)) / top
     eye = RatMat.identity(n)
-    for _ in range(steps):
-        mid = (lo + hi) / 2
-        if mid == lo:
-            break
-        if (s_mat - eye * mid).is_positive_definite():
-            lo = mid
-        else:
-            hi = mid
-    assert lo > 0, "bisection failed to separate the spectrum from zero"
-    return lo
+
+    def below_lambda(k):
+        return (s_mat - eye * (k * unit)).is_positive_definite()
+
+    k = _last_true(below_lambda, _eigen_guess(s_mat, unit), top)
+    if k == 0:
+        raise NotPositiveDefinite(
+            f"least eigenvalue is below 2^-{LAMBDA_BITS} of the least "
+            "diagonal entry; the form is too close to singular to certify"
+        )
+    return k * unit
 
 
 @dataclass(frozen=True)
@@ -352,7 +412,8 @@ def theta_dk(spec: ThetaSpec, z: Sequence[complex], *, context: str = "double",
     """Certified evaluation of the theta series at a complex n-vector z.
 
     The absolute truncation error is bounded by the certificate's tail
-    bound, itself below the working tolerance.  ``radius`` can enlarge the
+    bound, itself below the working tolerance; rounding in the summed terms
+    is not part of that bound.  ``radius`` can enlarge the
     summed ball beyond the certified shell count (self-consistency checks);
     it is clamped from below by the certified radius.
     """

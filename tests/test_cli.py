@@ -321,3 +321,20 @@ def test_cli_summary_format(tmp_path, capsys):
     assert main(["--config", str(cfg), "--format", "summary"]) == 0
     out = capsys.readouterr().out
     assert "1 task: 1 pass, 0 fail, 0 error" in out
+
+
+def test_max_radius_caps_every_certified_task(tmp_path, capsys):
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text("[torus]\nn = 2\ntau = i 0 ; 0 i\n"
+                   "[task theta]\n"
+                   "[task usub]\nd = 1 0 ; 0 1\n"
+                   "points = 1/5 -1/10 0 1/4 3/20 0 -1/5 1/10\n"
+                   "[numeric]\ntol = 1e-9\n")
+    assert main(["--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert main(["--config", str(cfg), "--max-radius", "1"]) == 1
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [r["kind"] for r in records] == ["theta", "usub"]
+    for record in records:
+        assert record["status"] == "error"
+        assert record["detail"].startswith("TruncationBudgetExceeded")

@@ -13,6 +13,7 @@ from toruslift.errors import (
     InvalidBrane,
     JNotPreserving,
     NonTransversal,
+    TruncationBudgetExceeded,
     UnsupportedTriple,
 )
 from toruslift.exact import RatMat
@@ -466,6 +467,17 @@ def test_main_diagram_negative_control():
     assert not report.passed
     assert report.spread <= 1e-9
     assert report.max_error > 0.1
+
+
+def test_product_checks_honour_max_radius():
+    # a cap below the certified radius must surface as the certificate's
+    # error, not be ignored
+    with pytest.raises(TruncationBudgetExceeded):
+        verify_usub(Z1, I1, D2, (1,), USUB_POINTS_1[:1], tol=1e-9,
+                    max_radius=1)
+    with pytest.raises(TruncationBudgetExceeded):
+        verify_main_diagram(Z1, I1, D2, [(0,), (1,)], DIAGRAM_GRID,
+                            tol=1e-10, max_radius=1)
 
 
 def test_main_diagram_needs_a_regular_sample():

@@ -1,0 +1,113 @@
+"""Stored digests of the byte-stable ``lines`` report.
+
+Criterion 9 compares runs with each other, so it cannot see a change that
+moves every run the same way.  These tests pin the sha256 of the ``lines``
+text of a few fixed jobs instead.  A change that alters a single reported
+byte (a value, a radius, a tail bound) fails here and has to say why and
+record the new digest.
+"""
+
+import hashlib
+
+import pytest
+
+from test_acceptance import DETERMINISM_JOB
+from toruslift.config import parse_config
+from toruslift.report import emit_report
+from toruslift.runner import run
+
+THETA_N1 = """
+[torus]
+n = 1
+tau = 1/2+i
+
+[task theta]
+d = 3
+k = 1
+xi = 1
+z = 1/5+3/10i
+
+[numeric]
+tol = %s
+precision = %s
+"""
+
+THETA_N2 = """
+[torus]
+n = 2
+tau = i 0 ; 0 i
+
+[task theta]
+d = 2 1 ; 1 1
+k = 1 0
+z = 1/5+1/10i -3/10
+
+[numeric]
+tol = %s
+precision = %s
+"""
+
+IDENTITY2 = """
+[torus]
+n = 1
+tau = i
+
+[task identity2]
+tau_grid = 1/4+3/4i -3/10+7/10i
+uv_grid = 1/10+9/20i 3/20-1/4i ; 0 1/5
+
+[numeric]
+tol = 1e-12
+"""
+
+USUB_N2 = """
+[torus]
+n = 2
+tau = i 0 ; 0 i
+
+[task usub]
+d = 1 0 ; 0 1
+k = 0 0
+points = 1/5 -1/10 0 1/4 3/20 0 -1/5 1/10 ; 0 1/2 1/10 -3/20 1/4 1/5 0 -1/20
+
+[numeric]
+tol = 1e-9
+"""
+
+JOBS = {
+    "determinism": DETERMINISM_JOB % 1,
+    "theta-n1-double": THETA_N1 % ("1e-12", "double"),
+    "theta-n1-dd": THETA_N1 % ("1e-20", "dd"),
+    "theta-n2-double": THETA_N2 % ("1e-12", "double"),
+    "theta-n2-dd": THETA_N2 % ("1e-20", "dd"),
+    "identity2": IDENTITY2,
+    "usub-n2": USUB_N2,
+}
+
+# sha256 of each job's ``lines`` report
+GOLDEN = {
+    "determinism":
+        "2c4f6610eeaa983d2193f5d6a898d1dbb862371b4a3e1ec2c91c7abfe3b959c6",
+    "identity2":
+        "57cd10e61c5f3cfcc207c36fd36dd8cc4ffbab878835c5b71498578fbff8968d",
+    "theta-n1-dd":
+        "b39afcb3780103956fb5a19ab1178b9bb352a9b624659fbec53a6d99f42e23a8",
+    "theta-n1-double":
+        "d7794c7c1ddc3895d8db92d221bfa4f5696be4775a2df62e36e0a8303dc7f425",
+    "theta-n2-dd":
+        "f3a32dd36ae98c1e5ea02c626eb5e48c4c1a1ebf5757de2e1b14dd13867b774f",
+    "theta-n2-double":
+        "70f6c6bf4b6cbd3aee382ae115e47e43902d91730c6fc917e3bbe5d3ec5cd4d2",
+    "usub-n2":
+        "987ffd67b7c28dfca956ef8038d686189512a81fdb552aa835400fd64024672c",
+}
+
+
+def lines_digest(text: str) -> str:
+    report = emit_report(run(parse_config(text)), "lines")
+    return hashlib.sha256(report.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(JOBS))
+def test_lines_report_matches_stored_digest(name):
+    assert lines_digest(JOBS[name]) == GOLDEN[name]

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -11,7 +12,9 @@ from toruslift.errors import (
     NotPositiveDefinite,
     TruncationBudgetExceeded,
 )
+import toruslift.theta as theta_module
 from toruslift.exact import RatMat
+from toruslift.floer import _double_gram
 from toruslift.theta import (
     ThetaSpec,
     gaussian_theta_lhs,
@@ -167,6 +170,109 @@ def test_linear_term_enlarges_radius():
 def test_min_eigenvalue_bound_is_a_lower_bound():
     lam = min_eigenvalue_bound(RatMat([[2, 1], [1, 2]]))
     assert Fraction(9, 10) < lam <= 1  # exact smallest eigenvalue is 1
+
+
+# --- lambda_min equals the 80-step bisection ------------------------------------
+
+
+def bisection_lambda(s_mat: RatMat) -> Fraction:
+    """Reference: the exact 80-step bisection of [0, least diagonal entry]
+    with Sylvester's criterion, for a positive-definite Gram."""
+    hi = min(s_mat[i, i] for i in range(s_mat.nrows))
+    lo = Fraction(0)
+    eye = RatMat.identity(s_mat.nrows)
+    for _ in range(80):
+        mid = (lo + hi) / 2
+        if (s_mat - eye * mid).is_positive_definite():
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def seeded_grams(seed: int, dim: int, count: int):
+    """B^T B for random rational B with dim - 1 to dim + 1 rows, so some
+    Grams are singular."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        rows = [[Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 5)))
+                 for _ in range(dim)]
+                for _ in range(rng.randint(max(1, dim - 1), dim + 1))]
+        yield RatMat([[sum(r[i] * r[j] for r in rows) for j in range(dim)]
+                      for i in range(dim)])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_min_eigenvalue_bound_matches_bisection(dim):
+    singular = 0
+    for gram in seeded_grams(100 + dim, dim, 20):
+        if gram.is_positive_definite():
+            assert min_eigenvalue_bound(gram) == bisection_lambda(gram)
+        else:
+            singular += 1
+            with pytest.raises(NotPositiveDefinite):
+                min_eigenvalue_bound(gram)
+    assert dim == 1 or singular > 0
+
+
+def edge_grams():
+    doubled, _ = _double_gram(RatMat([[0, 1], [0, 0]]), RatMat.identity(2),
+                              RatMat([[2, 0], [0, 1]]))
+    return {
+        "diag(1,5)": RatMat.diag([1, 5]),  # lambda is the least diagonal entry
+        "[[2,1],[1,2]]": RatMat([[2, 1], [1, 2]]),  # lambda = 2^79 u exactly
+        "doubled 4-D": doubled,
+        "scalar": RatMat([[Fraction(3, 7)]]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(edge_grams()))
+def test_min_eigenvalue_bound_edge_cases(name):
+    gram = edge_grams()[name]
+    assert min_eigenvalue_bound(gram) == bisection_lambda(gram)
+
+
+def test_min_eigenvalue_bound_on_an_exact_multiple_of_the_unit():
+    # lambda = 1 = 2^79 (2 / 2^80): the bisection stops one unit below
+    lam = min_eigenvalue_bound(RatMat([[2, 1], [1, 2]]))
+    assert lam == Fraction(2 ** 79 - 1, 2 ** 79)
+
+
+@pytest.mark.parametrize("offset", [-(2 ** 81), -(2 ** 40), -3, -1, 1, 2, 7,
+                                    2 ** 40, 2 ** 81])
+def test_min_eigenvalue_bound_corrects_a_wrong_estimate(monkeypatch, offset):
+    """A proposal off by any amount (clamped at either end of the range)
+    is corrected by the exact test: the result is still the bisection's."""
+    true_guess = theta_module._eigen_guess
+    monkeypatch.setattr(theta_module, "_eigen_guess",
+                        lambda s, unit: true_guess(s, unit) + offset)
+    min_eigenvalue_bound.cache_clear()
+    try:
+        for gram in edge_grams().values():
+            assert min_eigenvalue_bound(gram) == bisection_lambda(gram)
+    finally:
+        min_eigenvalue_bound.cache_clear()
+
+
+def test_min_eigenvalue_bound_is_memoised_per_gram():
+    min_eigenvalue_bound.cache_clear()
+    first = min_eigenvalue_bound(RatMat([[3, 1], [1, 2]]))
+    again = min_eigenvalue_bound(RatMat([[3, 1], [1, 2]]))
+    assert again is first
+    assert min_eigenvalue_bound.cache_info().hits == 1
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 1], [1, 1]],  # singular
+    [[0, 1], [1, 0]],  # indefinite
+    [[1, 2], [0, 1]],  # not symmetric
+    [[1, 1], [1, 1 + Fraction(1, 2 ** 90)]],  # lambda below 2^-80 h
+])
+def test_non_certifiable_gram_raises_on_every_call(rows):
+    gram = RatMat(rows)
+    for _ in range(3):
+        with pytest.raises(NotPositiveDefinite):
+            min_eigenvalue_bound(gram)
 
 
 # --- spec admissibility -------------------------------------------------------
