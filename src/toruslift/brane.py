@@ -80,7 +80,7 @@ def _as_frac_vec(v, length, what):
 
 
 def _mod1(x: Fraction) -> Fraction:
-    return x - (x.numerator // x.denominator)
+    return Fraction(x.numerator % x.denominator, x.denominator)
 
 
 class Brane:
@@ -131,10 +131,8 @@ class Brane:
         hnf, v = column_hnf(support)
         n_new = v.T @ n_mat @ v
         phi_new = v.T @ phi
-        bits_new = tuple(
-            _xi_of(f_old, bits, tuple(int(v[i, j]) for i in range(d)))
-            for j in range(d)
-        )
+        f_rows = f_old.to_int_rows()
+        bits_new = tuple(_xi_of(f_rows, bits, col) for col in v.T.num)
         f_new = n_new.T - n_new
 
         # canonical offset: reduce mod 1, then kill the pivot-row entries by
@@ -142,16 +140,15 @@ class Brane:
         # re-bases the flat part as phi -> phi - F @ shift (this is forced by
         # invariance of the holonomy of every lattice loop).
         off = tuple(_mod1(x) for x in offset)
-        pivots = []
-        for j in range(d):
-            row = next(i for i in range(dim2) if hnf[i, j] != 0)
-            pivots.append(row)
+        h = hnf.to_int_rows()
+        pivots = [next(i for i in range(dim2) if h[i][j]) for j in range(d)]
         shift = [Fraction(0)] * d
         for j in range(d):
+            hp = h[pivots[j]]
             acc = off[pivots[j]]
             for jj in range(j):
-                acc -= hnf[pivots[j], jj] * shift[jj]
-            shift[j] = acc / hnf[pivots[j], j]
+                acc -= hp[jj] * shift[jj]
+            shift[j] = acc / hp[j]
         moved = hnf @ tuple(shift)
         off = tuple(_mod1(x - m) for x, m in zip(off, moved))
         phi_new = vec_sub(phi_new, f_new @ tuple(shift))
@@ -200,7 +197,8 @@ class Brane:
     # -- sign structure and holonomy ----------------------------------------
 
     def xi_value(self, m) -> int:
-        return _xi_of(self.f_gram, self.xi_lin, tuple(int(x) for x in m))
+        return _xi_of(self.f_gram.to_int_rows(), self.xi_lin,
+                      tuple(int(x) for x in m))
 
     def transition_turns(self, m, t) -> Fraction:
         """Exact phase (in turns, mod 1) of the transition over lattice shift m
@@ -230,12 +228,14 @@ class Brane:
         return cmath.exp(2j * cmath.pi * float(self.holonomy_turns(gamma, base)))
 
 
-def _xi_of(f_gram: RatMat, bits, m) -> int:
+def _xi_of(f_rows, bits, m) -> int:
+    """xi(m) for the integer curvature rows ``f_rows`` and sign bits."""
     d = len(m)
     quad = 0
     for i in range(d):
+        fi = f_rows[i]
         for j in range(i + 1, d):
-            quad += int(f_gram[i, j]) * m[i] * m[j]
+            quad += fi[j] * m[i] * m[j]
     lin = sum(b * mi for b, mi in zip(bits, m))
     return (quad + lin) % 2
 
@@ -351,7 +351,8 @@ def validate_coisotropic(brane: Brane) -> BraneReport:
     # coisotropy proper: the symplectic complement of the support must be
     # tangent to the support (exact rank computation over Q)
     ann = int_kernel(u.T)
-    if ann.ncols and hstack(u, torus.omega_inv() @ ann).rank() != u.ncols:
+    omega_inv = torus.omega_inv()
+    if ann.ncols and hstack(u, omega_inv @ ann).rank() != u.ncols:
         failures.append("symplectic complement of the support is not tangent to it")
     g = u.T @ torus.omega @ u
     h = brane.f_gram + u.T @ torus.b_field @ u
@@ -362,7 +363,7 @@ def validate_coisotropic(brane: Brane) -> BraneReport:
     # that it stays tangent to the support.
     gram_inv = (u.T @ u).inv()
     e_amb = u @ gram_inv @ h.T
-    v_amb = -(torus.omega.inv() @ e_amb)
+    v_amb = -(omega_inv @ e_amb)
     if hstack(u, v_amb).rank() != u.ncols:
         failures.append("transverse endomorphism does not preserve the support")
     else:
@@ -386,15 +387,17 @@ def lift(brane: Brane) -> Brane:
     torus = brane.torus
     if not isinstance(torus, Torus):
         raise InvalidBrane("only branes on a base torus can be lifted")
+    # a Lagrangian brane is coisotropic; check that only when it is not
     lag = validate_lagrangian(brane)
-    coi = validate_coisotropic(brane)
-    if not (lag.passed or coi.passed):
-        raise InvalidBrane(
-            "brane passes neither validation; lagrangian: "
-            + "; ".join(lag.failures)
-            + " / coisotropic: "
-            + "; ".join(coi.failures)
-        )
+    if not lag.passed:
+        coi = validate_coisotropic(brane)
+        if not coi.passed:
+            raise InvalidBrane(
+                "brane passes neither validation; lagrangian: "
+                + "; ".join(lag.failures)
+                + " / coisotropic: "
+                + "; ".join(coi.failures)
+            )
     doubled = double_torus(torus)
     u = brane.support
     dim2 = torus.dim
@@ -407,10 +410,13 @@ def lift(brane: Brane) -> Brane:
     # below are integral and the block basis generates the full lattice.
     kernel = int_kernel(u.T)
     s, p_uni, q_uni = smith(u.T)
-    assert all(s[i, i] == 1 for i in range(d))
+    if any(s[i, i] != 1 for i in range(d)):
+        raise InvalidBrane("support is not primitive: Smith form of U^T "
+                           "has a non-unit diagonal entry")
     q_left = q_uni.submatrix(range(dim2), range(d))
     bmat = q_left @ (p_uni @ f.T)
-    assert u.T @ bmat == f.T
+    if u.T @ bmat != f.T:
+        raise InvalidBrane("lifted tangent block B does not solve U^T B = F^T")
     w = vstack(
         hstack(u, RatMat.zeros(dim2, kernel.ncols)),
         hstack(bmat, kernel),
@@ -420,7 +426,8 @@ def lift(brane: Brane) -> Brane:
         Fraction(bit, 2) - ph for bit, ph in zip(brane.xi_lin, brane.conn_flat)
     )
     xhat = q_left @ (p_uni @ rho)
-    assert u.T @ xhat == ratvec(rho)
+    if u.T @ xhat != rho:
+        raise InvalidBrane("dual offset does not solve U^T x_hat = rho")
     offset = brane.offset + tuple(xhat)
 
     # the projection of the lift tangent onto the brane support is [I | 0]
@@ -438,9 +445,9 @@ def lift(brane: Brane) -> Brane:
     lifted = Brane(doubled, w, offset=offset, conn_quad=n_lift,
                    conn_flat=phi_lift, xi_lin=xi_lift)
     # pulled-back curvature must agree with the brane condition in the double
-    assert lifted.f_gram == -(
-        lifted.support.T @ doubled.b_field @ lifted.support
-    ), "lifted curvature does not match the doubled background form"
+    if lifted.f_gram != -(lifted.support.T @ doubled.b_field @ lifted.support):
+        raise InvalidBrane(
+            "lifted curvature does not match the doubled background form")
     return lifted
 
 

@@ -1,9 +1,20 @@
-"""Exact rational linear algebra on top of :class:`fractions.Fraction`.
+"""Exact rational linear algebra over the integers.
 
 The whole structural layer of the library (symplectic forms, brane supports,
 lattice reductions, admissibility and positivity certificates) is computed
 here without any floating point.  Matrices are immutable; every operation
 returns a new value.  Vectors are plain tuples of Fractions.
+
+A :class:`RatMat` is stored as one integer numerator matrix over one
+positive common denominator, ``M = N / den``, in normal form: the gcd of
+``den`` and every entry of ``N`` is 1, so a zero matrix has ``den == 1``
+and an integer matrix is exactly one with ``den == 1``.  Every operation
+normalises its result, so two equal matrices have equal ``(N, den)`` and
+``==``/``hash`` are plain tuple comparisons (matrices serve as cache keys).
+Arithmetic runs on the integer numerators; ``det``, ``inv``, ``rank``,
+``kernel`` and the positivity test use fraction-free (Bareiss)
+elimination, whose divisions are exact.  Entries read back through
+``m[i, j]``, ``row``, ``col`` and ``rows`` are Fractions.
 
 Floats are accepted as inputs and converted *exactly* (every binary float is
 a rational), so positivity tests on float-valued data are still rigorous.
@@ -12,7 +23,8 @@ a rational), so positivity tests on float-valued data are still rigorous.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from operator import add, mul, sub
 from typing import Iterable, Sequence
 
 Rat = Fraction
@@ -43,11 +55,6 @@ def vec_sub(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...
     return tuple(x - y for x, y in zip(a, b, strict=True))
 
 
-def vec_scale(c, a: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    c = rat(c)
-    return tuple(c * x for x in a)
-
-
 def vec_dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     # accumulate over a common denominator; one normalization at the end
     num = 0
@@ -68,8 +75,61 @@ def vec_dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     return Fraction(num, den)
 
 
+def _int_vec(xs) -> tuple[tuple[int, ...], int]:
+    """(numerators, common denominator) of a vector of exact scalars."""
+    xs = tuple(xs)
+    if all(type(x) is int for x in xs):
+        return xs, 1
+    v = ratvec(xs)
+    den = lcm(*(x.denominator for x in v)) if v else 1
+    return tuple(x.numerator * (den // x.denominator) for x in v), den
+
+
+def _bareiss(a: list[list[int]], ncols: int, full: bool) -> tuple[list[int], int, int]:
+    """Fraction-free elimination of the integer rows ``a`` in place, over
+    the first ``ncols`` columns.
+
+    Returns (pivot columns, last pivot, sign of the row permutation).  Row
+    ``i`` of the result holds pivot ``i`` at its pivot column; every pivot
+    equals the leading minor of the pivot rows and columns, and each update
+    ``(p * x - f * y) // prev`` divides exactly (Bareiss).  With ``full``
+    the pivot columns are cleared above the pivots too (Gauss-Jordan), and
+    every pivot then equals the last one.
+    """
+    nr = len(a)
+    pivots: list[int] = []
+    prev = 1
+    sign = 1
+    row = 0
+    for c in range(ncols):
+        if row == nr:
+            break
+        piv = next((r for r in range(row, nr) if a[r][c]), None)
+        if piv is None:
+            continue
+        if piv != row:
+            a[row], a[piv] = a[piv], a[row]
+            sign = -sign
+        prow = a[row]
+        p = prow[c]
+        for r in range(nr) if full else range(row + 1, nr):
+            if r == row:
+                continue
+            cur = a[r]
+            f = cur[c]
+            if f:
+                a[r] = [(p * x - f * y) // prev for x, y in zip(cur, prow)]
+            elif prev != p:
+                a[r] = [p * x // prev for x in cur]
+        pivots.append(c)
+        prev = p
+        row += 1
+    return pivots, prev, sign
+
+
 class RatMat:
-    """Immutable matrix of Fractions.
+    """Immutable rational matrix: an integer numerator matrix over one
+    positive common denominator, kept in normal form.
 
     >>> m = RatMat([[1, 2], [3, 4]])
     >>> m.det()
@@ -78,30 +138,55 @@ class RatMat:
     True
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ("num", "den")
 
     def __init__(self, rows: Iterable[Iterable]):
-        rows = tuple(tuple(rat(x) for x in r) for r in rows)
+        rows = tuple(tuple(r) for r in rows)
         if rows and any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("ragged rows")
-        object.__setattr__(self, "rows", rows)
+        if all(type(x) is int for r in rows for x in r):
+            self.num, self.den = rows, 1
+            return
+        fr = [[rat(x) for x in r] for r in rows]
+        # with every entry in lowest terms, the lcm of the denominators
+        # leaves numerators whose gcd with it is 1: already normal
+        den = lcm(*(x.denominator for r in fr for x in r))
+        self.num = tuple(tuple(x.numerator * (den // x.denominator) for x in r)
+                         for r in fr)
+        self.den = den
 
     @classmethod
-    def _of_rows(cls, rows) -> "RatMat":
-        # internal: rows is a rectangular tuple of tuples of Fractions
+    def _make(cls, num: tuple, den: int) -> "RatMat":
+        """Normalise (num, den), den != 0, and wrap it; ``num`` is a
+        rectangular tuple of tuples of integers."""
+        if den < 0:
+            num, den = tuple(tuple(-x for x in r) for r in num), -den
+        if den != 1:
+            g = gcd(den, *(x for r in num for x in r))
+            if g != 1:
+                num = tuple(tuple(x // g for x in r) for r in num)
+                den //= g
+        return cls._raw(num, den)
+
+    @classmethod
+    def _raw(cls, num: tuple, den: int) -> "RatMat":
+        # internal: (num, den) is already a tuple of tuples in normal form
         m = object.__new__(cls)
-        object.__setattr__(m, "rows", rows)
+        m.num = num
+        m.den = den
         return m
 
     # -- construction -------------------------------------------------
 
     @classmethod
     def identity(cls, n: int) -> "RatMat":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._raw(
+            tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), 1
+        )
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "RatMat":
-        return cls([[0] * ncols for _ in range(nrows)])
+        return cls._raw(tuple((0,) * ncols for _ in range(nrows)), 1)
 
     @classmethod
     def diag(cls, entries: Iterable) -> "RatMat":
@@ -124,60 +209,75 @@ class RatMat:
 
     @property
     def nrows(self) -> int:
-        return len(self.rows)
+        return len(self.num)
 
     @property
     def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
+        return len(self.num[0]) if self.num else 0
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.nrows, self.ncols)
 
+    @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        den = self.den
+        return tuple(tuple(Fraction(x, den) for x in r) for r in self.num)
+
     def __getitem__(self, ij) -> Fraction:
         i, j = ij
-        return self.rows[i][j]
+        return Fraction(self.num[i][j], self.den)
 
     def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.rows[i]
+        den = self.den
+        return tuple(Fraction(x, den) for x in self.num[i])
 
     def col(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(r[j] for r in self.rows)
+        den = self.den
+        return tuple(Fraction(r[j], den) for r in self.num)
 
     def columns(self) -> list[tuple[Fraction, ...]]:
         return [self.col(j) for j in range(self.ncols)]
 
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "RatMat":
-        return RatMat._of_rows(
-            tuple(tuple(self.rows[i][j] for j in cols) for i in rows)
-        )
+        num = self.num
+        return RatMat._make(tuple(tuple(num[i][j] for j in cols) for i in rows),
+                            self.den)
 
     # -- algebra -------------------------------------------------------
 
-    def __add__(self, other: "RatMat") -> "RatMat":
+    def _aligned(self, other: "RatMat"):
+        # numerators of self and other over their common denominator
         self._check_same_shape(other)
-        return RatMat._of_rows(
-            tuple(
-                tuple(a + b for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.rows, other.rows)
-            )
+        da, db = self.den, other.den
+        if da == db:
+            return self.num, other.num, da
+        den = lcm(da, db)
+        fa, fb = den // da, den // db
+        a = self.num if fa == 1 else [[fa * x for x in r] for r in self.num]
+        b = other.num if fb == 1 else [[fb * x for x in r] for r in other.num]
+        return a, b, den
+
+    def __add__(self, other: "RatMat") -> "RatMat":
+        a, b, den = self._aligned(other)
+        return RatMat._make(
+            tuple(tuple(map(add, r1, r2)) for r1, r2 in zip(a, b)), den
         )
 
     def __sub__(self, other: "RatMat") -> "RatMat":
-        self._check_same_shape(other)
-        return RatMat._of_rows(
-            tuple(
-                tuple(a - b for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.rows, other.rows)
-            )
+        a, b, den = self._aligned(other)
+        return RatMat._make(
+            tuple(tuple(map(sub, r1, r2)) for r1, r2 in zip(a, b)), den
         )
 
     def __neg__(self) -> "RatMat":
-        return RatMat._of_rows(tuple(tuple(-a for a in r) for r in self.rows))
+        return RatMat._raw(tuple(tuple(-x for x in r) for r in self.num), self.den)
 
     def __mul__(self, scalar) -> "RatMat":
         c = rat(scalar)
-        return RatMat._of_rows(tuple(tuple(c * a for a in r) for r in self.rows))
+        p = c.numerator
+        return RatMat._make(tuple(tuple(p * x for x in r) for r in self.num),
+                            self.den * c.denominator)
 
     __rmul__ = __mul__
 
@@ -185,19 +285,21 @@ class RatMat:
         if isinstance(other, RatMat):
             if self.ncols != other.nrows:
                 raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-            cols = tuple(zip(*other.rows))
-            return RatMat._of_rows(
-                tuple(tuple(vec_dot(r, c) for c in cols) for r in self.rows)
+            cols = tuple(zip(*other.num))
+            return RatMat._make(
+                tuple(tuple(sum(map(mul, r, c)) for c in cols) for r in self.num),
+                self.den * other.den,
             )
-        # vector: sequence of scalars -> tuple
-        v = ratvec(other)
+        # vector: sequence of scalars -> tuple of Fractions
+        v, vden = _int_vec(other)
         if self.ncols != len(v):
             raise ValueError(f"shape mismatch {self.shape} @ vector[{len(v)}]")
-        return tuple(vec_dot(r, v) for r in self.rows)
+        den = self.den * vden
+        return tuple(Fraction(sum(map(mul, r, v)), den) for r in self.num)
 
     @property
     def T(self) -> "RatMat":
-        return RatMat._of_rows(tuple(zip(*self.rows)))
+        return RatMat._raw(tuple(zip(*self.num)), self.den)
 
     def _check_same_shape(self, other: "RatMat"):
         if self.shape != other.shape:
@@ -209,22 +311,23 @@ class RatMat:
         return self.nrows == self.ncols
 
     def is_zero(self) -> bool:
-        return all(a == 0 for r in self.rows for a in r)
+        return not any(any(r) for r in self.num)
 
     def is_integer(self) -> bool:
-        return all(a.denominator == 1 for r in self.rows for a in r)
+        return self.den == 1
 
     def is_symmetric(self) -> bool:
-        return self.is_square() and self == self.T
+        return self.is_square() and self.num == tuple(zip(*self.num))
 
     def is_antisymmetric(self) -> bool:
         return self.is_square() and self == -self.T
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, RatMat) and self.rows == other.rows
+        return (isinstance(other, RatMat) and self.den == other.den
+                and self.num == other.num)
 
     def __hash__(self) -> int:
-        return hash(self.rows)
+        return hash((self.num, self.den))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(a) for a in r) for r in self.rows)
@@ -233,12 +336,9 @@ class RatMat:
     # -- conversions ---------------------------------------------------
 
     def to_int_rows(self) -> list[list[int]]:
-        if not self.is_integer():
+        if self.den != 1:
             raise ValueError("matrix has non-integer entries")
-        return [[int(a) for a in r] for r in self.rows]
-
-    def to_float_rows(self) -> list[list[float]]:
-        return [[float(a) for a in r] for r in self.rows]
+        return [list(r) for r in self.num]
 
     def map(self, fn) -> "RatMat":
         return RatMat([[fn(a) for a in r] for r in self.rows])
@@ -249,100 +349,52 @@ class RatMat:
         if not self.is_square():
             raise ValueError("det of non-square matrix")
         n = self.nrows
-        m = [list(r) for r in self.rows]
-        det = Fraction(1)
-        for c in range(n):
-            piv = next((r for r in range(c, n) if m[r][c] != 0), None)
-            if piv is None:
-                return Fraction(0)
-            if piv != c:
-                m[c], m[piv] = m[piv], m[c]
-                det = -det
-            det *= m[c][c]
-            inv = 1 / m[c][c]
-            for r in range(c + 1, n):
-                if m[r][c] != 0:
-                    f = m[r][c] * inv
-                    for j in range(c, n):
-                        m[r][j] -= f * m[c][j]
-        return det
+        a = [list(r) for r in self.num]
+        pivots, last, sign = _bareiss(a, n, full=False)
+        if len(pivots) < n:
+            return Fraction(0)
+        return Fraction(sign * last, self.den ** n)
 
     def inv(self) -> "RatMat":
         if not self.is_square():
             raise ValueError("inverse of non-square matrix")
         n = self.nrows
-        m = [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(self.rows)]
-        for c in range(n):
-            piv = next((r for r in range(c, n) if m[r][c] != 0), None)
-            if piv is None:
-                raise ZeroDivisionError("matrix is singular")
-            m[c], m[piv] = m[piv], m[c]
-            inv = 1 / m[c][c]
-            m[c] = [a * inv for a in m[c]]
-            for r in range(n):
-                if r != c and m[r][c] != 0:
-                    f = m[r][c]
-                    m[r] = [a - f * b for a, b in zip(m[r], m[c])]
-        return RatMat([r[n:] for r in m])
+        a = [list(r) + [int(i == j) for j in range(n)]
+             for i, r in enumerate(self.num)]
+        pivots, last, _ = _bareiss(a, n, full=True)
+        if len(pivots) < n:
+            raise ZeroDivisionError("matrix is singular")
+        # N [I | 0] -> [p I | p N^-1] with p the last pivot; M^-1 = den N^-1
+        den = self.den
+        return RatMat._make(tuple(tuple(den * x for x in r[n:]) for r in a), last)
 
     def solve(self, rhs: Sequence) -> tuple[Fraction, ...]:
         """Solve self @ x = rhs for square invertible self."""
         return self.inv() @ ratvec(rhs)
 
     def rank(self) -> int:
-        # fraction-free: clear denominators per row, then integer cross-
-        # multiplication elimination (no gcd work in the inner loop)
-        nr, nc = self.nrows, self.ncols
-        m = []
-        for r in self.rows:
-            den = 1
-            for x in r:
-                den = lcm(den, x.denominator)
-            m.append([x.numerator * (den // x.denominator) for x in r])
-        rank = 0
-        for c in range(nc):
-            piv = next((r for r in range(rank, nr) if m[r][c]), None)
-            if piv is None:
-                continue
-            m[rank], m[piv] = m[piv], m[rank]
-            pv = m[rank][c]
-            for r in range(rank + 1, nr):
-                if m[r][c]:
-                    f = m[r][c]
-                    m[r] = [pv * a - f * b for a, b in zip(m[r], m[rank])]
-            rank += 1
-            if rank == nr:
-                break
-        return rank
+        a = [list(r) for r in self.num]
+        return len(_bareiss(a, self.ncols, full=False)[0])
 
     def kernel(self) -> "RatMat":
-        """Columns spanning the rational kernel {x : self @ x = 0}."""
-        nr, nc = self.nrows, self.ncols
-        m = [list(r) for r in self.rows]
-        pivots: list[int] = []
-        row = 0
-        for c in range(nc):
-            piv = next((r for r in range(row, nr) if m[r][c] != 0), None)
-            if piv is None:
-                continue
-            m[row], m[piv] = m[piv], m[row]
-            inv = 1 / m[row][c]
-            m[row] = [a * inv for a in m[row]]
-            for r in range(nr):
-                if r != row and m[r][c] != 0:
-                    f = m[r][c]
-                    m[r] = [a - f * b for a, b in zip(m[r], m[row])]
-            pivots.append(c)
-            row += 1
+        """Columns spanning the rational kernel {x : self @ x = 0}.
+
+        Column k has a 1 at the k-th free column of the reduced row echelon
+        form and minus that form's entries at the pivot columns.
+        """
+        nc = self.ncols
+        a = [list(r) for r in self.num]
+        pivots, last, _ = _bareiss(a, nc, full=True)
         free = [c for c in range(nc) if c not in pivots]
-        cols = []
-        for fc in free:
-            v = [Fraction(0)] * nc
-            v[fc] = Fraction(1)
+        if not free:
+            return RatMat([[] for _ in range(nc)])
+        # reduced row echelon form = a / last on the pivot rows
+        k = [[0] * len(free) for _ in range(nc)]
+        for j, fc in enumerate(free):
+            k[fc][j] = last
             for prow, pc in enumerate(pivots):
-                v[pc] = -m[prow][fc]
-            cols.append(v)
-        return RatMat.from_columns(cols) if cols else RatMat([[] for _ in range(nc)])
+                k[pc][j] = -a[prow][fc]
+        return RatMat._make(tuple(map(tuple, k)), last)
 
     def leading_principal_minors(self) -> list[Fraction]:
         if not self.is_square():
@@ -352,21 +404,50 @@ class RatMat:
         ]
 
     def is_positive_definite(self) -> bool:
-        """Sylvester test; requires a symmetric matrix."""
+        """Sylvester test; requires a symmetric matrix.
+
+        One Bareiss pass without row exchanges: the k-th pivot is the k-th
+        leading minor of the numerator matrix (of the same sign as that of
+        the matrix), and the pass stops at the first one that is <= 0.
+        """
         if not self.is_symmetric():
             raise ValueError("positive-definiteness test needs a symmetric matrix")
-        return all(mk > 0 for mk in self.leading_principal_minors())
+        a = [list(r) for r in self.num]
+        n = len(a)
+        prev = 1
+        for c in range(n):
+            prow = a[c]
+            p = prow[c]
+            if p <= 0:
+                return False
+            for r in range(c + 1, n):
+                cur = a[r]
+                f = cur[c]
+                a[r] = [(p * x - f * y) // prev for x, y in zip(cur, prow)]
+            prev = p
+        return True
+
+
+def _scaled_blocks(mats):
+    # numerators of every block over the lcm of their denominators; blocks
+    # in normal form stay in normal form together over that lcm
+    den = lcm(*(m.den for m in mats))
+    return [m.num if m.den == den else
+            tuple(tuple(den // m.den * x for x in r) for r in m.num)
+            for m in mats], den
 
 
 def hstack(*mats: RatMat) -> RatMat:
     rows = mats[0].nrows
     if any(m.nrows != rows for m in mats):
         raise ValueError("hstack: row counts differ")
-    return RatMat([sum((list(m.rows[i]) for m in mats), []) for i in range(rows)])
+    blocks, den = _scaled_blocks(mats)
+    return RatMat._raw(tuple(sum(rs, ()) for rs in zip(*blocks)), den)
 
 
 def vstack(*mats: RatMat) -> RatMat:
     cols = mats[0].ncols
     if any(m.ncols != cols for m in mats):
         raise ValueError("vstack: column counts differ")
-    return RatMat([r for m in mats for r in m.rows])
+    blocks, den = _scaled_blocks(mats)
+    return RatMat._raw(sum(blocks, ()), den)

@@ -108,10 +108,11 @@ def _xi_bits(xi_lin, n: int) -> tuple:
     return bits
 
 
-def _xi_value(a_form: RatMat, bits, m) -> int:
+def _xi_value(a_rows, bits, m) -> int:
+    """xi(m) for the integer pairing-form rows ``a_rows`` and sign bits."""
     n = len(bits)
     total = sum(
-        int(a_form[i, j]) * m[i] * m[j]
+        a_rows[i][j] * m[i] * m[j]
         for i in range(n)
         for j in range(i + 1, n)
     )
@@ -284,11 +285,12 @@ def mu2_base(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat, k, r, phi, *,
                              max_radius=max_radius)
 
     re_q = tau_re @ d_mat
+    a_rows = a_form.to_int_rows()
     terms = []
     for m in iter_ball(n, cert.radius):
         w = vec_sub(ratvec(m), p)
         turns = (
-            Fraction(_xi_value(a_form, bits, m), 2)
+            Fraction(_xi_value(a_rows, bits, m), 2)
             + vec_dot(p, a_form @ m) / 2
             + vec_dot(re_q @ w, w) / 2
             + vec_dot(d_mat @ w, z_re)
@@ -384,9 +386,7 @@ def mu2_double(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat, k, l,
     dim = 2 * n
 
     # decay(w) = (w+c)^T G (w+c) = w^T G w + (2 G c) . w + c^T G c
-    g_den = math.lcm(*(gram[i, j].denominator
-                       for i in range(dim) for j in range(dim)))
-    g_int = [[int(gram[i, j] * g_den) for j in range(dim)] for i in range(dim)]
+    g_den, g_int = gram.den, gram.num
     d_lin = tuple(2 * x for x in (gram @ center))
     d_const = vec_dot(gram @ center, center)
     d_den = math.lcm(g_den, *(x.denominator for x in d_lin),
@@ -761,12 +761,7 @@ def u_part_self(brane: Brane) -> UPartSelf:
         rows.append([0 if j != i else 1 for j in range(k)]
                     + [mt[i, j] for j in range(k)])
     real_sys = RatMat(rows)
-    den = 1
-    for i in range(real_sys.nrows):
-        for j in range(real_sys.ncols):
-            den = den * real_sys[i, j].denominator // math.gcd(
-                den, real_sys[i, j].denominator)
-    kern = int_kernel(real_sys * den)
+    kern = int_kernel(real_sys * real_sys.den)
     if kern.ncols % 2 != 0:
         raise JNotPreserving("the realified eigenspace has odd dimension")
     dim_c = kern.ncols // 2

@@ -230,20 +230,21 @@ def _coset_data(m: RatMat):
         raise SingularModulus("coset enumeration needs a nonsingular matrix")
     h, _ = column_hnf(m)
     # h is lower triangular with positive diagonal (full rank square case)
-    diag = [int(h[i, i]) for i in range(h.nrows)]
+    h = tuple(map(tuple, h.to_int_rows()))  # immutable: the value is cached
+    diag = [h[i][i] for i in range(len(h))]
     return h, diag
 
 
 def coset_reduce(m: RatMat, x) -> tuple[int, ...]:
     """Canonical representative of integer vector x in Z^n / (M Z^n)."""
     h, _ = _coset_data(m)
-    n = h.nrows
+    n = len(h)
     y = [int(v) for v in x]
     for i in range(n):
-        q = y[i] // int(h[i, i])
+        q = y[i] // h[i][i]
         if q:
             for r in range(i, n):
-                y[r] -= q * int(h[r, i])
+                y[r] -= q * h[r][i]
     return tuple(y)
 
 
@@ -252,8 +253,7 @@ def cosets(m: RatMat) -> list[tuple[int, ...]]:
 
     The count is |det M|; raises SingularModulus when det M = 0.
     """
-    h, diag = _coset_data(m)
-    n = h.nrows
+    _, diag = _coset_data(m)
     reps = []
     for box in product(*(range(d) for d in diag)):
         # box coordinates are taken in the triangular fundamental domain

@@ -82,7 +82,6 @@ class DoubleContext:
     """IEEE binary64 backend (plain floats, cmath)."""
 
     name = "double"
-    eps = 2.220446049250313e-16
     default_tol = 1e-10
 
     def real(self, x) -> float:
@@ -113,19 +112,12 @@ class DoubleContext:
     def sum(self, terms: Sequence, partitions: int = 1):
         return compensated_sum(terms, partitions)
 
-    def as_builtin_complex(self, z) -> complex:
-        return complex(z)
-
-    def format_real(self, x) -> str:
-        return repr(float(x))
-
 
 class DDContext:
     """106-bit backend via mpmath (double-double equivalent width)."""
 
     name = "dd"
     prec = 106
-    eps = 2.0 ** -105
     default_tol = 1e-20
 
     def __init__(self):
@@ -174,12 +166,6 @@ class DDContext:
         for s in slots:
             acc = acc + s
         return acc
-
-    def as_builtin_complex(self, z) -> complex:
-        return complex(z)
-
-    def format_real(self, x) -> str:
-        return mpmath.nstr(x, 28)
 
 
 _CONTEXTS = {"double": DoubleContext(), "dd": DDContext()}

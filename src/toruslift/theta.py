@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from typing import Iterator, Optional, Sequence
 
@@ -279,7 +279,7 @@ class ThetaSpec:
     def n(self) -> int:
         return self.d_mat.nrows
 
-    @property
+    @cached_property
     def a_form(self) -> RatMat:
         return self.tau_re @ self.d_mat - self.d_mat.T @ self.tau_re.T
 
@@ -293,10 +293,10 @@ class ThetaSpec:
         return self.d_mat.solve(ratvec(self.char))
 
     def xi_value(self, m) -> int:
-        a = self.a_form
+        a = self.a_form.num  # integer numerators: __post_init__ checked it
         mm = [int(c) for c in m]
         total = sum(
-            int(a[i, j]) * mm[i] * mm[j]
+            a[i][j] * mm[i] * mm[j]
             for i in range(self.n)
             for j in range(i + 1, self.n)
         )

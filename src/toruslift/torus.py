@@ -155,7 +155,9 @@ def dual_torus(t: Torus) -> Torus:
     if period is not None:
         # the block forms derived from the dual period must agree exactly
         check = Torus.from_period(*period)
-        assert check.omega == omega_star and check.b_field == b_star
+        if check.omega != omega_star or check.b_field != b_star:
+            raise DualityAssumptionViolated(
+                "the dual period does not reproduce the dual forms")
     return out
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from branefamilies import coisotropic_sample, graph_slopes, t4_brane
+from toruslift import brane as brane_module
 from toruslift.brane import (
     Brane,
     admissible_d,
@@ -332,6 +333,51 @@ def test_lift_requires_a_certified_brane():
     lb = lift(zero_section_brane(SQ1))
     with pytest.raises(InvalidBrane):
         lift(lb)  # already on a doubled torus
+
+
+def _count_coisotropic_checks(monkeypatch):
+    calls = []
+
+    def counted(brane):
+        calls.append(brane)
+        return validate_coisotropic(brane)
+
+    monkeypatch.setattr(brane_module, "validate_coisotropic", counted)
+    return calls
+
+
+def test_lift_checks_coisotropy_only_when_not_lagrangian(monkeypatch):
+    calls = _count_coisotropic_checks(monkeypatch)
+    d = RatMat([[2, 1], [1, 1]])
+    lift(graph_brane(Torus.from_period(RE21, d.T), d))
+    lift(fiber_brane(SQ2, (Fraction(1, 3), 0)))
+    assert calls == []
+    t4 = t4_space_filling_brane()
+    lift(t4)
+    assert calls == [t4]
+
+
+def test_lift_names_both_failure_sets(monkeypatch):
+    calls = _count_coisotropic_checks(monkeypatch)
+    flat = full_torus_brane(SQ2, RatMat.zeros(4, 4))
+    lag = validate_lagrangian(flat).failures
+    coi = validate_coisotropic(flat).failures
+    assert lag and coi
+    with pytest.raises(InvalidBrane) as err:
+        lift(flat)
+    assert len(calls) == 1
+    message = str(err.value)
+    assert "lagrangian: " + "; ".join(lag) in message
+    assert "coisotropic: " + "; ".join(coi) in message
+
+
+def test_lift_rejects_a_mismatched_double(monkeypatch):
+    # the flipped double carries the opposite background form, so the
+    # lifted curvature check must fail with a typed error, also under -O
+    monkeypatch.setattr(brane_module, "double_torus",
+                        lambda t: double_torus(t).flipped())
+    with pytest.raises(InvalidBrane, match="lifted curvature"):
+        lift(t4_space_filling_brane())
 
 
 def test_lift_negative_controls():

@@ -74,6 +74,54 @@ points = 1/5 -1/10 0 1/4 3/20 0 -1/5 1/10 ; 0 1/2 1/10 -3/20 1/4 1/5 0 -1/20
 tol = 1e-9
 """
 
+# exact-layer jobs: a graph brane on a torus with a B-field, a fiber, a
+# space-filling coisotropic T^4 brane and a flat T^4 brane that fails both
+# validations (its lift is an error record)
+GRAPH_TORUS = """
+[torus]
+n = 2
+tau = 1/2+2i 3i ; i 1/2+i
+
+[brane L]
+kind = graph
+d = 2 1 ; 3 1
+phi = 1/4 -2/3
+xi = 1 0
+"""
+
+T4_TORUS = """
+[torus]
+n = 2
+tau = i 0 ; 0 i
+"""
+
+T4_BRANE = """
+[brane C]
+kind = coisotropic
+n_mat = 0 1 2 3/2 ; -1 1 -5/2 -3/2 ; 0 5/2 -1/2 1/2 ; 1/2 1/2 1/2 0
+offset = -1/4 1 3/4 1
+phi = 0 -1/4 3/4 3/4
+xi = 0 1 0 1
+"""
+
+FLAT_BRANE = """
+[brane Z]
+kind = coisotropic
+n_mat = 0 0 0 0 ; 0 0 0 0 ; 0 0 0 0 ; 0 0 0 0
+"""
+
+FIBER_BRANE = """
+[brane P]
+kind = fiber
+position = 1/3 -1/10
+phi = -1/2 1/4
+"""
+
+
+def _tasks(kind, *branes):
+    return "".join(f"\n[task {kind}]\nbrane = {b}\n" for b in branes)
+
+
 JOBS = {
     "determinism": DETERMINISM_JOB % 1,
     "theta-n1-double": THETA_N1 % ("1e-12", "double"),
@@ -82,6 +130,14 @@ JOBS = {
     "theta-n2-dd": THETA_N2 % ("1e-20", "dd"),
     "identity2": IDENTITY2,
     "usub-n2": USUB_N2,
+    "lift-graph": GRAPH_TORUS + _tasks("lift", "L"),
+    "lift-fiber": T4_TORUS + FIBER_BRANE + _tasks("lift", "P"),
+    "lift-t4": T4_TORUS + T4_BRANE + FLAT_BRANE + _tasks("lift", "C", "Z"),
+    "validate-graph": GRAPH_TORUS + _tasks("validate", "L"),
+    "validate-coisotropic":
+        T4_TORUS + T4_BRANE + FLAT_BRANE + _tasks("validate", "C", "Z"),
+    "twist-graph": GRAPH_TORUS + _tasks("twist", "L"),
+    "upart-self-t4": T4_TORUS + T4_BRANE + _tasks("upart-self", "C"),
 }
 
 # sha256 of each job's ``lines`` report
@@ -100,6 +156,20 @@ GOLDEN = {
         "70f6c6bf4b6cbd3aee382ae115e47e43902d91730c6fc917e3bbe5d3ec5cd4d2",
     "usub-n2":
         "987ffd67b7c28dfca956ef8038d686189512a81fdb552aa835400fd64024672c",
+    "lift-fiber":
+        "fe0a3deaa1936f4c957a3d129227fe28440cc6e918093b1f525db59a259b2594",
+    "lift-graph":
+        "44ba13aef8c09957b47f28c5cd921eaec01410b7335af3c777e4092efa613214",
+    "lift-t4":
+        "fc0bca0d3bbfc3a83333aab107023a5e50dc76975554415fa680383d52824e69",
+    "twist-graph":
+        "cdb3c19c98234298435bc1ca01d2844aac3fe694aca3db9ba7c7aab1859b9fb3",
+    "upart-self-t4":
+        "5c535c4429410e028ecfc6c32a4481a46b2888fc1b1a989c166d16d91de81d7d",
+    "validate-coisotropic":
+        "7a12312626939c860ea8c2dedbf26b11232538c50d7248a42312dfc233fc7cd9",
+    "validate-graph":
+        "d6b8f7b3514652c615ac563cddd7ac44726f8cf3480150354b6b36ffaba7a97e",
 }
 
 

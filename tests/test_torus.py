@@ -10,6 +10,7 @@ from toruslift.errors import (
     NotSplit,
     SingularModulus,
 )
+from toruslift import torus as torus_module
 from toruslift.exact import RatMat, hstack, vstack
 from toruslift.torus import (
     Torus,
@@ -59,6 +60,15 @@ def test_degenerate_omega_rejected():
 @given(split_tori(2))
 def test_omega_inv_split_fast_path(t):
     assert t.omega_inv() == t.omega.inv()
+
+
+def test_dual_period_mismatch_is_a_typed_error(monkeypatch):
+    # a dual period whose block forms disagree with the dual forms must
+    # raise, not assert (python -O strips asserts)
+    monkeypatch.setattr(torus_module, "_complex_inv",
+                        lambda re, im: (RatMat([[0]]), RatMat([[1]])))
+    with pytest.raises(DualityAssumptionViolated):
+        dual_torus(Torus.from_period(RatMat([[0]]), RatMat([[1]])))
 
 
 @settings(max_examples=30, deadline=None)
