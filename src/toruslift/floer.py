@@ -25,10 +25,13 @@ Key quantities:
   under the doubled complex structure and reports the anti-holomorphic
   exterior-power dimensions.
 
-All phases are assembled in exact rational "turns" (fractions of a full
-circle) and reduced mod 1 before any floating-point conversion; decay
-exponents are exact rationals times pi.  Summation order is the canonical
-shell order, so results are bitwise reproducible across partition counts.
+Both product sums run through the integer kernel
+:func:`toruslift.theta.lattice_terms`: the decay exponent (a rational times
+pi) and the phase in "turns" (fractions of a full circle) are
+affine-quadratic in the lattice vector, so each is an integer form over one
+denominator, the phase is reduced mod 1 exactly, and each is rounded once.
+Summation order is the canonical shell order, so results are bitwise
+reproducible across partition counts.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from .errors import (
     NotPositiveDefinite,
     UnsupportedTriple,
 )
-from .exact import RatMat, ratvec, vec_add, vec_dot, vec_sub
+from .exact import RatMat, hstack, ratvec, vec_add, vec_dot, vec_sub, vstack
 from .lattice import coset_reduce, cosets, int_kernel, solve_integer_system
 from .summation import get_context
 from .theta import (
@@ -55,7 +58,10 @@ from .theta import (
     CertifiedValue,
     ThetaSpec,
     _resolved_tol,
-    iter_ball,
+    _theta_certificate,
+    centered_form,
+    int_form,
+    lattice_terms,
     theta_bar_dk,
     theta_dk,
     truncation_radius,
@@ -77,10 +83,6 @@ def _rat_vec(v, n: int, name: str) -> tuple:
     return out
 
 
-def _pairing_form(tau_re: RatMat, d_mat: RatMat) -> RatMat:
-    return tau_re @ d_mat - d_mat.T @ tau_re.T
-
-
 def _check_slope(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat) -> RatMat:
     """Slope admissibility; returns the integral pairing form A."""
     n = tau_im.nrows
@@ -95,7 +97,7 @@ def _check_slope(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat) -> RatMat:
         raise NotPositiveDefinite(
             "Im(tau) D must be symmetric positive definite"
         )
-    a = _pairing_form(tau_re, d_mat)
+    a = tau_re @ d_mat - d_mat.T @ tau_re.T
     if not a.is_integer():
         raise InadmissibleD("Re(tau) D - D^T Re(tau)^T must be integral")
     return a
@@ -106,18 +108,6 @@ def _xi_bits(xi_lin, n: int) -> tuple:
     if len(bits) != n or any(b not in (0, 1) for b in bits):
         raise ValueError("xi_lin must be a 0/1 vector of length n")
     return bits
-
-
-def _xi_value(a_rows, bits, m) -> int:
-    """xi(m) for the integer pairing-form rows ``a_rows`` and sign bits."""
-    n = len(bits)
-    total = sum(
-        a_rows[i][j] * m[i] * m[j]
-        for i in range(n)
-        for j in range(i + 1, n)
-    )
-    total += sum(b * c for b, c in zip(bits, m))
-    return total % 2
 
 
 # -- intersection bases --------------------------------------------------------
@@ -185,7 +175,7 @@ def intersections(d_from: RatMat, d_to: RatMat, *, tau_re: Optional[RatMat] = No
         return out
     if tau_re is None:
         raise ValueError("doubled intersections need the real part of the modulus")
-    a_form = _pairing_form(tau_re, delta)
+    a_form = tau_re @ delta - delta.T @ tau_re.T
     if not a_form.is_integer():
         raise InadmissibleD("Re(tau) D - D^T Re(tau)^T must be integral")
     dt_inv = delta.T.inv()
@@ -264,46 +254,23 @@ def mu2_base(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat, k, r, phi, *,
     p = D^{-1} k.  The result carries the truncation certificate of the sum;
     the prefactor has modulus at most one, so the tail bound still applies.
     """
-    a_form = _check_slope(tau_re, tau_im, d_mat)
+    _check_slope(tau_re, tau_im, d_mat)
     n = d_mat.nrows
     ctx = get_context(context)
     tol_f = _resolved_tol(tol, ctx)
     k = _int_vec(k, n, "characteristic")
     r = _rat_vec(r, n, "fiber position")
     phi = _rat_vec(phi, n, "flat connection")
-    bits = _xi_bits(xi_lin, n)
-    p = d_mat.solve(ratvec(k))
-
-    z_re = vec_sub(tau_re.T @ r, phi)
-    z_im = tau_im.T @ r
-    q_form = tau_im @ d_mat
-    lin = 2 * sum(abs(c) for c in (d_mat.T @ z_im))
-    const = 2 * vec_dot(ratvec(k), z_im)
-    shift = max((abs(c) for c in p), default=Fraction(0))
-    cert = truncation_radius(q_form, linear_bound=lin, tol=tol_f,
-                             center_shift=shift, constant_exponent=const,
-                             max_radius=max_radius)
-
-    re_q = tau_re @ d_mat
-    a_rows = a_form.to_int_rows()
-    terms = []
-    for m in iter_ball(n, cert.radius):
-        w = vec_sub(ratvec(m), p)
-        turns = (
-            Fraction(_xi_value(a_rows, bits, m), 2)
-            + vec_dot(p, a_form @ m) / 2
-            + vec_dot(re_q @ w, w) / 2
-            + vec_dot(d_mat @ w, z_re)
-        )
-        decay = vec_dot(q_form @ w, w) + 2 * vec_dot(d_mat @ w, z_im)
-        terms.append(ctx.exp(ctx.to_complex(
-            -ctx.pi * ctx.real(decay),
-            2 * ctx.pi * ctx.real(_mod1(turns)),
-        )))
+    spec = ThetaSpec(tau_re, tau_im, d_mat, k, _xi_bits(xi_lin, n), tol_f,
+                     max_radius)
+    z = list(zip(vec_sub(tau_re.T @ r, phi), tau_im.T @ r))
+    cert = _theta_certificate(spec, z, tol_f)
+    terms = lattice_terms(ctx, n, cert.radius, *spec.forms(z))
     total = ctx.sum(terms, partitions)
 
-    pref_turns = _mod1(vec_dot(re_q @ r, r) / 2 - vec_dot(d_mat @ r, phi))
-    pref_decay = vec_dot(q_form @ r, r)
+    pref_turns = _mod1(vec_dot((tau_re @ d_mat) @ r, r) / 2
+                       - vec_dot(d_mat @ r, phi))
+    pref_decay = vec_dot(spec.q_form @ r, r)
     prefactor = ctx.exp(ctx.to_complex(
         -ctx.pi * ctx.real(pref_decay), 2 * ctx.pi * ctx.real(pref_turns)
     ))
@@ -328,16 +295,8 @@ def _double_gram(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat) -> tuple:
     x_mat = tau_im.inv() @ d_mat.T
     c_mat = tau_re @ x_mat @ tau_re.T + tau_im @ x_mat @ tau_im.T
     cross = x_mat @ tau_re.T
-    half = Fraction(1, 2)
-    n = d_mat.nrows
-    rows = []
-    for i in range(n):
-        rows.append([half * c_mat[i, j] for j in range(n)]
-                    + [half * cross[j, i] for j in range(n)])
-    for i in range(n):
-        rows.append([half * cross[i, j] for j in range(n)]
-                    + [half * x_mat[i, j] for j in range(n)])
-    return RatMat(rows), x_mat
+    gram = vstack(hstack(c_mat, cross.T), hstack(cross, x_mat))
+    return gram * Fraction(1, 2), x_mat
 
 
 def mu2_double(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat, k, l,
@@ -353,11 +312,9 @@ def mu2_double(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat, k, l,
     kappa> - <D m', phi>, and the sign/transport factors xi(m)/2 -
     <m - p, A r>/2 + <p, A m>/2, with m' = m + (r-p), n' = n + (that-q).
 
-    The inner loop runs on integers: exponent and phase are affine-quadratic
-    in the lattice vector, so both reduce to integer forms over one fixed
-    denominator each, with a single exact rational (and a single rounding)
-    per term.  This keeps 2n-dimensional balls cheap without changing any
-    summand or the canonical summation order.
+    Decay and phase are integer forms in w = (m, n), summed by the shell
+    kernel :func:`toruslift.theta.lattice_terms`: a term costs a few
+    integer operations, two correctly rounded ratios and one exp.
     """
     a_form = _check_slope(tau_re, tau_im, d_mat)
     n = d_mat.nrows
@@ -375,85 +332,32 @@ def mu2_double(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat, k, l,
     cn = vec_sub(pt.theta_hat, q)
 
     gram, _ = _double_gram(tau_re, tau_im, d_mat)
-    shift = max(
-        (abs(c) for c in tuple(cm) + tuple(cn)), default=Fraction(0)
-    )
+    shift = max((abs(c) for c in cm + cn), default=Fraction(0))
     cert = truncation_radius(gram, tol=tol_f, center_shift=shift,
                              max_radius=max_radius)
     use = cert.radius if radius is None else max(radius, cert.radius)
 
-    center = tuple(cm) + tuple(cn)
-    dim = 2 * n
-
-    # decay(w) = (w+c)^T G (w+c) = w^T G w + (2 G c) . w + c^T G c
-    g_den, g_int = gram.den, gram.num
-    d_lin = tuple(2 * x for x in (gram @ center))
-    d_const = vec_dot(gram @ center, center)
-    d_den = math.lcm(g_den, *(x.denominator for x in d_lin),
-                     d_const.denominator)
-    d_lin_i = [int(x * d_den) for x in d_lin]
-    d_const_i = int(d_const * d_den)
-    g_scale = d_den // g_den
-
+    # decay(w) = <G (w + c), w + c>
+    decay = int_form(*centered_form(gram, tuple(-x for x in cm + cn)))
     # turns(w) = [xi_raw(m) - <D m, n>] / 2 + lin_m . m + lin_n . n + const
-    d_int = d_mat.to_int_rows()
-    a_int = a_form.to_int_rows()
     half = Fraction(1, 2)
-    t_lin_m = tuple(
-        -half * x - y - z - half * u + half * v
-        for x, y, z, u, v in zip(
-            d_mat.T @ cn, a_form.T @ pt.kappa, d_mat.T @ pt.phi,
-            a_form @ pt.r, a_form.T @ p,
-        )
-    )
-    t_lin_n = tuple(
-        -half * x + y for x, y in zip(d_mat @ cm, d_mat @ pt.kappa)
-    )
+    t_mat = [[0] * (2 * n) for _ in range(2 * n)]
+    for i in range(n):  # A and D are integral: their numerators are entries
+        t_mat[i][i + 1:n] = [half * x for x in a_form.num[i][i + 1:]]
+        t_mat[n + i][:n] = [-half * x for x in d_mat.num[i]]
+    t_lin = tuple(
+        half * (b - x - u + v) - y - z for b, x, y, z, u, v in zip(
+            bits, d_mat.T @ cn, a_form.T @ pt.kappa, d_mat.T @ pt.phi,
+            a_form @ pt.r, a_form.T @ p)
+    ) + tuple(y - half * x for x, y in zip(d_mat @ cm, d_mat @ pt.kappa))
     t_const = (
         -half * vec_dot(cn, d_mat @ cm)
         + vec_dot(cn, d_mat @ pt.kappa)
         - vec_dot(cm, vec_add(a_form.T @ pt.kappa, d_mat.T @ pt.phi))
         + half * vec_dot(p, a_form @ pt.r)
     )
-    t_den = math.lcm(2, *(x.denominator for x in t_lin_m + t_lin_n),
-                     t_const.denominator)
-    t_lin_i = [int(x * t_den) for x in t_lin_m + t_lin_n]
-    t_const_i = int(t_const * t_den)
-    t_half = t_den // 2
-
-    pi = ctx.pi
-    two_pi = 2 * pi
-    real = ctx.real
-    exp = ctx.exp
-    to_complex = ctx.to_complex
-    terms = []
-    for w in iter_ball(dim, use):
-        quad = 0
-        for i in range(dim):
-            wi = w[i]
-            if wi:
-                row = g_int[i]
-                quad += wi * sum(row[j] * w[j] for j in range(dim))
-        dec_num = quad * g_scale + d_const_i
-        xi_cross = 0
-        for i in range(n):
-            wi = w[i]
-            if wi:
-                arow = a_int[i]
-                xi_cross += wi * sum(arow[j] * w[j] for j in range(i + 1, n))
-                xi_cross += bits[i] * wi
-            drow = d_int[i]
-            xi_cross -= w[n + i] * sum(drow[j] * w[j] for j in range(n))
-        t_num = xi_cross * t_half + t_const_i
-        for i in range(dim):
-            wi = w[i]
-            if wi:
-                dec_num += d_lin_i[i] * wi
-                t_num += t_lin_i[i] * wi
-        terms.append(exp(to_complex(
-            -pi * real(Fraction(dec_num, d_den)),
-            two_pi * real(Fraction(t_num % t_den, t_den)),
-        )))
+    turns = int_form(t_mat, t_lin, t_const)
+    terms = lattice_terms(ctx, 2 * n, use, decay, turns)
     return CertifiedValue(ctx.sum(terms, partitions), cert, context)
 
 

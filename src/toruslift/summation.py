@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -85,12 +86,14 @@ class DoubleContext:
     default_tol = 1e-10
 
     def real(self, x) -> float:
-        if isinstance(x, Fraction):
-            return float(x)  # correctly rounded by CPython
-        return float(x)
+        return float(x)  # correctly rounded for a Fraction by CPython
+
+    # ratio(num, den) = num / den for integers: CPython rounds int division
+    # correctly, so this is float(Fraction(num, den))
+    ratio = staticmethod(operator.truediv)
 
     def to_complex(self, re, im=0) -> complex:
-        return complex(self.real(re), self.real(im))
+        return complex(float(re), float(im))
 
     def exp(self, z):
         if isinstance(z, complex):
@@ -129,6 +132,12 @@ class DDContext:
         if isinstance(x, Fraction):
             return self._mp.mpf(x.numerator) / self._mp.mpf(x.denominator)
         return self._mp.mpf(x)
+
+    def ratio(self, num: int, den: int):
+        """num / den for integers, through the normalised Fraction: mpf(num)
+        / mpf(den) rounds an operand wider than 106 bits, so the result
+        would otherwise depend on how the ratio is written."""
+        return self.real(Fraction(num, den))
 
     def to_complex(self, re, im=0):
         return self._mp.mpc(self.real(re), self.real(im))

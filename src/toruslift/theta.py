@@ -26,12 +26,15 @@ reported tail bound is rigorous, if deliberately crude.  It bounds the
 truncation error only: the floating-point rounding of the summed terms is
 not included.
 
-Series terms keep exact rational phase bookkeeping: every phase contribution
-that is rational in the inputs (sign structure, characteristic coupling, the
-Re(tau) quadratic part) accumulates as a Fraction and is reduced mod 1
-before any float is produced.  Terms are consumed in the canonical order
-(shells, lexicographic inside a shell) by the deterministic compensated
-summation from :mod:`toruslift.summation`.
+Series terms come from one integer kernel, :func:`lattice_terms`, shared
+with the product sums of :mod:`toruslift.floer`.  The decay exponent and the
+phase (sign structure, characteristic coupling, the Re(tau) quadratic part)
+are affine-quadratic in m, so each is an integer form over one denominator;
+the phase is reduced mod 1 exactly and each reaches a float by one correctly
+rounded division.  Sup-norm shells are enumerated directly, not filtered
+from cubes.  Terms are consumed in the canonical order (shells,
+lexicographic inside a shell) by the deterministic compensated summation
+from :mod:`toruslift.summation`.
 """
 
 from __future__ import annotations
@@ -45,12 +48,13 @@ from typing import Iterator, Optional, Sequence
 
 import mpmath
 
+from .brane import _xi_of
 from .errors import (
     InadmissibleSpec,
     NotPositiveDefinite,
     TruncationBudgetExceeded,
 )
-from .exact import RatMat, rat, ratvec, vec_dot
+from .exact import RatMat, rat, ratvec, vec_add, vec_dot
 from .summation import get_context
 
 DEFAULT_MAX_RADIUS = 40
@@ -67,14 +71,19 @@ def _iv_num(x):
 
 # -- lattice enumeration ------------------------------------------------------
 
+def _last_coordinates(s: int, reached: bool):
+    """Last coordinates that complete a prefix to a point of shell ``s``:
+    all of [-s, s] once the prefix reaches s, else only -s and s."""
+    return range(-s, s + 1) if reached else (-s, s)
+
+
 def iter_shell(dim: int, s: int) -> Iterator[tuple]:
-    """Lattice points with sup norm exactly ``s``, in lexicographic order."""
-    if s == 0:
-        yield (0,) * dim
-        return
-    for m in product(range(-s, s + 1), repeat=dim):
-        if max(abs(c) for c in m) == s:
-            yield m
+    """Lattice points with sup norm exactly ``s``, in lexicographic order:
+    each prefix of dim - 1 coordinates completed by its last coordinates."""
+    for prefix in product(range(-s, s + 1), repeat=dim - 1):
+        reached = not s or s in prefix or -s in prefix
+        for t in _last_coordinates(s, reached):
+            yield prefix + (t,)
 
 
 def iter_ball(dim: int, radius: int) -> Iterator[tuple]:
@@ -87,6 +96,95 @@ def shell_count(dim: int, s: int) -> int:
     if s == 0:
         return 1
     return (2 * s + 1) ** dim - (2 * s - 1) ** dim
+
+
+# -- the affine-quadratic lattice-sum kernel ----------------------------------
+
+def int_form(mat, lin, const) -> tuple:
+    """The polynomial m -> m^T M m + lin . m + const with rational
+    coefficients (M square, not necessarily symmetric) as integer
+    numerators over one positive denominator: (den, quad, lin, const), with
+    quad[i][j] (i <= j) the coefficient of m_i m_j."""
+    dim = len(lin)
+    quad = [[Fraction(0)] * dim for _ in range(dim)]
+    for i, row in enumerate(mat):
+        for j, x in enumerate(row):
+            quad[min(i, j)][max(i, j)] += x
+    const = Fraction(const)
+    den = math.lcm(*(x.denominator for x in [*sum(quad, []), *lin, const]))
+    return (den, [[int(x * den) for x in row] for row in quad],
+            [int(x * den) for x in lin], int(const * den))
+
+
+def centered_form(mat: RatMat, center) -> tuple:
+    """The :func:`int_form` arguments (M, lin, const) of <M (w-c), w-c>."""
+    mc = mat @ center
+    lin = tuple(-x for x in vec_add(mc, mat.T @ center))
+    return mat.rows, lin, vec_dot(center, mc)
+
+
+def lattice_terms(ctx, dim: int, radius: int, decay, turns, tail=()) -> list:
+    """The terms e^{-pi decay(w) + 2 pi i turns(w)} of an affine-quadratic
+    lattice sum over the shells 0..radius, in canonical order.
+
+    ``decay`` and ``turns`` are integer forms (:func:`int_form`); turns are
+    reduced mod 1 exactly, and both become floats by ``ctx.ratio``.  Each
+    ``tail`` entry (row, const, x_re, x_im), an integer affine form
+    g(w) = row . w + const with two context reals, then adds -2 pi g x_im to
+    the exponent and 2 pi g x_re to the phase in floating point, in order.
+
+    Shells are enumerated as in :func:`iter_shell`.  Fixing a coordinate
+    folds it into the forms' constant and linear parts, so along the last
+    coordinate t each form is an integer quadratic A + t (B + C t).
+    """
+    d_den, d_quad, d_lin, d_const = decay
+    t_den, t_quad, t_lin, t_const = turns
+    neg_pi, two_pi = -ctx.pi, 2 * ctx.pi
+    ratio, exp, to_complex = ctx.ratio, ctx.exp, ctx.to_complex
+    last = dim - 1
+    d_cc, t_cc = d_quad[last][last], t_quad[last][last]
+    g_rows, g_const = [t[0] for t in tail], [t[1] for t in tail]
+    weights = [(row[last], x_re, x_im) for row, _, x_re, x_im in tail]
+    terms = []
+    append = terms.append
+
+    def line(ts, da, db, ta, tb, gs):
+        for t in ts:
+            re = neg_pi * ratio(da + t * (db + d_cc * t), d_den)
+            im = two_pi * ratio((ta + t * (tb + t_cc * t)) % t_den, t_den)
+            if gs:
+                for g, (gl, x_re, x_im) in zip(gs, weights):
+                    g += gl * t
+                    re = re - two_pi * (g * x_im)
+                    im = im + two_pi * (g * x_re)
+            append(exp(to_complex(re, im)))
+
+    def walk(k, s, reached, da, dl, ta, tl, gs):
+        # coordinates before k are fixed: da, ta, gs are the forms' values
+        # there, dl, tl their linear coefficients from coordinate k on
+        dq, tq = d_quad[k], t_quad[k]
+        for x in range(-s, s + 1):
+            da_x = da + x * (dl[0] + dq[k] * x)
+            ta_x = ta + x * (tl[0] + tq[k] * x)
+            gs_x = [g + row[k] * x for g, row in zip(gs, g_rows)]
+            hit = reached or x == s or x == -s
+            if k + 1 == last:
+                line(_last_coordinates(s, hit), da_x, dl[1] + dq[last] * x,
+                     ta_x, tl[1] + tq[last] * x, gs_x)
+            else:
+                walk(k + 1, s, hit,
+                     da_x, [l + q * x for l, q in zip(dl[1:], dq[k + 1:])],
+                     ta_x, [l + q * x for l, q in zip(tl[1:], tq[k + 1:])],
+                     gs_x)
+
+    for s in range(radius + 1):
+        if dim == 1:
+            line(_last_coordinates(s, not s), d_const, d_lin[0],
+                 t_const, t_lin[0], g_const)
+        else:
+            walk(0, s, not s, d_const, d_lin, t_const, t_lin, g_const)
+    del walk  # a recursive closure is a reference cycle that holds the terms
+    return terms
 
 
 # -- certified truncation -----------------------------------------------------
@@ -293,15 +391,31 @@ class ThetaSpec:
         return self.d_mat.solve(ratvec(self.char))
 
     def xi_value(self, m) -> int:
-        a = self.a_form.num  # integer numerators: __post_init__ checked it
-        mm = [int(c) for c in m]
-        total = sum(
-            a[i][j] * mm[i] * mm[j]
-            for i in range(self.n)
-            for j in range(i + 1, self.n)
-        )
-        total += sum(b * c for b, c in zip(self.xi_lin, mm))
-        return total % 2
+        # integer numerators: __post_init__ checked that A is integral
+        return _xi_of(self.a_form.num, self.xi_lin, [int(c) for c in m])
+
+    def forms(self, z=None) -> tuple:
+        """Integer decay and turns forms of the series terms in m, with
+        w = m - p: decay = <Im(tau) D w, w> and turns = xi(m)/2 +
+        <p, A m>/2 + <Re(tau) D w, w>/2.  An exact z, as (Re, Im) pairs,
+        adds <D w, Re z> to the turns and 2 <D w, Im z> to the decay."""
+        half, p = Fraction(1, 2), self.p_vec
+        a = self.a_form
+        re_mat, re_lin, re_const = centered_form(self.tau_re @ self.d_mat, p)
+        t_mat = [[half * (x + (a[i, j] if j > i else 0))
+                  for j, x in enumerate(row)] for i, row in enumerate(re_mat)]
+        t_lin = tuple(half * (x + b + y) for x, b, y
+                      in zip(re_lin, self.xi_lin, a.T @ p))
+        t_const = half * re_const
+        q_mat, q_lin, q_const = centered_form(self.q_form, p)
+        if z is not None:
+            z_re, z_im = ratvec(re for re, _ in z), ratvec(im for _, im in z)
+            t_lin = vec_add(t_lin, self.d_mat.T @ z_re)
+            q_lin = vec_add(q_lin, self.d_mat.T @ tuple(2 * x for x in z_im))
+            t_const -= vec_dot(self.char, z_re)
+            q_const -= 2 * vec_dot(self.char, z_im)
+        return (int_form(q_mat, q_lin, q_const),
+                int_form(t_mat, t_lin, t_const))
 
     def with_char(self, char) -> "ThetaSpec":
         return ThetaSpec(self.tau_re, self.tau_im, self.d_mat, tuple(char),
@@ -381,30 +495,12 @@ def _theta_certificate(spec: ThetaSpec, z, tol: float) -> TruncationCertificate:
 
 
 def _theta_sum(spec: ThetaSpec, z, ctx, radius: int, partitions: int = 1):
-    """Sum the series over shells 0..radius in canonical order."""
-    p = spec.p_vec
-    a = spec.a_form
-    re_q = spec.tau_re @ spec.d_mat
-    im_q = spec.q_form
-    z_re = [ctx.real(re) for re, _ in z]
-    z_im = [ctx.real(im) for _, im in z]
-    two_pi = 2 * ctx.pi
-    terms = []
-    for m in iter_ball(spec.n, radius):
-        w = tuple(Fraction(mi) - pi_ for mi, pi_ in zip(m, p))
-        turns = (
-            Fraction(spec.xi_value(m), 2)
-            + vec_dot(p, a @ m) / 2
-            + vec_dot(re_q @ w, w) / 2
-        ) % 1
-        g = tuple(int(ci) - ki for ci, ki in zip(spec.d_mat @ m, spec.char))
-        real_exp = -ctx.pi * ctx.real(vec_dot(im_q @ w, w))
-        angle = two_pi * ctx.real(turns)
-        for gi, xr, xi_ in zip(g, z_re, z_im):
-            real_exp = real_exp - two_pi * (gi * xi_)
-            angle = angle + two_pi * (gi * xr)
-        terms.append(ctx.exp(ctx.to_complex(real_exp, angle)))
-    return ctx.sum(terms, partitions)
+    """Sum the series over shells 0..radius in canonical order; the z part
+    <D m - k, z> of each exponent is added in floating point."""
+    tail = [(row, -k, ctx.real(re), ctx.real(im))
+            for row, k, (re, im) in zip(spec.d_mat.num, spec.char, z)]
+    return ctx.sum(lattice_terms(ctx, spec.n, radius, *spec.forms(), tail),
+                   partitions)
 
 
 def theta_dk(spec: ThetaSpec, z: Sequence[complex], *, context: str = "double",

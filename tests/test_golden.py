@@ -74,6 +74,70 @@ points = 1/5 -1/10 0 1/4 3/20 0 -1/5 1/10 ; 0 1/2 1/10 -3/20 1/4 1/5 0 -1/20
 tol = 1e-9
 """
 
+# product paths: the n=2 base sum (diagram), a doubled sum with two dual
+# cosets and a sign bit, an n=1 doubled sum with Re(tau) != 0 in dd, and an
+# n=2 theta series with Re(tau) != 0, a non-diagonal D and k != 0
+DIAGRAM_N2 = """
+[torus]
+n = 2
+tau = i 0 ; 0 i
+
+[task diagram]
+d = 1 0 ; 0 1
+k_list = 0 0
+xi = 1 1
+grid = 1/5 -3/10 1/10 2/5 ; -2/5 1/4 -1/20 -1/5
+
+[numeric]
+tol = 1e-9
+"""
+
+USUB_N2_DIAG21 = """
+[torus]
+n = 2
+tau = i 0 ; 0 i
+
+[task usub]
+d = 2 0 ; 0 1
+k = 1 0
+xi = 1 0
+points = 7/10 -1/5 3/10 -1/4 1/5 1/10 -1/10 1/8
+
+[numeric]
+tol = 1e-9
+"""
+
+USUB_N1_DD = """
+[torus]
+n = 1
+tau = 1/2+i
+
+[task usub]
+d = 3
+k = 1
+xi = 1
+points = 2/5 -1/5 1/10 1/4
+
+[numeric]
+tol = 1e-20
+precision = dd
+"""
+
+THETA_N2_RE = """
+[torus]
+n = 2
+tau = 1/2+i 0 ; 0 1/2+i
+
+[task theta]
+d = 2 1 ; 1 2
+k = 1 0
+xi = 0 1
+z = 1/5+1/10i -3/10+1/20i
+
+[numeric]
+tol = 1e-12
+"""
+
 # exact-layer jobs: a graph brane on a torus with a B-field, a fiber, a
 # space-filling coisotropic T^4 brane and a flat T^4 brane that fails both
 # validations (its lift is an error record)
@@ -130,6 +194,10 @@ JOBS = {
     "theta-n2-dd": THETA_N2 % ("1e-20", "dd"),
     "identity2": IDENTITY2,
     "usub-n2": USUB_N2,
+    "diagram-n2": DIAGRAM_N2,
+    "usub-n2-diag21": USUB_N2_DIAG21,
+    "usub-n1-dd": USUB_N1_DD,
+    "theta-n2-re": THETA_N2_RE,
     "lift-graph": GRAPH_TORUS + _tasks("lift", "L"),
     "lift-fiber": T4_TORUS + FIBER_BRANE + _tasks("lift", "P"),
     "lift-t4": T4_TORUS + T4_BRANE + FLAT_BRANE + _tasks("lift", "C", "Z"),
@@ -156,6 +224,14 @@ GOLDEN = {
         "70f6c6bf4b6cbd3aee382ae115e47e43902d91730c6fc917e3bbe5d3ec5cd4d2",
     "usub-n2":
         "987ffd67b7c28dfca956ef8038d686189512a81fdb552aa835400fd64024672c",
+    "diagram-n2":
+        "5a57533fe4c06d92791c1e4152a4dd219aa1d12bf15f105e1bbf62abff19794d",
+    "usub-n2-diag21":
+        "0aa356ff6c06b9c425afe827871ada1d3a062eeaee27ee851d31b64206aa991c",
+    "usub-n1-dd":
+        "06e327e30be7cc6954a8622b7e08d9a3efe508f56d01dd2c24454d45eea3024a",
+    "theta-n2-re":
+        "3e80b9abfb98f23129ed9da8a254fe3e2496484b0e795f948e40e13f6c138c51",
     "lift-fiber":
         "fe0a3deaa1936f4c957a3d129227fe28440cc6e918093b1f525db59a259b2594",
     "lift-graph":

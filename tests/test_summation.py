@@ -105,3 +105,17 @@ def test_dd_sum_partition_invariance():
     terms = [dd.real(Fraction(1, k)) for k in range(1, 4 * CHUNK_SIZE)]
     outs = {str(dd.sum(terms, p)) for p in (1, 2, 4)}
     assert len(outs) == 1
+
+
+def test_ratio_rounds_the_exact_fraction_once():
+    # wide and unreduced numerators and denominators: converting each to the
+    # context's float type first would round twice
+    rng = random.Random(5)
+    double, dd = get_context("double"), get_context("dd")
+    for _ in range(300):
+        common = rng.randint(1, 2 ** rng.randint(1, 90))
+        num = common * rng.randint(-2 ** 150, 2 ** 150)
+        den = common * rng.randint(1, 2 ** rng.randint(1, 150))
+        exact = Fraction(num, den)
+        assert double.ratio(num, den) == float(exact)
+        assert dd.ratio(num, den) == dd.real(exact)
