@@ -49,8 +49,7 @@ _TORUS_KEYS = {"n": "int", "tau": "cmat", "omega": "rmat", "b": "rmat"}
 _BRANE_KEYS = {"kind": "word", "d": "rmat", "n_mat": "rmat",
                "position": "rvec", "phi": "rvec", "offset": "rvec",
                "xi": "ivec"}
-_NUMERIC_KEYS = {"tol": "float", "max_radius": "int",
-                 "precision": "word", "partitions": "int"}
+_NUMERIC_KEYS = {"tol": "float", "max_radius": "int", "precision": "word"}
 _TASK_KEYS = {
     "validate": {"brane": "word"},
     "lift": {"brane": "word"},
@@ -109,7 +108,6 @@ class NumericPolicy:
     tol: Optional[float] = None       # None defers to the context default
     max_radius: int = 40
     precision: str = "double"
-    partitions: int = 1
 
 
 @dataclass(frozen=True)
@@ -301,16 +299,10 @@ def _build_brane(name, fields, n) -> BraneConfig:
 
 
 def _build_numeric(fields) -> NumericPolicy:
-    policy = NumericPolicy(
-        tol=fields.get("tol"),
-        max_radius=fields.get("max_radius", 40),
-        precision=fields.get("precision", "double"),
-        partitions=fields.get("partitions", 1),
-    )
+    policy = NumericPolicy(**fields)
     _require(policy.precision in PRECISIONS,
              f"precision must be one of {'/'.join(PRECISIONS)}")
     _require(policy.max_radius >= 1, "max_radius must be at least 1")
-    _require(policy.partitions >= 1, "partitions must be at least 1")
     _require(policy.tol is None or policy.tol > 0, "tol must be positive")
     return policy
 
@@ -481,5 +473,4 @@ def echo_config(config: JobConfig) -> str:
         out.append(f"tol = {num.tol!r}")
     out.append(f"max_radius = {num.max_radius}")
     out.append(f"precision = {num.precision}")
-    out.append(f"partitions = {num.partitions}")
     return "\n".join(out) + "\n"

@@ -31,7 +31,7 @@ pi) and the phase in "turns" (fractions of a full circle) are
 affine-quadratic in the lattice vector, so each is an integer form over one
 denominator, the phase is reduced mod 1 exactly, and each is rounded once.
 Summation order is the canonical shell order, so results are bitwise
-reproducible across partition counts.
+reproducible.
 """
 
 from __future__ import annotations
@@ -241,7 +241,6 @@ def mirror_coordinates(tau_re: RatMat, tau_im: RatMat,
 
 def mu2_base(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat, k, r, phi, *,
              xi_lin=(), tol: Optional[float] = None, context: str = "double",
-             partitions: int = 1,
              max_radius: int = DEFAULT_MAX_RADIUS) -> CertifiedValue:
     """Coefficient of the short generator in the base triangle product.
 
@@ -266,7 +265,7 @@ def mu2_base(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat, k, r, phi, *,
     z = list(zip(vec_sub(tau_re.T @ r, phi), tau_im.T @ r))
     cert = _theta_certificate(spec, z, tol_f)
     terms = lattice_terms(ctx, n, cert.radius, *spec.forms(z))
-    total = ctx.sum(terms, partitions)
+    total = ctx.sum(terms)
 
     pref_turns = _mod1(vec_dot((tau_re @ d_mat) @ r, r) / 2
                        - vec_dot(d_mat @ r, phi))
@@ -301,8 +300,7 @@ def _double_gram(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat) -> tuple:
 
 def mu2_double(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat, k, l,
                pt: DoublePoint, *, xi_lin=(), tol: Optional[float] = None,
-               context: str = "double", partitions: int = 1,
-               radius: Optional[int] = None,
+               context: str = "double", radius: Optional[int] = None,
                max_radius: int = DEFAULT_MAX_RADIUS) -> CertifiedValue:
     """One doubled product coefficient: the certified (m, n) lattice sum
     attached to the coset pair (k, l) and the evaluation point.
@@ -358,7 +356,7 @@ def mu2_double(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat, k, l,
     )
     turns = int_form(t_mat, t_lin, t_const)
     terms = lattice_terms(ctx, 2 * n, use, decay, turns)
-    return CertifiedValue(ctx.sum(terms, partitions), cert, context)
+    return CertifiedValue(ctx.sum(terms), cert, context)
 
 
 def trivialization_factor(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat,
@@ -449,7 +447,7 @@ def project_u(space: UPartSpace, vec: FloerVector) -> FloerVector:
 
 def mu2_u(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat, third, vec: FloerVector,
           *, x=None, xi_lin=(), tol: Optional[float] = None,
-          context: str = "double", partitions: int = 1,
+          context: str = "double",
           max_radius: int = DEFAULT_MAX_RADIUS) -> FloerVector:
     """Averaged triangle product against the doubled fiber brane.
 
@@ -481,7 +479,7 @@ def mu2_u(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat, third, vec: FloerVector
             raise ValueError("vector must be over doubled intersection points")
         val = mu2_double(tau_re, tau_im, d_mat, e.k, e.l, third,
                          xi_lin=xi_lin, tol=tol, context=context,
-                         partitions=partitions, max_radius=max_radius)
+                         max_radius=max_radius)
         total += c * complex(val)
     zero = (Fraction(0),) * n
     target = FloerBasisElement(
@@ -496,7 +494,7 @@ def mu2_u(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat, third, vec: FloerVector
 
 def verify_usub(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat, k,
                 points: Sequence, *, xi_lin=(), tol: Optional[float] = None,
-                context: str = "double", partitions: int = 1,
+                context: str = "double",
                 max_radius: int = DEFAULT_MAX_RADIUS) -> float:
     """Max residual of the fiber-summed factorization over the sample points:
 
@@ -521,13 +519,11 @@ def verify_usub(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat, k,
         for l in l_reps:
             lhs = lhs + mu2_double(tau_re, tau_im, d_mat, k, l, pt,
                                    xi_lin=xi_lin, tol=tol_f, context=context,
-                                   partitions=partitions,
                                    max_radius=max_radius).value
         u, v = mirror_coordinates(tau_re, tau_im, pt)
         rhs = (root
-               * theta_dk(spec, u, context=context, partitions=partitions).value
-               * theta_bar_dk(spec0, v, context=context,
-                              partitions=partitions).value
+               * theta_dk(spec, u, context=context).value
+               * theta_bar_dk(spec0, v, context=context).value
                * trivialization_factor(tau_re, tau_im, d_mat, pt,
                                        context=context))
         worst = max(worst, float(ctx.abs(lhs - rhs)))
@@ -555,7 +551,7 @@ class DiagramReport:
 def verify_main_diagram(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat,
                         k_list, z_grid, *, xi_lin=(),
                         tol: Optional[float] = None, context: str = "double",
-                        partitions: int = 1, reference_char=None,
+                        reference_char=None,
                         max_radius: int = DEFAULT_MAX_RADIUS) -> DiagramReport:
     """Check that base and doubled products agree through the fiber-summed
     identification.
@@ -585,14 +581,12 @@ def verify_main_diagram(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat,
             phi = _rat_vec(phi, n, "flat connection")
             pt = DoublePoint(*MirrorCoords(tau_re, tau_im).point_with_v_zero(r, phi))
             den = mu2_base(tau_re, tau_im, d_mat, k, r, phi, xi_lin=xi_lin,
-                           tol=tol_f, context=context, partitions=partitions,
-                           max_radius=max_radius)
+                           tol=tol_f, context=context, max_radius=max_radius)
             if abs(complex(den)) <= tol_f ** 0.5:
                 skipped += 1
                 continue
             num = mu2_u(tau_re, tau_im, d_mat, pt, vec, xi_lin=xi_lin,
-                        tol=tol_f, context=context, partitions=partitions,
-                        max_radius=max_radius)
+                        tol=tol_f, context=context, max_radius=max_radius)
             ratios.append(complex(num.coeffs[0]) / complex(den))
     if not ratios:
         raise ValueError(

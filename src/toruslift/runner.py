@@ -117,8 +117,7 @@ def _tolerance(config: JobConfig, spec: TaskSpec) -> float:
 
 def _numeric_kwargs(config: JobConfig):
     num = config.numeric
-    return dict(tol=num.tol, context=num.precision, partitions=num.partitions,
-                max_radius=num.max_radius)
+    return dict(tol=num.tol, context=num.precision, max_radius=num.max_radius)
 
 
 def _complexes(pairs):
@@ -173,8 +172,7 @@ def _task_theta(config, spec):
     tspec = ThetaSpec(tau_re, tau_im, d_mat, k, xi, config.numeric.tol,
                       max_radius=config.numeric.max_radius)
     z = spec.get("z", ((Fraction(0), Fraction(0)),) * n)
-    got = theta_dk(tspec, list(z), context=config.numeric.precision,
-                   partitions=config.numeric.partitions)
+    got = theta_dk(tspec, list(z), context=config.numeric.precision)
     values = [("value", complex(got)), ("d", d_mat), ("k", list(k)),
               ("xi", list(xi)), ("radius", got.certificate.radius),
               ("tail_bound", float(got.certificate.tail_bound))]

@@ -2,10 +2,8 @@
 
 Accumulation order is part of this library's contract: series terms are
 produced in a canonical order (sup-norm shells, lexicographic inside each
-shell) and reduced with Neumaier-compensated chunk sums of a fixed size.
-Partitioning work across 1, 2 or 4 workers assigns whole chunks; the final
-reduction walks chunk results in index order, so the result is bit-identical
-for every partition count by construction.
+shell) and reduced with Neumaier-compensated chunk sums of a fixed size,
+whose results are then summed in index order.
 
 Two numeric contexts are provided:
 
@@ -46,37 +44,25 @@ def _chunks(seq: Sequence, size: int):
         yield seq[start : start + size]
 
 
-def compensated_sum(values: Sequence, partitions: int = 1):
-    """Deterministic chunked compensated sum of real or complex floats.
-
-    ``partitions`` only decides how chunks would be dealt out to workers;
-    chunk boundaries and the final reduction order are fixed by index, so
-    the value is independent of it.  Passing it exercises that invariant.
-    """
-    if partitions < 1:
-        raise ValueError("partitions must be >= 1")
+def compensated_sum(values: Sequence):
+    """Deterministic chunked compensated sum of real or complex floats:
+    each chunk of ``CHUNK_SIZE`` terms is summed, then the chunk sums are
+    summed in index order."""
     values = list(values)
     if not values:
         return 0.0
-    is_complex = any(isinstance(v, complex) for v in values)
-    chunk_list = list(_chunks(values, CHUNK_SIZE))
-    # round-robin deal to workers, then gather per-chunk sums back in order
-    slots: list = [None] * len(chunk_list)
-    for w in range(partitions):
-        for idx in range(w, len(chunk_list), partitions):
-            ch = chunk_list[idx]
-            if is_complex:
-                slots[idx] = complex(
-                    neumaier_sum(v.real if isinstance(v, complex) else v for v in ch),
-                    neumaier_sum(v.imag if isinstance(v, complex) else 0.0 for v in ch),
-                )
-            else:
-                slots[idx] = neumaier_sum(ch)
-    if is_complex:
+    if any(isinstance(v, complex) for v in values):
+        sums = [
+            complex(
+                neumaier_sum(v.real if isinstance(v, complex) else v for v in ch),
+                neumaier_sum(v.imag if isinstance(v, complex) else 0.0 for v in ch),
+            )
+            for ch in _chunks(values, CHUNK_SIZE)
+        ]
         return complex(
-            neumaier_sum(s.real for s in slots), neumaier_sum(s.imag for s in slots)
+            neumaier_sum(s.real for s in sums), neumaier_sum(s.imag for s in sums)
         )
-    return neumaier_sum(slots)
+    return neumaier_sum([neumaier_sum(ch) for ch in _chunks(values, CHUNK_SIZE)])
 
 
 class DoubleContext:
@@ -112,8 +98,8 @@ class DoubleContext:
     def abs(self, z) -> float:
         return abs(z)
 
-    def sum(self, terms: Sequence, partitions: int = 1):
-        return compensated_sum(terms, partitions)
+    def sum(self, terms: Sequence):
+        return compensated_sum(terms)
 
 
 class DDContext:
@@ -155,25 +141,15 @@ class DDContext:
     def abs(self, z):
         return self._mp.fabs(z)
 
-    def sum(self, terms: Sequence, partitions: int = 1):
+    def sum(self, terms: Sequence):
         # mpmath addition at fixed precision is deterministic in any given
         # order; keep the exact same chunked order as the double backend.
-        if partitions < 1:
-            raise ValueError("partitions must be >= 1")
-        terms = list(terms)
-        if not terms:
-            return self._mp.mpf(0)
-        chunk_list = list(_chunks(terms, CHUNK_SIZE))
-        slots: list = [None] * len(chunk_list)
-        for w in range(partitions):
-            for idx in range(w, len(chunk_list), partitions):
-                acc = self._mp.mpf(0)
-                for t in chunk_list[idx]:
-                    acc = acc + t
-                slots[idx] = acc
         acc = self._mp.mpf(0)
-        for s in slots:
-            acc = acc + s
+        for ch in _chunks(list(terms), CHUNK_SIZE):
+            chunk_acc = self._mp.mpf(0)
+            for t in ch:
+                chunk_acc = chunk_acc + t
+            acc = acc + chunk_acc
         return acc
 
 

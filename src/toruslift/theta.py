@@ -92,12 +92,6 @@ def iter_ball(dim: int, radius: int) -> Iterator[tuple]:
         yield from iter_shell(dim, s)
 
 
-def shell_count(dim: int, s: int) -> int:
-    if s == 0:
-        return 1
-    return (2 * s + 1) ** dim - (2 * s - 1) ** dim
-
-
 # -- the affine-quadratic lattice-sum kernel ----------------------------------
 
 def int_form(mat, lin, const) -> tuple:
@@ -494,17 +488,16 @@ def _theta_certificate(spec: ThetaSpec, z, tol: float) -> TruncationCertificate:
     )
 
 
-def _theta_sum(spec: ThetaSpec, z, ctx, radius: int, partitions: int = 1):
+def _theta_sum(spec: ThetaSpec, z, ctx, radius: int):
     """Sum the series over shells 0..radius in canonical order; the z part
     <D m - k, z> of each exponent is added in floating point."""
     tail = [(row, -k, ctx.real(re), ctx.real(im))
             for row, k, (re, im) in zip(spec.d_mat.num, spec.char, z)]
-    return ctx.sum(lattice_terms(ctx, spec.n, radius, *spec.forms(), tail),
-                   partitions)
+    return ctx.sum(lattice_terms(ctx, spec.n, radius, *spec.forms(), tail))
 
 
 def theta_dk(spec: ThetaSpec, z: Sequence[complex], *, context: str = "double",
-             partitions: int = 1, radius: Optional[int] = None) -> CertifiedValue:
+             radius: Optional[int] = None) -> CertifiedValue:
     """Certified evaluation of the theta series at a complex n-vector z.
 
     The absolute truncation error is bounded by the certificate's tail
@@ -518,7 +511,7 @@ def theta_dk(spec: ThetaSpec, z: Sequence[complex], *, context: str = "double",
     tol = _resolved_tol(spec.tol, ctx)
     cert = _theta_certificate(spec, zz, tol)
     use = cert.radius if radius is None else max(radius, cert.radius)
-    value = _theta_sum(spec, zz, ctx, use, partitions)
+    value = _theta_sum(spec, zz, ctx, use)
     return CertifiedValue(value, cert, context)
 
 
@@ -603,7 +596,7 @@ def _pair_linear_coeff(tau: complex, points) -> Fraction:
 
 
 def _double_sum(term, tau: complex, lin_coeff, tol: float, max_radius: int,
-                ctx, partitions: int, const_exponent=Fraction(0)):
+                ctx, const_exponent=Fraction(0)):
     cert = truncation_radius(
         _pair_gram(tau),
         linear_bound=lin_coeff,
@@ -612,14 +605,13 @@ def _double_sum(term, tau: complex, lin_coeff, tol: float, max_radius: int,
         max_radius=max_radius,
     )
     terms = [term(m, n) for m, n in iter_ball(2, cert.radius)]
-    return ctx.sum(terms, partitions), cert
+    return ctx.sum(terms), cert
 
 
 def gaussian_theta_lhs(tau: complex, u: complex, v: complex,
                        tol: Optional[float] = None, *,
                        context: str = "double",
-                       max_radius: int = DEFAULT_MAX_RADIUS,
-                       partitions: int = 1) -> CertifiedValue:
+                       max_radius: int = DEFAULT_MAX_RADIUS) -> CertifiedValue:
     """Certified value of the periodized Gaussian double sum
 
         sum_{m,n} e^{-pi/(2a) (n^2 tau conj(tau) + m^2 + 2 tau m n)}
@@ -653,8 +645,7 @@ def gaussian_theta_lhs(tau: complex, u: complex, v: complex,
             + 2 * half_pi_a * ((m + n * tau_c) * vv)
         )
 
-    value, cert = _double_sum(term, tau, lin, tol_eff, max_radius, ctx,
-                              partitions)
+    value, cert = _double_sum(term, tau, lin, tol_eff, max_radius, ctx)
     prefactor = ctx.exp(
         -half_pi_a * (uu * uu) + 2 * half_pi_a * (uu * vv)
         - half_pi_a * (vv * vv)
@@ -663,7 +654,7 @@ def gaussian_theta_lhs(tau: complex, u: complex, v: complex,
 
 
 def _identity1_first(tau: complex, z: complex, tol: float, ctx,
-                     max_radius: int, partitions: int):
+                     max_radius: int):
     """Signed periodized Gaussian with the e^{-pi/(2a) z^2} prefactor."""
     b, a = _tau_parts(tau)
     lin = _pair_linear_coeff(tau, [z])
@@ -684,13 +675,12 @@ def _identity1_first(tau: complex, z: complex, tol: float, ctx,
         return sgn * ctx.exp(-half_pi_a * quad
                              - 2 * half_pi_a * ((m + n * tau_cc) * zz))
 
-    value, _ = _double_sum(term, tau, lin, tol_eff, max_radius, ctx,
-                           partitions)
+    value, _ = _double_sum(term, tau, lin, tol_eff, max_radius, ctx)
     return value * ctx.exp(-half_pi_a * zz * zz)
 
 
 def _identity1_middle(tau: complex, z: complex, tol: float, ctx,
-                      max_radius: int, partitions: int):
+                      max_radius: int):
     """Shifted-Gaussian form: sum over e^{-pi/(2a)(z+m)^2}
     e^{-pi/a n conj(tau) (z+m)} e^{-pi/(2a) n^2 |tau|^2}."""
     b, a = _tau_parts(tau)
@@ -708,25 +698,24 @@ def _identity1_middle(tau: complex, z: complex, tol: float, ctx,
         return ctx.exp(-half_pi_a * (w * w) - 2 * half_pi_a * (n * tau_cc * w)
                        - half_pi_a * mod2 * (n * n))
 
-    value, _ = _double_sum(term, tau, lin, tol, max_radius, ctx, partitions,
+    value, _ = _double_sum(term, tau, lin, tol, max_radius, ctx,
                            const_exponent=const)
     return value
 
 
 def verify_identity_1(tau: complex, z: complex, tol: Optional[float] = None,
                       *, context: str = "double",
-                      max_radius: int = DEFAULT_MAX_RADIUS,
-                      partitions: int = 1) -> float:
+                      max_radius: int = DEFAULT_MAX_RADIUS) -> float:
     """Three-way residual between the signed periodized Gaussian, its
     shifted-Gaussian form, and sqrt(2a) (conjugate series at 0) (series at z).
     """
     ctx = get_context(context)
     tol = _resolved_tol(tol, ctx)
-    first = _identity1_first(tau, z, tol, ctx, max_radius, partitions)
-    middle = _identity1_middle(tau, z, tol, ctx, max_radius, partitions)
+    first = _identity1_first(tau, z, tol, ctx, max_radius)
+    middle = _identity1_middle(tau, z, tol, ctx, max_radius)
     base = spec_n1(tau, tol=tol, max_radius=max_radius)
-    theta_z = theta_dk(base, [z], context=context, partitions=partitions).value
-    bar_0 = theta_bar_dk(base, [0], context=context, partitions=partitions).value
+    theta_z = theta_dk(base, [z], context=context).value
+    bar_0 = theta_bar_dk(base, [0], context=context).value
     _, a = _tau_parts(tau)
     product_form = ctx.sqrt(ctx.real(2 * a)) * bar_0 * theta_z
     return max(
@@ -739,17 +728,16 @@ def verify_identity_1(tau: complex, z: complex, tol: Optional[float] = None,
 def verify_identity_2(tau: complex, u: complex, v: complex,
                       tol: Optional[float] = None, *,
                       context: str = "double",
-                      max_radius: int = DEFAULT_MAX_RADIUS,
-                      partitions: int = 1) -> float:
+                      max_radius: int = DEFAULT_MAX_RADIUS) -> float:
     """Residual of the factorization of the periodized Gaussian double sum
     into sqrt(2a) (series at u) (conjugate series at v)."""
     ctx = get_context(context)
     tol = _resolved_tol(tol, ctx)
     lhs = gaussian_theta_lhs(tau, u, v, tol, context=context,
-                             max_radius=max_radius, partitions=partitions)
+                             max_radius=max_radius)
     base = spec_n1(tau, tol=tol, max_radius=max_radius)
-    theta_u = theta_dk(base, [u], context=context, partitions=partitions).value
-    bar_v = theta_bar_dk(base, [v], context=context, partitions=partitions).value
+    theta_u = theta_dk(base, [u], context=context).value
+    bar_v = theta_bar_dk(base, [v], context=context).value
     _, a = _tau_parts(tau)
     rhs = ctx.sqrt(ctx.real(2 * a)) * theta_u * bar_v
     return float(ctx.abs(lhs.value - rhs))

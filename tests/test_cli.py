@@ -261,15 +261,6 @@ def test_lines_schema_and_determinism(full_records):
     assert emit_report(again, "lines") == text
 
 
-def test_lines_output_is_partition_independent():
-    base = "[torus]\nn = 1\ntau = i\n[task usub]\nd = 2\nk = 1\n"
-    texts = set()
-    for parts in (1, 2, 4):
-        cfg = parse_config(base + f"[numeric]\npartitions = {parts}\n")
-        texts.add(emit_report(run(cfg), "lines"))
-    assert len(texts) == 1
-
-
 def test_summary_table(full_records):
     text = emit_report(full_records, "summary")
     assert "10 tasks: 10 pass, 0 fail, 0 error" in text
@@ -313,6 +304,18 @@ def test_cli_exit_codes(tmp_path, capsys):
     good.write_text(MINIMAL)
     assert main(["--config", str(good), "--tol", "-3"]) == 2
     capsys.readouterr()
+
+
+def test_removed_partitions_key_is_a_config_error(tmp_path, capsys):
+    # summation order is fixed, so [numeric] has no partitions key
+    text = MINIMAL + "\n[numeric]\npartitions = 2\n"
+    with pytest.raises(ParseError, match="unknown key 'partitions' in"
+                                         r" \[numeric\]"):
+        parse_config(text)
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text(text)
+    assert main(["--config", str(cfg)]) == 2
+    assert "unknown key 'partitions'" in capsys.readouterr().err
 
 
 def test_cli_summary_format(tmp_path, capsys):

@@ -244,13 +244,6 @@ def test_base_product_characteristic_shift():
     assert abs(v1 / v0 - cmath.exp(1j * angle)) < 1e-13
 
 
-def test_base_product_partitions_are_bit_identical():
-    args = (HALF1, I1, D2, (1,), (F(1, 5),), (F(3, 10),))
-    ref = complex(mu2_base(*args, xi_lin=(1,)))
-    for parts in (2, 4):
-        assert complex(mu2_base(*args, xi_lin=(1,), partitions=parts)) == ref
-
-
 # --- the doubled product sum ----------------------------------------------------
 
 
@@ -282,12 +275,6 @@ def test_doubled_sum_radius_enlargement_stays_in_budget():
     wide = doubled_value("n1_halfmod", tol=1e-10,
                          radius=base.certificate.radius + 2)
     assert abs(complex(base) - complex(wide)) < base.certificate.tail_bound
-
-
-def test_doubled_sum_partitions_are_bit_identical():
-    ref = complex(doubled_value("n1_halfmod"))
-    for parts in (2, 4):
-        assert complex(doubled_value("n1_halfmod", partitions=parts)) == ref
 
 
 def test_trivialization_factor_is_one_at_the_origin():

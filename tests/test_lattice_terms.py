@@ -182,9 +182,9 @@ def captured(monkeypatch):
     for name in ("double", "dd"):
         ctx = get_context(name)
 
-        def record(terms, partitions=1, orig=ctx.sum):
+        def record(terms, orig=ctx.sum):
             got.append(list(terms))
-            return orig(terms, partitions)
+            return orig(terms)
 
         monkeypatch.setattr(ctx, "sum", record)
     return got
