@@ -45,30 +45,34 @@ from .lattice import column_hnf, int_kernel, smith
 from .torus import DoubledTorus, Torus, double_torus
 
 
-def admissible_d(d: RatMat, torus: Torus, require_positive: bool = True) -> RatMat:
-    """Check the slope matrix of a graph brane and return A = Re(tau)D - D^T Re(tau)^T.
+def admissible_d(tau_re: RatMat, tau_im: RatMat, d: RatMat, *,
+                 error=InadmissibleD, require_positive: bool = True) -> RatMat:
+    """Check a slope matrix against the modulus tau = tau_re + i tau_im and
+    return the pairing form A = Re(tau)D - D^T Re(tau)^T.
 
     Requirements: D integer and nonsingular, Im(tau) D symmetric (equal to
     D^T Im(tau)^T) and, unless ``require_positive`` is disabled, positive
-    definite; A must be an integer matrix.  Raises InadmissibleD naming the
-    first failed condition.
+    definite; A must be an integer matrix.  This is the one admissibility
+    check of the package: graph branes, the product sums and theta specs
+    all call it.  Raises ``error`` naming the first failed condition.
     """
-    re, im = torus.period()
-    n = im.nrows
+    n = tau_im.nrows
     if d.shape != (n, n):
-        raise InadmissibleD(f"slope matrix must be {n}x{n}, got {d.shape}")
+        raise error(f"slope matrix must be {n}x{n}, got {d.shape}")
+    if tau_re.shape != (n, n) or tau_im.shape != (n, n):
+        raise error(f"tau blocks must be {n}x{n}")
     if not d.is_integer():
-        raise InadmissibleD("slope matrix must have integer entries")
+        raise error("slope matrix must have integer entries")
     if d.det() == 0:
-        raise InadmissibleD("slope matrix must be nonsingular")
-    prod = im @ d
+        raise error("slope matrix must be nonsingular")
+    prod = tau_im @ d
     if prod != prod.T:
-        raise InadmissibleD("Im(tau) D is not symmetric")
+        raise error("Im(tau) D is not symmetric")
     if require_positive and not prod.is_positive_definite():
-        raise InadmissibleD("Im(tau) D is not positive definite")
-    a = re @ d - d.T @ re.T
+        raise error("Im(tau) D is not positive definite")
+    a = tau_re @ d - d.T @ tau_re.T
     if not a.is_integer():
-        raise InadmissibleD("Re(tau) D - D^T Re(tau)^T is not an integer matrix")
+        raise error("Re(tau) D - D^T Re(tau)^T is not an integer matrix")
     return a
 
 
@@ -106,10 +110,12 @@ class Brane:
             raise InvalidBrane(f"support rank {d} is out of range 1..{dim2}")
         if not support.is_integer():
             raise InvalidBrane("support basis must have integer entries")
-        if support.rank() != d:
+        # Smith diagonal s_1 | ... | s_d: s_d = 0 iff the columns are
+        # dependent, and s_d = 1 iff every s_i is 1 (a saturated lattice)
+        last = smith(support)[0][d - 1, d - 1]
+        if last == 0:
             raise InvalidBrane("support basis columns are linearly dependent")
-        diag, _, _ = smith(support)
-        if any(diag[i, i] != 1 for i in range(d)):
+        if last != 1:
             raise InvalidBrane("support basis does not generate a saturated lattice")
 
         offset = _as_frac_vec(offset if offset is not None else [0] * dim2,
@@ -264,7 +270,7 @@ def check_xi_pairs(brane: Brane, declared) -> None:
 def graph_brane(torus: Torus, d_mat: RatMat, xi_lin=None, phi=None) -> Brane:
     """Brane supported on {theta = -D r} with the curvature matching the
     restricted background 2-form; requires an admissible slope matrix."""
-    a = admissible_d(d_mat, torus)
+    a = admissible_d(*torus.period(), d_mat)
     n = d_mat.nrows
     support = vstack(RatMat.identity(n), -d_mat)
     conn_quad = Fraction(-1, 2) * a
@@ -405,15 +411,16 @@ def lift(brane: Brane) -> Brane:
     f = brane.f_gram
 
     # Tangent lattice of the lift: {(U m, b) : U^T b = F^T m} plus the dual
-    # directions annihilating the support.  Since the support is primitive,
-    # the Smith form of U^T has unit diagonal, so the particular solutions
+    # directions annihilating the support, which are the trailing columns of
+    # the Smith transform Q of U^T.  Since the support is primitive, the
+    # Smith form of U^T has unit diagonal, so the particular solutions
     # below are integral and the block basis generates the full lattice.
-    kernel = int_kernel(u.T)
     s, p_uni, q_uni = smith(u.T)
     if any(s[i, i] != 1 for i in range(d)):
         raise InvalidBrane("support is not primitive: Smith form of U^T "
                            "has a non-unit diagonal entry")
     q_left = q_uni.submatrix(range(dim2), range(d))
+    kernel = q_uni.submatrix(range(dim2), range(d, dim2))
     bmat = q_left @ (p_uni @ f.T)
     if u.T @ bmat != f.T:
         raise InvalidBrane("lifted tangent block B does not solve U^T B = F^T")

@@ -41,6 +41,8 @@ BRANE_KINDS = ("graph", "fiber", "coisotropic")
 TASK_KINDS = ("validate", "lift", "theta", "identity1", "identity2",
               "usub", "diagram", "upart-self", "twist")
 PRECISIONS = ("double", "dd")
+# default cap on the certified summation radius, for config jobs and library calls
+DEFAULT_MAX_RADIUS = 40
 
 _HEADER = re.compile(r"^\[([a-z][a-z0-9-]*)(?:\s+([A-Za-z_][A-Za-z0-9_-]*))?\]$")
 _KEYVAL = re.compile(r"^([a-z][a-z0-9_]*)\s*=\s*(\S.*?)\s*$")
@@ -106,7 +108,7 @@ class TaskSpec:
 @dataclass(frozen=True)
 class NumericPolicy:
     tol: Optional[float] = None       # None defers to the context default
-    max_radius: int = 40
+    max_radius: int = DEFAULT_MAX_RADIUS
     precision: str = "double"
 
 

@@ -4,8 +4,9 @@ The objects here live on a split torus T^{2n} with modulus tau (an n x n
 complex matrix given by exact rational real/imaginary parts) and on its
 twisted double.  Graph branes are indexed by integer slope matrices D with
 Im(tau) D symmetric positive definite and A := Re(tau) D - D^T Re(tau)^T
-integral; transversal pairs of graphs reduce, after tensoring, to the pair
-(zero-section, graph of the difference map).
+integral, checked by :func:`toruslift.brane.admissible_d` (which raises
+InadmissibleD); transversal pairs of graphs reduce, after tensoring, to the
+pair (zero-section, graph of the difference map).
 
 Key quantities:
 
@@ -41,13 +42,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .brane import Brane, _mod1
+from .brane import Brane, _mod1, admissible_d
 from .errors import (
     InadmissibleD,
     InvalidBrane,
     JNotPreserving,
     NonTransversal,
-    NotPositiveDefinite,
     UnsupportedTriple,
 )
 from .exact import RatMat, hstack, ratvec, vec_add, vec_dot, vec_sub, vstack
@@ -81,26 +81,6 @@ def _rat_vec(v, n: int, name: str) -> tuple:
     if len(out) != n:
         raise ValueError(f"{name} must have length {n}")
     return out
-
-
-def _check_slope(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat) -> RatMat:
-    """Slope admissibility; returns the integral pairing form A."""
-    n = tau_im.nrows
-    if d_mat.shape != (n, n):
-        raise InadmissibleD(f"slope matrix must be {n}x{n}, got {d_mat.shape}")
-    if not d_mat.is_integer():
-        raise InadmissibleD("slope matrix must have integer entries")
-    if d_mat.det() == 0:
-        raise InadmissibleD("slope matrix must be nonsingular")
-    qf = tau_im @ d_mat
-    if qf.T != qf or not qf.is_positive_definite():
-        raise NotPositiveDefinite(
-            "Im(tau) D must be symmetric positive definite"
-        )
-    a = tau_re @ d_mat - d_mat.T @ tau_re.T
-    if not a.is_integer():
-        raise InadmissibleD("Re(tau) D - D^T Re(tau)^T must be integral")
-    return a
 
 
 def _xi_bits(xi_lin, n: int) -> tuple:
@@ -253,7 +233,7 @@ def mu2_base(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat, k, r, phi, *,
     p = D^{-1} k.  The result carries the truncation certificate of the sum;
     the prefactor has modulus at most one, so the tail bound still applies.
     """
-    _check_slope(tau_re, tau_im, d_mat)
+    admissible_d(tau_re, tau_im, d_mat)
     n = d_mat.nrows
     ctx = get_context(context)
     tol_f = _resolved_tol(tol, ctx)
@@ -279,8 +259,8 @@ def mu2_base(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat, k, r, phi, *,
 # -- the doubled product sum ---------------------------------------------------
 
 
-def _double_gram(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat) -> tuple:
-    """Decay Gram of the doubled sum and the matrices entering its phases.
+def _double_gram(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat) -> RatMat:
+    """Decay Gram of the doubled sum.
 
     With X = Im(tau)^{-1} D^T (symmetric positive definite), the real decay
     part of the exponent is -pi (w+c)^T G (w+c) on w = (m, n), where
@@ -295,7 +275,7 @@ def _double_gram(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat) -> tuple:
     c_mat = tau_re @ x_mat @ tau_re.T + tau_im @ x_mat @ tau_im.T
     cross = x_mat @ tau_re.T
     gram = vstack(hstack(c_mat, cross.T), hstack(cross, x_mat))
-    return gram * Fraction(1, 2), x_mat
+    return gram * Fraction(1, 2)
 
 
 def mu2_double(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat, k, l,
@@ -314,7 +294,7 @@ def mu2_double(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat, k, l,
     kernel :func:`toruslift.theta.lattice_terms`: a term costs a few
     integer operations, two correctly rounded ratios and one exp.
     """
-    a_form = _check_slope(tau_re, tau_im, d_mat)
+    a_form = admissible_d(tau_re, tau_im, d_mat)
     n = d_mat.nrows
     if pt.n != n:
         raise ValueError(f"evaluation point must have n = {n}")
@@ -329,7 +309,7 @@ def mu2_double(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat, k, l,
     cm = vec_sub(pt.r, p)
     cn = vec_sub(pt.theta_hat, q)
 
-    gram, _ = _double_gram(tau_re, tau_im, d_mat)
+    gram = _double_gram(tau_re, tau_im, d_mat)
     shift = max((abs(c) for c in cm + cn), default=Fraction(0))
     cert = truncation_radius(gram, tol=tol_f, center_shift=shift,
                              max_radius=max_radius)
@@ -368,7 +348,7 @@ def trivialization_factor(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat,
         e^{-pi/2 <X that, that> - pi/2 <conj(tau) X tau^T r, r> - pi <X tau^T r, that>}
         e^{-2 pi i <D r, phi> + 2 pi i <D^T that - A r, kappa>}
     """
-    a_form = _check_slope(tau_re, tau_im, d_mat)
+    a_form = admissible_d(tau_re, tau_im, d_mat)
     ctx = get_context(context)
     x_mat = tau_im.inv() @ d_mat.T
     that = pt.theta_hat
@@ -504,7 +484,7 @@ def verify_usub(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat, k,
     (The constant is one factor sqrt(2) per dimension: det(2 Im tau D) =
     2^n det(Im tau D).)
     """
-    _check_slope(tau_re, tau_im, d_mat)
+    admissible_d(tau_re, tau_im, d_mat)
     n = d_mat.nrows
     ctx = get_context(context)
     tol_f = _resolved_tol(tol, ctx)
@@ -564,7 +544,7 @@ def verify_main_diagram(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat,
     sqrt(det(2 Im tau D)) times the conjugate series at 0, whose
     characteristic can be overridden for negative controls.
     """
-    _check_slope(tau_re, tau_im, d_mat)
+    admissible_d(tau_re, tau_im, d_mat)
     n = d_mat.nrows
     ctx = get_context(context)
     tol_f = _resolved_tol(tol, ctx)

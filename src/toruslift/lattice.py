@@ -28,10 +28,6 @@ __all__ = [
 ]
 
 
-def _as_int_matrix(m: RatMat) -> list[list[int]]:
-    return m.to_int_rows()
-
-
 def row_hnf(m: RatMat) -> tuple[RatMat, RatMat]:
     """Row Hermite normal form.
 
@@ -40,7 +36,7 @@ def row_hnf(m: RatMat) -> tuple[RatMat, RatMat]:
     [0, pivot).  Pivot selection is deterministic (smallest |value|, first
     on ties), so the output is a canonical form of the row span.
     """
-    a = _as_int_matrix(m)
+    a = m.to_int_rows()
     nr, nc = len(a), len(a[0]) if a else 0
     u = [[int(i == j) for j in range(nr)] for i in range(nr)]
 
@@ -100,7 +96,7 @@ def smith(m: RatMat) -> tuple[RatMat, RatMat, RatMat]:
 
     Returns (S, U, V) with S = U @ M @ V diagonal, s_1 | s_2 | ... >= 0.
     """
-    a = _as_int_matrix(m)
+    a = m.to_int_rows()
     nr = len(a)
     nc = len(a[0]) if a else 0
     u = [[int(i == j) for j in range(nr)] for i in range(nr)]

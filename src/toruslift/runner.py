@@ -130,11 +130,6 @@ def _sample_rows(seed: int, count: int, width: int):
                  for _ in range(count))
 
 
-def _int_mat(spec: TaskSpec, key, default):
-    m = spec.get(key)
-    return default if m is None else m
-
-
 # --- the individual tasks -------------------------------------------------------
 
 
@@ -166,7 +161,7 @@ def _task_lift(config, spec):
 def _task_theta(config, spec):
     tau_re, tau_im = _period(config)
     n = config.torus.n
-    d_mat = _int_mat(spec, "d", RatMat.identity(n))
+    d_mat = spec.get("d", RatMat.identity(n))
     k = spec.get("k", (0,) * n)
     xi = spec.get("xi", (0,) * n)
     tspec = ThetaSpec(tau_re, tau_im, d_mat, k, xi, config.numeric.tol,
@@ -223,7 +218,7 @@ def _points_for(spec, n):
 def _task_usub(config, spec):
     tau_re, tau_im = _period(config)
     n = config.torus.n
-    d_mat = _int_mat(spec, "d", RatMat.identity(n))
+    d_mat = spec.get("d", RatMat.identity(n))
     k = spec.get("k", (0,) * n)
     xi = spec.get("xi", (0,) * n)
     points = _points_for(spec, n)

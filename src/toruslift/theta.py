@@ -40,15 +40,16 @@ from :mod:`toruslift.summation`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import product
 from typing import Iterator, Optional, Sequence
 
 import mpmath
 
-from .brane import _xi_of
+from .brane import _xi_of, admissible_d
+from .config import DEFAULT_MAX_RADIUS
 from .errors import (
     InadmissibleSpec,
     NotPositiveDefinite,
@@ -56,8 +57,6 @@ from .errors import (
 )
 from .exact import RatMat, rat, ratvec, vec_add, vec_dot
 from .summation import get_context
-
-DEFAULT_MAX_RADIUS = 40
 
 _iv = mpmath.iv
 
@@ -334,7 +333,9 @@ class ThetaSpec:
     """Admissible data (tau, D, k, xi) for one theta series.
 
     ``tol`` of None defers to the numeric context default (1e-10 in double,
-    1e-20 in dd).  Admissibility is checked on construction.
+    1e-20 in dd).  Admissibility is checked on construction by
+    :func:`toruslift.brane.admissible_d`, raising InadmissibleSpec; the
+    pairing form A it returns is kept as ``a_form``.
     """
 
     tau_re: RatMat
@@ -344,20 +345,12 @@ class ThetaSpec:
     xi_lin: tuple = ()
     tol: Optional[float] = None
     max_radius: int = DEFAULT_MAX_RADIUS
+    a_form: RatMat = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "a_form", admissible_d(
+            self.tau_re, self.tau_im, self.d_mat, error=InadmissibleSpec))
         n = self.d_mat.nrows
-        if self.tau_re.shape != (n, n) or self.tau_im.shape != (n, n):
-            raise InadmissibleSpec("tau blocks must match the rank of D")
-        if not self.d_mat.is_integer() or self.d_mat.det() == 0:
-            raise InadmissibleSpec("D must be integer and nonsingular")
-        qf = self.tau_im @ self.d_mat
-        if qf.T != qf or not qf.is_positive_definite():
-            raise InadmissibleSpec("Im(tau) D must be symmetric positive definite")
-        if not self.a_form.is_integer():
-            raise InadmissibleSpec(
-                "Re(tau) D - D^T Re(tau)^T must be an integer matrix"
-            )
         char = tuple(int(c) for c in self.char) or (0,) * n
         if len(char) != n:
             raise InadmissibleSpec(f"characteristic must have length {n}")
@@ -371,10 +364,6 @@ class ThetaSpec:
     def n(self) -> int:
         return self.d_mat.nrows
 
-    @cached_property
-    def a_form(self) -> RatMat:
-        return self.tau_re @ self.d_mat - self.d_mat.T @ self.tau_re.T
-
     @property
     def q_form(self) -> RatMat:
         """Gram of the decay form: Im(tau) D."""
@@ -385,7 +374,7 @@ class ThetaSpec:
         return self.d_mat.solve(ratvec(self.char))
 
     def xi_value(self, m) -> int:
-        # integer numerators: __post_init__ checked that A is integral
+        # integer numerators: admissible_d checked that A is integral
         return _xi_of(self.a_form.num, self.xi_lin, [int(c) for c in m])
 
     def forms(self, z=None) -> tuple:

@@ -277,8 +277,8 @@ def mirror_chern(d: RatMat, t: Torus) -> RatMat:
     """
     from .brane import admissible_d  # local import to avoid a cycle
 
-    admissible_d(d, t, require_positive=False)
-    re, _ = t.period()
+    re, im = t.period()
+    admissible_d(re, im, d, require_positive=False)
     rr = re @ d.T - d @ re.T
     z = RatMat.zeros(d.nrows, d.nrows)
     gram = vstack(hstack(rr, d), hstack(-d.T, z))

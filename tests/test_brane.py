@@ -23,8 +23,16 @@ from toruslift.brane import (
     verify_lift_lagrangian,
     zero_section_brane,
 )
-from toruslift.errors import InadmissibleD, InvalidBrane, InvalidXi
+from toruslift.errors import (
+    InadmissibleD,
+    InadmissibleSpec,
+    InvalidBrane,
+    InvalidXi,
+    TorusLiftError,
+)
 from toruslift.exact import RatMat, hstack, vstack
+from toruslift.floer import DoublePoint, mu2_double
+from toruslift.theta import ThetaSpec
 from toruslift.torus import Torus, double_torus
 
 SQ1 = Torus.from_period(RatMat([[0]]), RatMat([[1]]))
@@ -32,44 +40,76 @@ SQ2 = Torus.from_period(RatMat.zeros(2, 2), RatMat.identity(2))
 # a two-dimensional modulus with nonzero real part: tau = [[i, 1], [0, i]]
 RE21 = RatMat([[0, 1], [0, 0]])
 T21 = Torus.from_period(RE21, RatMat.identity(2))
+# tau = [[i, 1/2], [0, i]]: the pairing form A of D = I is not integral
+HALF = Torus.from_period(RatMat([[0, Fraction(1, 2)], [0, 0]]), RatMat.identity(2))
 
 
 # --- admissibility ----------------------------------------------------------
 
 
 def test_admissible_d_returns_integral_a():
-    a = admissible_d(RatMat.identity(2), T21)
+    a = admissible_d(*T21.period(), RatMat.identity(2))
     assert a == RatMat([[0, 1], [-1, 0]])
     # n = 1 slope matrices never produce a quadratic part
-    assert admissible_d(RatMat([[3]]), SQ1) == RatMat([[0]])
+    assert admissible_d(*SQ1.period(), RatMat([[3]])) == RatMat([[0]])
 
 
 def test_admissible_d_rejections():
     with pytest.raises(InadmissibleD):
-        admissible_d(RatMat([[Fraction(1, 2)]]), SQ1)  # not integer
+        admissible_d(*SQ1.period(), RatMat([[Fraction(1, 2)]]))  # not integer
     with pytest.raises(InadmissibleD):
-        admissible_d(RatMat([[0]]), SQ1)  # singular
+        admissible_d(*SQ1.period(), RatMat([[0]]))  # singular
     with pytest.raises(InadmissibleD):
-        admissible_d(RatMat([[1, 1], [0, 1]]), SQ2)  # Im(tau)D not symmetric
+        admissible_d(*SQ2.period(), RatMat([[1, 1], [0, 1]]))  # Im(tau)D not symmetric
     with pytest.raises(InadmissibleD):
-        admissible_d(RatMat([[-1]]), SQ1)  # not positive
-    admissible_d(RatMat([[-1]]), SQ1, require_positive=False)
-    half = Torus.from_period(
-        RatMat([[0, Fraction(1, 2)], [0, 0]]), RatMat.identity(2)
-    )
+        admissible_d(*SQ1.period(), RatMat([[-1]]))  # not positive
+    admissible_d(*SQ1.period(), RatMat([[-1]]), require_positive=False)
     with pytest.raises(InadmissibleD):
-        admissible_d(RatMat.identity(2), half)  # quadratic part not integral
+        admissible_d(*HALF.period(), RatMat.identity(2))  # quadratic part not integral
+
+
+# (modulus, slope matrix, the message every entry point shares), one per
+# condition of admissible_d
+FAILING_SLOPES = {
+    "shape": (SQ1, RatMat.identity(2), "slope matrix must be 1x1, got (2, 2)"),
+    "integer": (SQ1, RatMat([[Fraction(1, 2)]]),
+                "slope matrix must have integer entries"),
+    "singular": (SQ1, RatMat([[0]]), "slope matrix must be nonsingular"),
+    "symmetric": (SQ2, RatMat([[1, 1], [0, 1]]), "Im(tau) D is not symmetric"),
+    "positive": (SQ1, RatMat([[-1]]), "Im(tau) D is not positive definite"),
+    "integral-a": (HALF, RatMat.identity(2),
+                   "Re(tau) D - D^T Re(tau)^T is not an integer matrix"),
+}
+
+ENTRY_POINTS = {
+    "graph_brane": (InadmissibleD, graph_brane),
+    "ThetaSpec": (InadmissibleSpec, lambda t, d: ThetaSpec(*t.period(), d)),
+    "mu2_double": (InadmissibleD, lambda t, d: mu2_double(
+        *t.period(), d, (0,) * d.nrows, (0,) * d.nrows,
+        DoublePoint.zero(d.nrows))),
+}
+
+
+@pytest.mark.parametrize("condition", sorted(FAILING_SLOPES))
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_entry_points_share_one_admissibility_check(entry, condition):
+    torus, d, message = FAILING_SLOPES[condition]
+    error, call = ENTRY_POINTS[entry]
+    with pytest.raises(TorusLiftError) as info:
+        call(torus, d)
+    assert info.type is error
+    assert str(info.value) == message
 
 
 # --- construction and canonical form ---------------------------------------
 
 
 def test_support_validation():
-    with pytest.raises(InvalidBrane):
+    with pytest.raises(InvalidBrane, match="does not generate a saturated lattice"):
         Brane(SQ1, RatMat([[2], [0]]))  # not primitive
-    with pytest.raises(InvalidBrane):
+    with pytest.raises(InvalidBrane, match="columns are linearly dependent"):
         Brane(SQ2, RatMat([[1, 2], [0, 0], [1, 2], [0, 0]]))  # dependent
-    with pytest.raises(InvalidBrane):
+    with pytest.raises(InvalidBrane, match="must have integer entries"):
         Brane(SQ1, RatMat([[Fraction(1, 2)], [0]]))
 
 
@@ -126,9 +166,10 @@ def test_redescription_equality():
 
 def test_graph_support_already_canonical():
     d = RatMat([[2, 1], [1, 1]])
-    g = graph_brane(Torus.from_period(RE21, d.T), d)
+    t = Torus.from_period(RE21, d.T)
+    g = graph_brane(t, d)
     assert g.support == vstack(RatMat.identity(2), -d)
-    assert g.f_gram == admissible_d(d, Torus.from_period(RE21, d.T))
+    assert g.f_gram == admissible_d(*t.period(), d)
 
 
 # --- sign structure and holonomy --------------------------------------------
@@ -299,7 +340,7 @@ def test_graph_lift_is_literal():
         d = RatMat(d_rows)
         n = d.nrows
         t = Torus.from_period(RE21.submatrix(range(n), range(n)), d.T)
-        a = admissible_d(d, t)
+        a = admissible_d(*t.period(), d)
         g = graph_brane(t, d, phi=phi)
         lb = lift(g)
         w_exp = vstack(

@@ -181,6 +181,39 @@ position = 1/3 -1/10
 phi = -1/2 1/4
 """
 
+# inadmissible slope matrices: each report is one error record whose detail
+# names the first failed condition of brane.admissible_d and the caller's
+# error class
+THETA_ASYMMETRIC = """
+[torus]
+n = 2
+tau = i 0 ; 0 i
+
+[task theta]
+d = 1 1 ; 0 1
+z = 1/5+1/10i -3/10
+"""
+
+USUB_NOT_POSITIVE = """
+[torus]
+n = 1
+tau = i
+
+[task usub]
+d = -1
+points = 1/5 -1/10 0 1/4
+"""
+
+GRAPH_NONINTEGRAL_A = """
+[torus]
+n = 2
+tau = i 1/2 ; 0 i
+
+[brane L]
+kind = graph
+d = 1 0 ; 0 1
+"""
+
 
 def _tasks(kind, *branes):
     return "".join(f"\n[task {kind}]\nbrane = {b}\n" for b in branes)
@@ -206,6 +239,9 @@ JOBS = {
         T4_TORUS + T4_BRANE + FLAT_BRANE + _tasks("validate", "C", "Z"),
     "twist-graph": GRAPH_TORUS + _tasks("twist", "L"),
     "upart-self-t4": T4_TORUS + T4_BRANE + _tasks("upart-self", "C"),
+    "theta-asymmetric": THETA_ASYMMETRIC,
+    "usub-not-positive": USUB_NOT_POSITIVE,
+    "lift-graph-nonintegral-a": GRAPH_NONINTEGRAL_A + _tasks("lift", "L"),
 }
 
 # sha256 of each job's ``lines`` report
@@ -245,6 +281,12 @@ GOLDEN = {
         "7a12312626939c860ea8c2dedbf26b11232538c50d7248a42312dfc233fc7cd9",
     "validate-graph":
         "d6b8f7b3514652c615ac563cddd7ac44726f8cf3480150354b6b36ffaba7a97e",
+    "theta-asymmetric":
+        "2dd433d0c8514e37a4fa73d61be6d8b59f2e64ec55886cc29e18bfee13f79865",
+    "usub-not-positive":
+        "a604d985171641a654d0bd7efe05774c2e440e190a53e91ddfbbb41bbd972541",
+    "lift-graph-nonintegral-a":
+        "2ad38115a6f01356c4c771ab202c35d71ff11168575eed3ad9b5a6a40a101dd6",
 }
 
 

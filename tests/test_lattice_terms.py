@@ -115,7 +115,7 @@ def old_double_terms(tau_re, tau_im, d_mat, k, l, pt, bits, ctx, radius):
     q = d_mat.T.solve(vec_add(a_form @ p, ratvec(l)))
     cm = vec_sub(pt.r, p)
     cn = vec_sub(pt.theta_hat, q)
-    gram, _ = _double_gram(tau_re, tau_im, d_mat)
+    gram = _double_gram(tau_re, tau_im, d_mat)
     center = tuple(cm) + tuple(cn)
     g_den, g_int = gram.den, gram.num
     d_lin = tuple(2 * x for x in (gram @ center))

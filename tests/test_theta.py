@@ -215,8 +215,8 @@ def test_min_eigenvalue_bound_matches_bisection(dim):
 
 
 def edge_grams():
-    doubled, _ = _double_gram(RatMat([[0, 1], [0, 0]]), RatMat.identity(2),
-                              RatMat([[2, 0], [0, 1]]))
+    doubled = _double_gram(RatMat([[0, 1], [0, 0]]), RatMat.identity(2),
+                           RatMat([[2, 0], [0, 1]]))
     return {
         "diag(1,5)": RatMat.diag([1, 5]),  # lambda is the least diagonal entry
         "[[2,1],[1,2]]": RatMat([[2, 1], [1, 2]]),  # lambda = 2^79 u exactly
@@ -281,6 +281,8 @@ def test_spec_rejections():
     one = RatMat([[1]])
     with pytest.raises(InadmissibleSpec):
         ThetaSpec(RatMat.zeros(2, 2), RatMat.identity(2), one)
+    with pytest.raises(InadmissibleSpec, match="tau blocks must be 2x2"):
+        ThetaSpec(RatMat([[0]]), RatMat.identity(2), RatMat.identity(2))
     with pytest.raises(InadmissibleSpec):
         ThetaSpec(RatMat([[0]]), one, RatMat([[Fraction(1, 2)]]))
     with pytest.raises(InadmissibleSpec):
