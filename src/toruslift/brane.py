@@ -70,6 +70,12 @@ def admissible_d(tau_re: RatMat, tau_im: RatMat, d: RatMat, *,
         raise error("Im(tau) D is not symmetric")
     if require_positive and not prod.is_positive_definite():
         raise error("Im(tau) D is not positive definite")
+    return pairing_form(tau_re, d, error=error)
+
+
+def pairing_form(tau_re: RatMat, d: RatMat, *, error=InadmissibleD) -> RatMat:
+    """The pairing form A = Re(tau)D - D^T Re(tau)^T, checked integral:
+    the last condition of :func:`admissible_d`, with its message."""
     a = tau_re @ d - d.T @ tau_re.T
     if not a.is_integer():
         raise error("Re(tau) D - D^T Re(tau)^T is not an integer matrix")

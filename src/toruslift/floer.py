@@ -26,13 +26,16 @@ Key quantities:
   under the doubled complex structure and reports the anti-holomorphic
   exterior-power dimensions.
 
-Both product sums run through the integer kernel
-:func:`toruslift.theta.lattice_terms`: the decay exponent (a rational times
+Both product sums run through the one integer kernel of the package,
+:func:`toruslift.theta.lattice_terms`: ``mu2_base`` is the theta series at
+z = tau^T r - phi (:func:`toruslift.theta.theta_dk`) times a prefactor, and
+``mu2_double`` builds its own forms.  The decay exponent (a rational times
 pi) and the phase in "turns" (fractions of a full circle) are
-affine-quadratic in the lattice vector, so each is an integer form over one
-denominator, the phase is reduced mod 1 exactly, and each is rounded once.
-Summation order is the canonical shell order, so results are bitwise
-reproducible.
+affine-quadratic in the lattice vector, evaluation point included, so each
+is an integer form over one denominator, the phase is reduced mod 1
+exactly, and each is rounded once; no part of an exponent is added in
+floating point.  Summation order is the canonical shell order, so results
+are bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .brane import Brane, _mod1, admissible_d
+from .brane import Brane, _mod1, admissible_d, pairing_form
 from .errors import (
     InadmissibleD,
     InvalidBrane,
@@ -58,7 +61,6 @@ from .theta import (
     CertifiedValue,
     ThetaSpec,
     _resolved_tol,
-    _theta_certificate,
     centered_form,
     int_form,
     lattice_terms,
@@ -155,9 +157,7 @@ def intersections(d_from: RatMat, d_to: RatMat, *, tau_re: Optional[RatMat] = No
         return out
     if tau_re is None:
         raise ValueError("doubled intersections need the real part of the modulus")
-    a_form = tau_re @ delta - delta.T @ tau_re.T
-    if not a_form.is_integer():
-        raise InadmissibleD("Re(tau) D - D^T Re(tau)^T must be integral")
+    a_form = pairing_form(tau_re, delta)
     dt_inv = delta.T.inv()
     for k in cosets(delta):
         p = delta_inv @ k
@@ -230,8 +230,9 @@ def mu2_base(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat, k, r, phi, *,
               e^{2 pi i <D m - k, tau^T r - phi>}
 
     times the prefactor e^{pi i <tau D r, r>} e^{-2 pi i <D r, phi>}, with
-    p = D^{-1} k.  The result carries the truncation certificate of the sum;
-    the prefactor has modulus at most one, so the tail bound still applies.
+    p = D^{-1} k: the theta series of (tau, D, k, xi) at z = tau^T r - phi.
+    The result carries the truncation certificate of the sum; the prefactor
+    has modulus at most one, so the tail bound still applies.
     """
     admissible_d(tau_re, tau_im, d_mat)
     n = d_mat.nrows
@@ -243,9 +244,7 @@ def mu2_base(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat, k, r, phi, *,
     spec = ThetaSpec(tau_re, tau_im, d_mat, k, _xi_bits(xi_lin, n), tol_f,
                      max_radius)
     z = list(zip(vec_sub(tau_re.T @ r, phi), tau_im.T @ r))
-    cert = _theta_certificate(spec, z, tol_f)
-    terms = lattice_terms(ctx, n, cert.radius, *spec.forms(z))
-    total = ctx.sum(terms)
+    total = theta_dk(spec, z, context=context)
 
     pref_turns = _mod1(vec_dot((tau_re @ d_mat) @ r, r) / 2
                        - vec_dot(d_mat @ r, phi))
@@ -253,10 +252,22 @@ def mu2_base(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat, k, r, phi, *,
     prefactor = ctx.exp(ctx.to_complex(
         -ctx.pi * ctx.real(pref_decay), 2 * ctx.pi * ctx.real(pref_turns)
     ))
-    return CertifiedValue(total * prefactor, cert, context)
+    return CertifiedValue(total.value * prefactor, total.certificate, context)
 
 
 # -- the doubled product sum ---------------------------------------------------
+
+
+def _decay_blocks(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat) -> tuple:
+    """X = Im(tau)^{-1} D^T and C = Re(tau) X Re(tau)^T + Im(tau) X Im(tau)^T,
+    the blocks of the doubled decay Gram and of the trivialization factor."""
+    x_mat = tau_im.inv() @ d_mat.T
+    return x_mat, tau_re @ x_mat @ tau_re.T + tau_im @ x_mat @ tau_im.T
+
+
+def _root_det(ctx, tau_im: RatMat, d_mat: RatMat):
+    """sqrt|det(2 Im tau D)|, the factorization constant, in ``ctx``."""
+    return ctx.sqrt(ctx.real(abs((2 * (tau_im @ d_mat)).det())))
 
 
 def _double_gram(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat) -> RatMat:
@@ -271,8 +282,7 @@ def _double_gram(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat) -> RatMat:
     The imaginary quadratic parts collapse: the only cross term is
     Im <X tau^T m', n'> = <D m', n'> because X Im(tau)^T = D exactly.
     """
-    x_mat = tau_im.inv() @ d_mat.T
-    c_mat = tau_re @ x_mat @ tau_re.T + tau_im @ x_mat @ tau_im.T
+    x_mat, c_mat = _decay_blocks(tau_re, tau_im, d_mat)
     cross = x_mat @ tau_re.T
     gram = vstack(hstack(c_mat, cross.T), hstack(cross, x_mat))
     return gram * Fraction(1, 2)
@@ -350,7 +360,7 @@ def trivialization_factor(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat,
     """
     a_form = admissible_d(tau_re, tau_im, d_mat)
     ctx = get_context(context)
-    x_mat = tau_im.inv() @ d_mat.T
+    x_mat, c_mat = _decay_blocks(tau_re, tau_im, d_mat)
     that = pt.theta_hat
 
     # u - v = tau^T r + theta_hat - 2 i Im(tau)^T kappa, exactly
@@ -361,7 +371,6 @@ def trivialization_factor(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat,
     quad_re = vec_dot(x_mat @ uv_re, uv_re) - vec_dot(x_mat @ uv_im, uv_im)
     quad_im = 2 * vec_dot(x_mat @ uv_re, uv_im)
 
-    c_mat = tau_re @ x_mat @ tau_re.T + tau_im @ x_mat @ tau_im.T
     decay = (
         Fraction(1, 2) * quad_re
         - Fraction(1, 2) * vec_dot(x_mat @ that, that)
@@ -492,7 +501,7 @@ def verify_usub(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat, k,
     l_reps = cosets(d_mat.T)
     spec = ThetaSpec(tau_re, tau_im, d_mat, k, xi_lin, tol_f, max_radius)
     spec0 = spec.with_char((0,) * n)
-    root = ctx.sqrt(ctx.real(abs((2 * (tau_im @ d_mat)).det())))
+    root = _root_det(ctx, tau_im, d_mat)
     worst = 0.0
     for pt in points:
         lhs = ctx.to_complex(0, 0)
@@ -576,7 +585,7 @@ def verify_main_diagram(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat,
     ref = _int_vec(reference_char, n, "reference characteristic") \
         if reference_char is not None else (0,) * n
     spec = ThetaSpec(tau_re, tau_im, d_mat, ref, xi_lin, tol_f, max_radius)
-    root = ctx.sqrt(ctx.real(abs((2 * (tau_im @ d_mat)).det())))
+    root = _root_det(ctx, tau_im, d_mat)
     predicted = complex(
         root * theta_bar_dk(spec, [0] * n, context=context).value
     )

@@ -26,15 +26,18 @@ reported tail bound is rigorous, if deliberately crude.  It bounds the
 truncation error only: the floating-point rounding of the summed terms is
 not included.
 
-Series terms come from one integer kernel, :func:`lattice_terms`, shared
-with the product sums of :mod:`toruslift.floer`.  The decay exponent and the
-phase (sign structure, characteristic coupling, the Re(tau) quadratic part)
-are affine-quadratic in m, so each is an integer form over one denominator;
-the phase is reduced mod 1 exactly and each reaches a float by one correctly
-rounded division.  Sup-norm shells are enumerated directly, not filtered
-from cubes.  Terms are consumed in the canonical order (shells,
-lexicographic inside a shell) by the deterministic compensated summation
-from :mod:`toruslift.summation`.
+Every certified sum of the package -- the theta series, the periodized
+Gaussian pair sums below and the product sums of :mod:`toruslift.floer` --
+takes its terms from one integer kernel, :func:`lattice_terms`.  The decay
+exponent and the phase (sign structure, characteristic coupling, the
+Re(tau) quadratic part, the evaluation point z taken exactly) are
+affine-quadratic in the lattice vector, so each is an integer form over one
+denominator; the phase is reduced mod 1 exactly and each reaches a float by
+one correctly rounded division, with no part added in floating point.
+Sup-norm shells are enumerated directly, not filtered from cubes.  Terms
+are consumed in the canonical order (shells, lexicographic inside a shell)
+by the deterministic compensated summation from
+:mod:`toruslift.summation`.
 """
 
 from __future__ import annotations
@@ -86,7 +89,9 @@ def iter_shell(dim: int, s: int) -> Iterator[tuple]:
 
 
 def iter_ball(dim: int, radius: int) -> Iterator[tuple]:
-    """Canonical term order: shells 0..radius, lexicographic inside each."""
+    """Canonical term order: shells 0..radius, lexicographic inside each.
+    The package's sums walk this order inside :func:`lattice_terms` and do
+    not call it; ``perfbench/trace.py`` still wraps it by name."""
     for s in range(radius + 1):
         yield from iter_shell(dim, s)
 
@@ -116,15 +121,15 @@ def centered_form(mat: RatMat, center) -> tuple:
     return mat.rows, lin, vec_dot(center, mc)
 
 
-def lattice_terms(ctx, dim: int, radius: int, decay, turns, tail=()) -> list:
+def lattice_terms(ctx, dim: int, radius: int, decay, turns) -> list:
     """The terms e^{-pi decay(w) + 2 pi i turns(w)} of an affine-quadratic
     lattice sum over the shells 0..radius, in canonical order.
 
-    ``decay`` and ``turns`` are integer forms (:func:`int_form`); turns are
-    reduced mod 1 exactly, and both become floats by ``ctx.ratio``.  Each
-    ``tail`` entry (row, const, x_re, x_im), an integer affine form
-    g(w) = row . w + const with two context reals, then adds -2 pi g x_im to
-    the exponent and 2 pi g x_re to the phase in floating point, in order.
+    This is the one kernel of every certified sum in the package.
+    ``decay`` and ``turns`` are integer forms (:func:`int_form`) that carry
+    the whole exponent, evaluation point included; turns are reduced mod 1
+    exactly, and each form becomes a float by one ``ctx.ratio``, so no part
+    of an exponent is added in floating point.
 
     Shells are enumerated as in :func:`iter_shell`.  Fixing a coordinate
     folds it into the forms' constant and linear parts, so along the last
@@ -136,46 +141,37 @@ def lattice_terms(ctx, dim: int, radius: int, decay, turns, tail=()) -> list:
     ratio, exp, to_complex = ctx.ratio, ctx.exp, ctx.to_complex
     last = dim - 1
     d_cc, t_cc = d_quad[last][last], t_quad[last][last]
-    g_rows, g_const = [t[0] for t in tail], [t[1] for t in tail]
-    weights = [(row[last], x_re, x_im) for row, _, x_re, x_im in tail]
     terms = []
     append = terms.append
 
-    def line(ts, da, db, ta, tb, gs):
+    def line(ts, da, db, ta, tb):
         for t in ts:
-            re = neg_pi * ratio(da + t * (db + d_cc * t), d_den)
-            im = two_pi * ratio((ta + t * (tb + t_cc * t)) % t_den, t_den)
-            if gs:
-                for g, (gl, x_re, x_im) in zip(gs, weights):
-                    g += gl * t
-                    re = re - two_pi * (g * x_im)
-                    im = im + two_pi * (g * x_re)
-            append(exp(to_complex(re, im)))
+            append(exp(to_complex(
+                neg_pi * ratio(da + t * (db + d_cc * t), d_den),
+                two_pi * ratio((ta + t * (tb + t_cc * t)) % t_den, t_den))))
 
-    def walk(k, s, reached, da, dl, ta, tl, gs):
-        # coordinates before k are fixed: da, ta, gs are the forms' values
+    def walk(k, s, reached, da, dl, ta, tl):
+        # coordinates before k are fixed: da, ta are the forms' values
         # there, dl, tl their linear coefficients from coordinate k on
         dq, tq = d_quad[k], t_quad[k]
         for x in range(-s, s + 1):
             da_x = da + x * (dl[0] + dq[k] * x)
             ta_x = ta + x * (tl[0] + tq[k] * x)
-            gs_x = [g + row[k] * x for g, row in zip(gs, g_rows)]
             hit = reached or x == s or x == -s
             if k + 1 == last:
                 line(_last_coordinates(s, hit), da_x, dl[1] + dq[last] * x,
-                     ta_x, tl[1] + tq[last] * x, gs_x)
+                     ta_x, tl[1] + tq[last] * x)
             else:
                 walk(k + 1, s, hit,
                      da_x, [l + q * x for l, q in zip(dl[1:], dq[k + 1:])],
-                     ta_x, [l + q * x for l, q in zip(tl[1:], tq[k + 1:])],
-                     gs_x)
+                     ta_x, [l + q * x for l, q in zip(tl[1:], tq[k + 1:])])
 
     for s in range(radius + 1):
         if dim == 1:
             line(_last_coordinates(s, not s), d_const, d_lin[0],
-                 t_const, t_lin[0], g_const)
+                 t_const, t_lin[0])
         else:
-            walk(0, s, not s, d_const, d_lin, t_const, t_lin, g_const)
+            walk(0, s, not s, d_const, d_lin, t_const, t_lin)
     del walk  # a recursive closure is a reference cycle that holds the terms
     return terms
 
@@ -377,26 +373,23 @@ class ThetaSpec:
         # integer numerators: admissible_d checked that A is integral
         return _xi_of(self.a_form.num, self.xi_lin, [int(c) for c in m])
 
-    def forms(self, z=None) -> tuple:
-        """Integer decay and turns forms of the series terms in m, with
-        w = m - p: decay = <Im(tau) D w, w> and turns = xi(m)/2 +
-        <p, A m>/2 + <Re(tau) D w, w>/2.  An exact z, as (Re, Im) pairs,
-        adds <D w, Re z> to the turns and 2 <D w, Im z> to the decay."""
+    def forms(self, z) -> tuple:
+        """Integer decay and turns forms of the series terms at an exact z
+        (a sequence of (Re, Im) rational pairs), in m, with w = m - p:
+        decay = <Im(tau) D w, w> + 2 <D w, Im z> and turns = xi(m)/2 +
+        <p, A m>/2 + <Re(tau) D w, w>/2 + <D w, Re z>."""
         half, p = Fraction(1, 2), self.p_vec
         a = self.a_form
         re_mat, re_lin, re_const = centered_form(self.tau_re @ self.d_mat, p)
         t_mat = [[half * (x + (a[i, j] if j > i else 0))
                   for j, x in enumerate(row)] for i, row in enumerate(re_mat)]
-        t_lin = tuple(half * (x + b + y) for x, b, y
-                      in zip(re_lin, self.xi_lin, a.T @ p))
-        t_const = half * re_const
+        z_re, z_im = ratvec(re for re, _ in z), ratvec(im for _, im in z)
+        t_lin = tuple(half * (x + b + y) + w for x, b, y, w in zip(
+            re_lin, self.xi_lin, a.T @ p, self.d_mat.T @ z_re))
+        t_const = half * re_const - vec_dot(self.char, z_re)
         q_mat, q_lin, q_const = centered_form(self.q_form, p)
-        if z is not None:
-            z_re, z_im = ratvec(re for re, _ in z), ratvec(im for _, im in z)
-            t_lin = vec_add(t_lin, self.d_mat.T @ z_re)
-            q_lin = vec_add(q_lin, self.d_mat.T @ tuple(2 * x for x in z_im))
-            t_const -= vec_dot(self.char, z_re)
-            q_const -= 2 * vec_dot(self.char, z_im)
+        q_lin = vec_add(q_lin, self.d_mat.T @ tuple(2 * x for x in z_im))
+        q_const -= 2 * vec_dot(self.char, z_im)
         return (int_form(q_mat, q_lin, q_const),
                 int_form(t_mat, t_lin, t_const))
 
@@ -477,31 +470,26 @@ def _theta_certificate(spec: ThetaSpec, z, tol: float) -> TruncationCertificate:
     )
 
 
-def _theta_sum(spec: ThetaSpec, z, ctx, radius: int):
-    """Sum the series over shells 0..radius in canonical order; the z part
-    <D m - k, z> of each exponent is added in floating point."""
-    tail = [(row, -k, ctx.real(re), ctx.real(im))
-            for row, k, (re, im) in zip(spec.d_mat.num, spec.char, z)]
-    return ctx.sum(lattice_terms(ctx, spec.n, radius, *spec.forms(), tail))
-
-
 def theta_dk(spec: ThetaSpec, z: Sequence[complex], *, context: str = "double",
              radius: Optional[int] = None) -> CertifiedValue:
     """Certified evaluation of the theta series at a complex n-vector z.
 
-    The absolute truncation error is bounded by the certificate's tail
-    bound, itself below the working tolerance; rounding in the summed terms
-    is not part of that bound.  ``radius`` can enlarge the
-    summed ball beyond the certified shell count (self-consistency checks);
-    it is clamped from below by the certified radius.
+    z is taken exactly (:func:`_exact_z`) into the integer forms of
+    :meth:`ThetaSpec.forms`, which :func:`lattice_terms` sums over shells
+    0..radius in canonical order.  The absolute truncation error is bounded
+    by the certificate's tail bound, itself below the working tolerance;
+    rounding in the summed terms is not part of that bound.  ``radius`` can
+    enlarge the summed ball beyond the certified shell count
+    (self-consistency checks); it is clamped from below by the certified
+    radius.
     """
     ctx = get_context(context)
     zz = _exact_z(z, spec.n)
     tol = _resolved_tol(spec.tol, ctx)
     cert = _theta_certificate(spec, zz, tol)
     use = cert.radius if radius is None else max(radius, cert.radius)
-    value = _theta_sum(spec, zz, ctx, use)
-    return CertifiedValue(value, cert, context)
+    terms = lattice_terms(ctx, spec.n, use, *spec.forms(zz))
+    return CertifiedValue(ctx.sum(terms), cert, context)
 
 
 def theta_bar_dk(spec: ThetaSpec, z, **kw) -> CertifiedValue:
@@ -584,8 +572,19 @@ def _pair_linear_coeff(tau: complex, points) -> Fraction:
     return tot * tau_up / a
 
 
-def _double_sum(term, tau: complex, lin_coeff, tol: float, max_radius: int,
+def _pair_forms(tau: complex, decay_lin, decay_const, turns_lin,
+                turns_const) -> tuple:
+    """Integer decay and turns forms in w = (m, n) of a pair-sum term
+    (-1)^{mn} e^{-pi/(2a) |m + n tau|^2} times an affine part given by its
+    exact decay and turns coefficients.  The quadratic decay is the
+    certificate's Gram; the sign is the turn mn/2."""
+    return (int_form(_pair_gram(tau).rows, decay_lin, decay_const),
+            int_form([[0, Fraction(1, 2)], [0, 0]], turns_lin, turns_const))
+
+
+def _double_sum(forms, tau: complex, lin_coeff, tol: float, max_radius: int,
                 ctx, const_exponent=Fraction(0)):
+    """A pair sum's forms summed over the certified (m, n) shells."""
     cert = truncation_radius(
         _pair_gram(tau),
         linear_bound=lin_coeff,
@@ -593,8 +592,7 @@ def _double_sum(term, tau: complex, lin_coeff, tol: float, max_radius: int,
         constant_exponent=const_exponent,
         max_radius=max_radius,
     )
-    terms = [term(m, n) for m, n in iter_ball(2, cert.radius)]
-    return ctx.sum(terms), cert
+    return ctx.sum(lattice_terms(ctx, 2, cert.radius, *forms)), cert
 
 
 def gaussian_theta_lhs(tau: complex, u: complex, v: complex,
@@ -606,88 +604,47 @@ def gaussian_theta_lhs(tau: complex, u: complex, v: complex,
         sum_{m,n} e^{-pi/(2a) (n^2 tau conj(tau) + m^2 + 2 tau m n)}
                   e^{-pi/a (m + n conj(tau)) u} e^{pi/a (m + n tau) v}
         * e^{-pi/(2a) u^2} e^{pi/a u v} e^{-pi/(2a) v^2}.
+
+    The prefactor is folded into each term's exact forms.  The certificate
+    is that of the sum without it, at tol e^{-pi max(c, 0)} for a prefactor
+    of modulus e^{pi c}, so the returned value's tail is below tol.
     """
     ctx = get_context(context)
     tol = _resolved_tol(tol, ctx)
     b, a = _tau_parts(tau)
     lin = _pair_linear_coeff(tau, [u, v])
-    # constant prefactor magnitude, exact in Q: Re(-u^2 - v^2 + 2uv) / (2a)
     ur, ui = rat(u.real), rat(u.imag)
     vr, vi = rat(v.real), rat(v.imag)
-    pref_coeff = (
-        -(ur * ur - ui * ui) - (vr * vr - vi * vi) + 2 * (ur * vr - ui * vi)
-    ) / (2 * a)
+    dr, di = ur - vr, ui - vi
+    # constant prefactor magnitude, exact in Q: Re(-u^2 - v^2 + 2uv) / (2a)
+    pref_coeff = -(dr * dr - di * di) / (2 * a)
     tol_eff = tol * math.exp(-max(float(_iv_num(pref_coeff).b), 0.0) * math.pi)
-    inv_a = ctx.real(Fraction(1, 1) / a)
-    half_pi_a = ctx.pi * inv_a / 2
-    tau_c = ctx.to_complex(b, a)
-    tau_cc = ctx.to_complex(b, -a)
-    mod2 = ctx.real(b * b + a * a)
-    uu = ctx.to_complex(u.real, u.imag)
-    vv = ctx.to_complex(v.real, v.imag)
-
-    def term(m, n):
-        quad = mod2 * (n * n) + (m * m) + 2 * tau_c * (m * n)
-        return ctx.exp(
-            -half_pi_a * quad
-            - 2 * half_pi_a * ((m + n * tau_cc) * uu)
-            + 2 * half_pi_a * ((m + n * tau_c) * vv)
-        )
-
-    value, cert = _double_sum(term, tau, lin, tol_eff, max_radius, ctx)
-    prefactor = ctx.exp(
-        -half_pi_a * (uu * uu) + 2 * half_pi_a * (uu * vv)
-        - half_pi_a * (vv * vv)
-    )
-    return CertifiedValue(value * prefactor, cert, context)
-
-
-def _identity1_first(tau: complex, z: complex, tol: float, ctx,
-                     max_radius: int):
-    """Signed periodized Gaussian with the e^{-pi/(2a) z^2} prefactor."""
-    b, a = _tau_parts(tau)
-    lin = _pair_linear_coeff(tau, [z])
-    zr, zi = rat(z.real), rat(z.imag)
-    pref_coeff = -(zr * zr - zi * zi) / (2 * a)
-    tol_eff = tol * math.exp(-max(float(_iv_num(pref_coeff).b), 0.0) * math.pi)
-    inv_a = ctx.real(Fraction(1, 1) / a)
-    half_pi_a = ctx.pi * inv_a / 2
-    b_real = ctx.real(b)
-    tau_cc = ctx.to_complex(b, -a)
-    zz = ctx.to_complex(z.real, z.imag)
-    mod2 = ctx.real(b * b + a * a)
-
-    def term(m, n):
-        # (m + n tau)(m + n conj(tau)) = m^2 + 2 Re(tau) m n + |tau|^2 n^2
-        sgn = -1 if (m * n) % 2 else 1
-        quad = (m * m) + 2 * b_real * (m * n) + mod2 * (n * n)
-        return sgn * ctx.exp(-half_pi_a * quad
-                             - 2 * half_pi_a * ((m + n * tau_cc) * zz))
-
-    value, _ = _double_sum(term, tau, lin, tol_eff, max_radius, ctx)
-    return value * ctx.exp(-half_pi_a * zz * zz)
+    # -(1/a) (m + n conj(tau)) u + (1/a) (m + n tau) v - (u - v)^2 / (2a)
+    forms = _pair_forms(
+        tau, (dr / a, b * dr / a + ui + vi), -pref_coeff,
+        (-di / (2 * a), (a * (ur + vr) - b * di) / (2 * a)), -dr * di / (2 * a))
+    value, cert = _double_sum(forms, tau, lin, tol_eff, max_radius, ctx)
+    return CertifiedValue(value, cert, context)
 
 
 def _identity1_middle(tau: complex, z: complex, tol: float, ctx,
                       max_radius: int):
     """Shifted-Gaussian form: sum over e^{-pi/(2a)(z+m)^2}
-    e^{-pi/a n conj(tau) (z+m)} e^{-pi/(2a) n^2 |tau|^2}."""
+    e^{-pi/a n conj(tau) (z+m)} e^{-pi/(2a) n^2 |tau|^2}.
+
+    Expanded exactly, each term equals the signed periodized Gaussian's
+    (:func:`gaussian_theta_lhs` at u = z, v = 0), since 2 n conj(tau) m is
+    2 Re(tau) m n up to the sign turn; the two sums differ in how their
+    forms are written and in their certificates."""
     b, a = _tau_parts(tau)
     lin = _pair_linear_coeff(tau, [z])
     zr, zi = rat(z.real), rat(z.imag)
     const = abs(zr * zr - zi * zi) / (2 * a)  # from the constant z^2 part
-    inv_a = ctx.real(Fraction(1, 1) / a)
-    half_pi_a = ctx.pi * inv_a / 2
-    tau_cc = ctx.to_complex(b, -a)
-    zz = ctx.to_complex(z.real, z.imag)
-    mod2 = ctx.real(b * b + a * a)
-
-    def term(m, n):
-        w = zz + m
-        return ctx.exp(-half_pi_a * (w * w) - 2 * half_pi_a * (n * tau_cc * w)
-                       - half_pi_a * mod2 * (n * n))
-
-    value, _ = _double_sum(term, tau, lin, tol, max_radius, ctx,
+    # Re and Im of (z+m)^2 + 2 n conj(tau) (z+m) beyond the Gram part
+    forms = _pair_forms(
+        tau, (zr / a, (b * zr + a * zi) / a), (zr * zr - zi * zi) / (2 * a),
+        (-zi / (2 * a), (a * zr - b * zi) / (2 * a)), -zr * zi / (2 * a))
+    value, _ = _double_sum(forms, tau, lin, tol, max_radius, ctx,
                            const_exponent=const)
     return value
 
@@ -700,7 +657,8 @@ def verify_identity_1(tau: complex, z: complex, tol: Optional[float] = None,
     """
     ctx = get_context(context)
     tol = _resolved_tol(tol, ctx)
-    first = _identity1_first(tau, z, tol, ctx, max_radius)
+    first = gaussian_theta_lhs(tau, z, 0j, tol, context=context,
+                               max_radius=max_radius).value
     middle = _identity1_middle(tau, z, tol, ctx, max_radius)
     base = spec_n1(tau, tol=tol, max_radius=max_radius)
     theta_z = theta_dk(base, [z], context=context).value

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toruslift.brane import Brane, t4_space_filling_brane, lift, zero_section_brane
+from toruslift.brane import (
+    Brane,
+    admissible_d,
+    lift,
+    t4_space_filling_brane,
+    zero_section_brane,
+)
 from toruslift.errors import (
     InadmissibleD,
     InvalidBrane,
@@ -135,6 +141,17 @@ def test_intersections_rejections():
         intersections(Z1, RatMat([[Fraction(1, 2)]]))
     with pytest.raises(ValueError):
         intersections(Z1, D2, doubled=True)
+
+
+def test_doubled_intersections_share_the_pairing_form_message():
+    # Re(tau) = [[0, 1/2], [0, 0]] and Delta = I give A = [[0, 1/2], [-1/2, 0]]
+    tau_re = RatMat([[0, F(1, 2)], [0, 0]])
+    with pytest.raises(InadmissibleD) as shared:
+        admissible_d(tau_re, I2, I2)
+    with pytest.raises(InadmissibleD) as got:
+        intersections(Z2, I2, tau_re=tau_re, doubled=True)
+    assert str(got.value) == str(shared.value) == (
+        "Re(tau) D - D^T Re(tau)^T is not an integer matrix")
 
 
 @settings(max_examples=50, deadline=None)

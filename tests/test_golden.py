@@ -248,25 +248,25 @@ JOBS = {
 GOLDEN = {
     "determinism": DETERMINISM_DIGEST,
     "identity2":
-        "57cd10e61c5f3cfcc207c36fd36dd8cc4ffbab878835c5b71498578fbff8968d",
+        "f68cd844116ebe9d45a3bac22b997e63c111b159b73317db6786ee975a4c797b",
     "theta-n1-dd":
         "b39afcb3780103956fb5a19ab1178b9bb352a9b624659fbec53a6d99f42e23a8",
     "theta-n1-double":
-        "d7794c7c1ddc3895d8db92d221bfa4f5696be4775a2df62e36e0a8303dc7f425",
+        "22967319b0388165721d02f127d3085aa697fac11bbb8c32ff6d3749793bfe3f",
     "theta-n2-dd":
         "f3a32dd36ae98c1e5ea02c626eb5e48c4c1a1ebf5757de2e1b14dd13867b774f",
     "theta-n2-double":
-        "70f6c6bf4b6cbd3aee382ae115e47e43902d91730c6fc917e3bbe5d3ec5cd4d2",
+        "64f39958cce0ac500e8a13851867c393a5762db302ce84f74e450c06b94b6b68",
     "usub-n2":
-        "987ffd67b7c28dfca956ef8038d686189512a81fdb552aa835400fd64024672c",
+        "cc438ec464ed9d78bedbdce070774a11107069b819961fd1536523ad34092a40",
     "diagram-n2":
         "5a57533fe4c06d92791c1e4152a4dd219aa1d12bf15f105e1bbf62abff19794d",
     "usub-n2-diag21":
-        "0aa356ff6c06b9c425afe827871ada1d3a062eeaee27ee851d31b64206aa991c",
+        "bd2eb57c83cc894cb79043d79e6ec68680d62f978ef6f5f8c82c8cf39d020a13",
     "usub-n1-dd":
-        "06e327e30be7cc6954a8622b7e08d9a3efe508f56d01dd2c24454d45eea3024a",
+        "fd9ec5a1ad1d6764d0399a3b041ef9e53b2ca813e2ef46d16d1e74dfd0d0bd2f",
     "theta-n2-re":
-        "3e80b9abfb98f23129ed9da8a254fe3e2496484b0e795f948e40e13f6c138c51",
+        "e237420833cd194d35f619cc084d24693bc60720da4da9484e73f0968f0f22aa",
     "lift-fiber":
         "fe0a3deaa1936f4c957a3d129227fe28440cc6e918093b1f525db59a259b2594",
     "lift-graph":

@@ -2,10 +2,10 @@
 
 ``mu2_double``, ``mu2_base`` and the theta sum produce their terms through
 ``theta.lattice_terms``.  Each term must equal, bit for bit and in the same
-order, the term of the per-point ``Fraction`` loop that the kernel replaced.
-Those loops are copied here as references, together with the filtered-cube
-shell enumeration they walked.  The terms are captured where each site hands
-them to ``ctx.sum``.
+order, the term of a per-point ``Fraction`` loop that forms each exponent
+exactly and rounds it once.  Those loops are copied here as references,
+together with the filtered-cube shell enumeration they walked.  The terms
+are captured where each site hands them to ``ctx.sum``.
 """
 
 import math
@@ -58,28 +58,27 @@ def xi_raw(a_rows, bits, m):
 
 
 def old_theta_terms(spec, z, ctx, radius):
+    """The theta terms with z taken exactly: every exponent is one Fraction,
+    rounded once."""
     p = spec.p_vec
     a = spec.a_form
     re_q = spec.tau_re @ spec.d_mat
     im_q = spec.q_form
-    z_re = [ctx.real(re) for re, _ in z]
-    z_im = [ctx.real(im) for _, im in z]
-    two_pi = 2 * ctx.pi
+    z_re = ratvec(re for re, _ in z)
+    z_im = ratvec(im for _, im in z)
     terms = []
     for m in cube_ball(spec.n, radius):
         w = tuple(Fraction(mi) - pi_ for mi, pi_ in zip(m, p))
+        g = spec.d_mat @ w  # = D m - k
         turns = (
             Fraction(xi_raw(a.num, spec.xi_lin, m) % 2, 2)
             + vec_dot(p, a @ m) / 2
             + vec_dot(re_q @ w, w) / 2
+            + vec_dot(g, z_re)
         ) % 1
-        g = tuple(int(ci) - ki for ci, ki in zip(spec.d_mat @ m, spec.char))
-        real_exp = -ctx.pi * ctx.real(vec_dot(im_q @ w, w))
-        angle = two_pi * ctx.real(turns)
-        for gi, xr, xi_ in zip(g, z_re, z_im):
-            real_exp = real_exp - two_pi * (gi * xi_)
-            angle = angle + two_pi * (gi * xr)
-        terms.append(ctx.exp(ctx.to_complex(real_exp, angle)))
+        decay = vec_dot(im_q @ w, w) + 2 * vec_dot(g, z_im)
+        terms.append(ctx.exp(ctx.to_complex(
+            -ctx.pi * ctx.real(decay), 2 * ctx.pi * ctx.real(turns))))
     return terms
 
 
@@ -280,3 +279,23 @@ def test_doubled_product_terms_match_on_an_enlarged_ball(captured):
 def test_iter_shell_matches_the_filtered_cube(dim):
     for s in range(6):
         assert list(iter_shell(dim, s)) == cube_shell(dim, s)
+
+
+@pytest.mark.parametrize("seed,context", CASES)
+def test_base_product_is_the_theta_series_times_its_prefactor(seed, context):
+    _, tau_re, tau_im, d_mat, k, bits, vec = _case(seed)
+    r, phi = ratvec(vec()), ratvec(vec())
+    got = mu2_base(tau_re, tau_im, d_mat, k, r, phi, xi_lin=bits,
+                   tol=TOL[context], context=context)
+    spec = ThetaSpec(tau_re, tau_im, d_mat, k, bits, tol=TOL[context])
+    z = list(zip(vec_sub(tau_re.T @ r, phi), tau_im.T @ r))
+    series = theta_dk(spec, z, context=context)
+    ctx = get_context(context)
+    # e^{pi i <tau D r, r>} e^{-2 pi i <D r, phi>}, each exponent exact
+    turns = _mod1(vec_dot((tau_re @ d_mat) @ r, r) / 2
+                  - vec_dot(d_mat @ r, phi))
+    decay = vec_dot((tau_im @ d_mat) @ r, r)
+    prefactor = ctx.exp(ctx.to_complex(-ctx.pi * ctx.real(decay),
+                                       2 * ctx.pi * ctx.real(turns)))
+    assert got.value == series.value * prefactor
+    assert got.certificate == series.certificate
