@@ -283,13 +283,15 @@ def graph_brane(torus: Torus, d_mat: RatMat, xi_lin=None, phi=None) -> Brane:
     return Brane(torus, support, conn_quad=conn_quad, conn_flat=phi, xi_lin=xi_lin)
 
 
-def zero_section_brane(torus: Torus) -> Brane:
-    """The brane supported on {theta = 0} with the trivial flat connection."""
+def zero_section_brane(torus: Torus, phi=None, xi_lin=None) -> Brane:
+    """The brane supported on {theta = 0}, the graph brane of slope zero,
+    with flat connection ``phi`` and sign bits ``xi_lin`` on its support
+    generators (both trivial by default)."""
     if not torus.is_split:
         raise InvalidBrane("the zero section needs a split torus")
     n = torus.dim // 2
     support = vstack(RatMat.identity(n), RatMat.zeros(n, n))
-    return Brane(torus, support)
+    return Brane(torus, support, conn_flat=phi, xi_lin=xi_lin)
 
 
 def fiber_brane(torus: Torus, position, phi=None) -> Brane:

@@ -34,8 +34,9 @@ pi) and the phase in "turns" (fractions of a full circle) are
 affine-quadratic in the lattice vector, evaluation point included, so each
 is an integer form over one denominator, the phase is reduced mod 1
 exactly, and each is rounded once; no part of an exponent is added in
-floating point.  Summation order is the canonical shell order, so results
-are bitwise reproducible.
+floating point.  Each sum is the exact sum of its terms rounded once
+(:mod:`toruslift.summation`), so results are bitwise reproducible and do
+not depend on the order of the terms.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .brane import Brane, _mod1, admissible_d, pairing_form
+from .brane import Brane, _as_frac_vec, _mod1, admissible_d, pairing_form
 from .errors import (
     InadmissibleD,
     InvalidBrane,
@@ -73,13 +74,6 @@ from .torus import DoubledTorus, MirrorCoords
 
 def _int_vec(v, n: int, name: str) -> tuple:
     out = tuple(int(c) for c in v)
-    if len(out) != n:
-        raise ValueError(f"{name} must have length {n}")
-    return out
-
-
-def _rat_vec(v, n: int, name: str) -> tuple:
-    out = ratvec(v)
     if len(out) != n:
         raise ValueError(f"{name} must have length {n}")
     return out
@@ -239,8 +233,8 @@ def mu2_base(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat, k, r, phi, *,
     ctx = get_context(context)
     tol_f = _resolved_tol(tol, ctx)
     k = _int_vec(k, n, "characteristic")
-    r = _rat_vec(r, n, "fiber position")
-    phi = _rat_vec(phi, n, "flat connection")
+    r = _as_frac_vec(r, n, "fiber position")
+    phi = _as_frac_vec(phi, n, "flat connection")
     spec = ThetaSpec(tau_re, tau_im, d_mat, k, _xi_bits(xi_lin, n), tol_f,
                      max_radius)
     z = list(zip(vec_sub(tau_re.T @ r, phi), tau_im.T @ r))
@@ -566,8 +560,8 @@ def verify_main_diagram(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat,
                    if any(c != 0 and e.k == kk
                           for e, c in zip(v.basis, v.coeffs)))
         for (r, phi) in z_grid:
-            r = _rat_vec(r, n, "fiber position")
-            phi = _rat_vec(phi, n, "flat connection")
+            r = _as_frac_vec(r, n, "fiber position")
+            phi = _as_frac_vec(phi, n, "flat connection")
             pt = DoublePoint(*MirrorCoords(tau_re, tau_im).point_with_v_zero(r, phi))
             den = mu2_base(tau_re, tau_im, d_mat, k, r, phi, xi_lin=xi_lin,
                            tol=tol_f, context=context, max_radius=max_radius)

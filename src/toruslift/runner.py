@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .brane import (
-    Brane,
     fiber_brane,
     full_torus_brane,
     graph_brane,
@@ -22,10 +21,11 @@ from .brane import (
     validate_lagrangian,
     verify_lift_complex,
     verify_lift_lagrangian,
+    zero_section_brane,
 )
 from .config import BraneConfig, JobConfig, TaskSpec
-from .errors import InvalidBrane, ValidationError
-from .exact import RatMat, vstack
+from .errors import ValidationError
+from .exact import RatMat
 from .floer import DoublePoint, u_part_self, verify_main_diagram, verify_usub
 from .lattice import cosets
 from .theta import ThetaSpec, theta_dk, verify_identity_1, verify_identity_2
@@ -85,11 +85,7 @@ def build_brane(torus: Torus, bc: BraneConfig):
         if bc.d.is_zero():
             # slope zero is the zero section, which the admissibility gate
             # (positive definite Im(tau) D) would otherwise reject
-            if not torus.is_split:
-                raise InvalidBrane("graph branes need a split torus")
-            half = torus.dim // 2
-            support = vstack(RatMat.identity(half), RatMat.zeros(half, half))
-            return Brane(torus, support, conn_flat=bc.phi, xi_lin=bc.xi)
+            return zero_section_brane(torus, phi=bc.phi, xi_lin=bc.xi)
         return graph_brane(torus, bc.d, xi_lin=bc.xi, phi=bc.phi)
     if bc.kind == "fiber":
         return fiber_brane(torus, bc.position, phi=bc.phi)

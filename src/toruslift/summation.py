@@ -1,15 +1,19 @@
-"""Deterministic compensated summation and the two floating backends.
+"""Correctly rounded summation and the two floating backends.
 
-Accumulation order is part of this library's contract: series terms are
-produced in a canonical order (sup-norm shells, lexicographic inside each
-shell) and reduced with Neumaier-compensated chunk sums of a fixed size,
-whose results are then summed in index order.
+Every certified sum of the package is reduced with one rounding per part:
+the exact sum of the terms is rounded once to the context's precision.  A
+correctly rounded sum has one right answer for a given set of terms, so the
+result does not depend on the order in which the terms are produced.
 
 Two numeric contexts are provided:
 
 * ``double`` - Python floats / complex (IEEE binary64), default tol 1e-10;
+  sums are ``math.fsum`` (Shewchuk's exact partials) on the real and on
+  the imaginary parts;
 * ``dd`` - double-double-equivalent precision, realized as mpmath arithmetic
-  at 106 bits (the width of a binary64 pair), default tol 1e-20.
+  at 106 bits (the width of a binary64 pair), default tol 1e-20; sums add
+  the terms' mantissas exactly as integers on a common exponent and round
+  once to 106 bits.
 """
 
 from __future__ import annotations
@@ -18,51 +22,14 @@ import cmath
 import math
 import operator
 from fractions import Fraction
-from typing import Iterable, Sequence
+from functools import reduce
+from typing import Sequence
 
 import mpmath
+from mpmath.libmp import from_man_exp, from_rational, mpf_add, round_nearest
 
-CHUNK_SIZE = 256
-
-
-def neumaier_sum(values: Iterable[float]) -> float:
-    """Compensated sequential sum (Neumaier's improved Kahan scheme)."""
-    s = 0.0
-    comp = 0.0
-    for x in values:
-        t = s + x
-        if abs(s) >= abs(x):
-            comp += (s - t) + x
-        else:
-            comp += (x - t) + s
-        s = t
-    return s + comp
-
-
-def _chunks(seq: Sequence, size: int):
-    for start in range(0, len(seq), size):
-        yield seq[start : start + size]
-
-
-def compensated_sum(values: Sequence):
-    """Deterministic chunked compensated sum of real or complex floats:
-    each chunk of ``CHUNK_SIZE`` terms is summed, then the chunk sums are
-    summed in index order."""
-    values = list(values)
-    if not values:
-        return 0.0
-    if any(isinstance(v, complex) for v in values):
-        sums = [
-            complex(
-                neumaier_sum(v.real if isinstance(v, complex) else v for v in ch),
-                neumaier_sum(v.imag if isinstance(v, complex) else 0.0 for v in ch),
-            )
-            for ch in _chunks(values, CHUNK_SIZE)
-        ]
-        return complex(
-            neumaier_sum(s.real for s in sums), neumaier_sum(s.imag for s in sums)
-        )
-    return neumaier_sum([neumaier_sum(ch) for ch in _chunks(values, CHUNK_SIZE)])
+_REAL = operator.attrgetter("real")
+_IMAG = operator.attrgetter("imag")
 
 
 class DoubleContext:
@@ -98,8 +65,29 @@ class DoubleContext:
     def abs(self, z) -> float:
         return abs(z)
 
-    def sum(self, terms: Sequence):
-        return compensated_sum(terms)
+    def sum(self, terms: Sequence) -> complex:
+        """The exact sum of the terms, each part correctly rounded.  An
+        infinite or nan part propagates; inf + -inf in one part raises
+        ValueError, and an exact finite sum too large for a float raises
+        OverflowError."""
+        return complex(math.fsum(map(_REAL, terms)), math.fsum(map(_IMAG, terms)))
+
+
+def _rounded_sum(parts: list, prec: int) -> tuple:
+    """The exact sum of raw mpf tuples (sign, man, exp, bc), rounded once
+    to ``prec`` bits.  A special value (zero mantissa, nonzero exponent:
+    inf or nan) decides the sum the way IEEE addition does."""
+    low = min((p[2] for p in parts), default=0)
+    total = 0
+    for sign, man, exp, _ in parts:
+        if not man:
+            if exp:
+                return reduce(mpf_add, [p for p in parts if not p[1] and p[2]])
+        elif sign:
+            total -= man << (exp - low)
+        else:
+            total += man << (exp - low)
+    return from_man_exp(total, low, prec, round_nearest)
 
 
 class DDContext:
@@ -116,14 +104,12 @@ class DDContext:
 
     def real(self, x):
         if isinstance(x, Fraction):
-            return self._mp.mpf(x.numerator) / self._mp.mpf(x.denominator)
+            return self.ratio(x.numerator, x.denominator)
         return self._mp.mpf(x)
 
     def ratio(self, num: int, den: int):
-        """num / den for integers, through the normalised Fraction: mpf(num)
-        / mpf(den) rounds an operand wider than 106 bits, so the result
-        would otherwise depend on how the ratio is written."""
-        return self.real(Fraction(num, den))
+        """num / den for integers, rounded once to 106 bits."""
+        return self._mp.make_mpf(from_rational(num, den, self.prec, round_nearest))
 
     def to_complex(self, re, im=0):
         return self._mp.mpc(self.real(re), self.real(im))
@@ -142,15 +128,20 @@ class DDContext:
         return self._mp.fabs(z)
 
     def sum(self, terms: Sequence):
-        # mpmath addition at fixed precision is deterministic in any given
-        # order; keep the exact same chunked order as the double backend.
-        acc = self._mp.mpf(0)
-        for ch in _chunks(list(terms), CHUNK_SIZE):
-            chunk_acc = self._mp.mpf(0)
-            for t in ch:
-                chunk_acc = chunk_acc + t
-            acc = acc + chunk_acc
-        return acc
+        """The exact sum of mpf/mpc terms, each part rounded once to 106
+        bits: an mpc if any term is complex, else an mpf."""
+        re, im = [], []
+        for t in terms:
+            z = getattr(t, "_mpc_", None)
+            if z is None:
+                re.append(t._mpf_)
+            else:
+                re.append(z[0])
+                im.append(z[1])
+        total = _rounded_sum(re, self.prec)
+        if not im:
+            return self._mp.make_mpf(total)
+        return self._mp.make_mpc((total, _rounded_sum(im, self.prec)))
 
 
 _CONTEXTS = {"double": DoubleContext(), "dd": DDContext()}

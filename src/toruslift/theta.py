@@ -34,10 +34,10 @@ Re(tau) quadratic part, the evaluation point z taken exactly) are
 affine-quadratic in the lattice vector, so each is an integer form over one
 denominator; the phase is reduced mod 1 exactly and each reaches a float by
 one correctly rounded division, with no part added in floating point.
-Sup-norm shells are enumerated directly, not filtered from cubes.  Terms
-are consumed in the canonical order (shells, lexicographic inside a shell)
-by the deterministic compensated summation from
-:mod:`toruslift.summation`.
+Sup-norm shells are enumerated directly, not filtered from cubes, in the
+canonical order (shells, lexicographic inside a shell).  Each sum is
+reduced by ``ctx.sum`` from :mod:`toruslift.summation`, which rounds the
+exact sum of the terms once, so the value does not depend on that order.
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ import hashlib
 import pytest
 
 from test_acceptance import DETERMINISM_DIGEST, DETERMINISM_JOB
+from toruslift import floer, theta
 from toruslift.config import parse_config
 from toruslift.report import emit_report
 from toruslift.runner import run
@@ -258,13 +259,13 @@ GOLDEN = {
     "theta-n2-double":
         "64f39958cce0ac500e8a13851867c393a5762db302ce84f74e450c06b94b6b68",
     "usub-n2":
-        "cc438ec464ed9d78bedbdce070774a11107069b819961fd1536523ad34092a40",
+        "4b46058f19b37dc42547c46bc86c76e2cfb89299640da5c235830e5d185bff57",
     "diagram-n2":
         "5a57533fe4c06d92791c1e4152a4dd219aa1d12bf15f105e1bbf62abff19794d",
     "usub-n2-diag21":
-        "bd2eb57c83cc894cb79043d79e6ec68680d62f978ef6f5f8c82c8cf39d020a13",
+        "e2d43f2b522423dde0731f540b9ec3ff405d1ef5a9abcafe09006a590090a893",
     "usub-n1-dd":
-        "fd9ec5a1ad1d6764d0399a3b041ef9e53b2ca813e2ef46d16d1e74dfd0d0bd2f",
+        "3e75f0b033585dcd8d0551cf83d2d5f8436c0a97336dff9e1bc15f08cdabb74e",
     "theta-n2-re":
         "e237420833cd194d35f619cc084d24693bc60720da4da9484e73f0968f0f22aa",
     "lift-fiber":
@@ -297,4 +298,20 @@ def lines_digest(text: str) -> str:
 
 @pytest.mark.parametrize("name", sorted(JOBS))
 def test_lines_report_matches_stored_digest(name):
-    assert lines_digest(JOBS[name]) == GOLDEN[name]
+    got = lines_digest(JOBS[name])
+    assert got == GOLDEN[name], f"job {name!r}: lines digest is {got}"
+
+
+@pytest.mark.parametrize("name", sorted(JOBS))
+def test_lines_report_does_not_depend_on_term_order(name, monkeypatch):
+    # every sum is rounded once from its exact value, so producing the terms
+    # in the reverse order must not move a byte
+    original = theta.lattice_terms
+
+    def reversed_terms(*args):
+        return original(*args)[::-1]
+
+    monkeypatch.setattr(theta, "lattice_terms", reversed_terms)
+    monkeypatch.setattr(floer, "lattice_terms", reversed_terms)
+    got = lines_digest(JOBS[name])
+    assert got == GOLDEN[name], f"job {name!r}: reversed terms give {got}"
