@@ -14,28 +14,27 @@ from .report import emit_report
 from .runner import run
 
 
-def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="toruslift",
-        description="Run brane/theta verification tasks from a config file.",
-    )
-    parser.add_argument("--config", required=True, metavar="PATH",
-                        help="job configuration file")
-    parser.add_argument("--tol", type=float, default=None,
-                        help="override the truncation tolerance")
-    parser.add_argument("--max-radius", type=int, default=None,
-                        help="override the lattice summation radius cap")
-    parser.add_argument("--precision", choices=("double", "dd"), default=None,
-                        help="override the working precision")
-    parser.add_argument("--out", metavar="PATH", default=None,
-                        help="write the report here instead of stdout")
-    parser.add_argument("--format", choices=("lines", "summary"),
-                        default="lines", help="report format")
-    return parser
+# built once per process: argparse returns a fresh namespace on every parse
+_PARSER = argparse.ArgumentParser(
+    prog="toruslift",
+    description="Run brane/theta verification tasks from a config file.",
+)
+_PARSER.add_argument("--config", required=True, metavar="PATH",
+                     help="job configuration file")
+_PARSER.add_argument("--tol", type=float, default=None,
+                     help="override the truncation tolerance")
+_PARSER.add_argument("--max-radius", type=int, default=None,
+                     help="override the lattice summation radius cap")
+_PARSER.add_argument("--precision", choices=("double", "dd"), default=None,
+                     help="override the working precision")
+_PARSER.add_argument("--out", metavar="PATH", default=None,
+                     help="write the report here instead of stdout")
+_PARSER.add_argument("--format", choices=("lines", "summary"),
+                     default="lines", help="report format")
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         with open(args.config, encoding="utf-8") as handle:
             config = parse_config(handle.read())

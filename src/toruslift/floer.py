@@ -498,11 +498,10 @@ def verify_usub(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat, k,
     root = _root_det(ctx, tau_im, d_mat)
     worst = 0.0
     for pt in points:
-        lhs = ctx.to_complex(0, 0)
-        for l in l_reps:
-            lhs = lhs + mu2_double(tau_re, tau_im, d_mat, k, l, pt,
-                                   xi_lin=xi_lin, tol=tol_f, context=context,
-                                   max_radius=max_radius).value
+        lhs = ctx.sum([mu2_double(tau_re, tau_im, d_mat, k, l, pt,
+                                  xi_lin=xi_lin, tol=tol_f, context=context,
+                                  max_radius=max_radius).value
+                       for l in l_reps])
         u, v = mirror_coordinates(tau_re, tau_im, pt)
         rhs = (root
                * theta_dk(spec, u, context=context).value

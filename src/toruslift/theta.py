@@ -21,10 +21,11 @@ and constant exponent parts.  lambda_min is the largest multiple of
 eigenvalue estimate proposes it and exact Sylvester tests over Q confirm it,
 so it is exactly what an 80-step bisection would return.  It is memoised
 per Gram matrix.  The shell series is itself bounded by a geometric series,
-and the comparison arithmetic runs in interval mode (mpmath.iv), so the
-reported tail bound is rigorous, if deliberately crude.  It bounds the
-truncation error only: the floating-point rounding of the summed terms is
-not included.
+and the comparison arithmetic runs on outward-rounded 53-bit mpmath.libmp
+interval tuples, so the reported tail bound is rigorous, if deliberately
+crude.  The radius search is memoised on its exact inputs in a bounded
+cache; errors are not cached.  The tail bound covers truncation only: the
+floating-point rounding of the summed terms is not included.
 
 Every certified sum of the package -- the theta series, the periodized
 Gaussian pair sums below and the product sums of :mod:`toruslift.floer` --
@@ -50,6 +51,10 @@ from itertools import product
 from typing import Iterator, Optional, Sequence
 
 import mpmath
+from mpmath.libmp import (
+    from_int, mpf_pi, mpi_add, mpi_div, mpi_exp, mpi_mul, mpi_neg, mpi_pow,
+    mpi_sub, round_ceiling, round_floor, to_float,
+)
 
 from .brane import _xi_of, admissible_d
 from .config import DEFAULT_MAX_RADIUS
@@ -60,16 +65,6 @@ from .errors import (
 )
 from .exact import RatMat, rat, ratvec, vec_add, vec_dot
 from .summation import get_context
-
-_iv = mpmath.iv
-
-
-def _iv_num(x):
-    """Exact embedding of a rational/integer/float into an interval scalar."""
-    if isinstance(x, Fraction):
-        return _iv.mpf(x.numerator) / _iv.mpf(x.denominator)
-    return _iv.mpf(x)
-
 
 # -- lattice enumeration ------------------------------------------------------
 
@@ -265,6 +260,22 @@ class TruncationCertificate:
     lambda_min: Fraction
 
 
+_PREC = 53  # interval endpoint precision in bits, as in mpmath.iv
+_PI = (mpf_pi(_PREC, round_floor), mpf_pi(_PREC, round_ceiling))
+
+
+def _int_interval(n: int) -> tuple:
+    """An integer as an outward-rounded 53-bit libmp interval, as
+    ``mpmath.iv.mpf(n)`` embeds it: wide integers are rounded outward."""
+    return from_int(n, _PREC, round_floor), from_int(n, _PREC, round_ceiling)
+
+
+def _interval(x: Fraction) -> tuple:
+    """A rational as the interval quotient of its numerator and denominator."""
+    return mpi_div(_int_interval(x.numerator), _int_interval(x.denominator),
+                   _PREC)
+
+
 def truncation_radius(
     q_form: RatMat,
     linear_bound=Fraction(0),
@@ -283,40 +294,57 @@ def truncation_radius(
     tail is bounded by twice the first omitted shell bound once consecutive
     shell bounds decay by a factor of at least two.
     """
-    lam = min_eigenvalue_bound(q_form)
-    dim = q_form.nrows
-    lam_iv = _iv_num(lam)
-    c1_iv = _iv_num(linear_bound)
-    c0_iv = _iv_num(constant_exponent)
-    shift_iv = _iv_num(center_shift)
-    pi_iv = _iv.pi
+    return _radius_search(
+        min_eigenvalue_bound(q_form), q_form.nrows, Fraction(linear_bound),
+        Fraction(constant_exponent), Fraction(center_shift), float(tol),
+        int(max_radius))
+
+
+@lru_cache(maxsize=1024)
+def _radius_search(lam: Fraction, dim: int, c1: Fraction, c0: Fraction,
+                   shift: Fraction, tol: float,
+                   max_radius: int) -> TruncationCertificate:
+    """The shell walk of :func:`truncation_radius` in outward-rounded
+    libmp intervals, memoised on its exact inputs; errors are not cached."""
+    neg_lam = mpi_neg(_interval(lam), _PREC)
+    c1_iv, c0_iv, shift_iv = _interval(c1), _interval(c0), _interval(shift)
+    one, two = _int_interval(1), _int_interval(2)
+    count0, power = _int_interval(2 * dim), _int_interval(dim - 1)
 
     def shell_bound(s: int):
-        gap = _iv_num(s) - shift_iv
-        if float(gap.a) < 0:
-            gap = _iv.mpf(0)
-        expo = pi_iv * (-lam_iv * gap * gap + c1_iv * _iv_num(s) + c0_iv)
-        count = _iv_num(2 * dim) * _iv_num(2 * s + 1) ** (dim - 1)
-        return count * _iv.exp(expo)
+        # the walk calls this at s >= ceil(shift) + 1, where gap >= 1
+        s_iv = _int_interval(s)
+        gap = mpi_sub(s_iv, shift_iv, _PREC)
+        # pi (-lambda gap^2 + c1 s + c0); shell count 2 dim (2s+1)^(dim-1)
+        quad = mpi_mul(mpi_mul(neg_lam, gap, _PREC), gap, _PREC)
+        expo = mpi_add(quad, mpi_mul(c1_iv, s_iv, _PREC), _PREC)
+        expo = mpi_mul(_PI, mpi_add(expo, c0_iv, _PREC), _PREC)
+        count = mpi_pow(_int_interval(2 * s + 1), power, _PREC)
+        count = mpi_mul(count0, count, _PREC)
+        return mpi_mul(count, mpi_exp(expo, _PREC), _PREC)
 
     def ratio_bound(s: int):
-        # shell_bound(s+1)/shell_bound(s), computed without division; valid
-        # and monotone decreasing for s >= center_shift
-        gap = _iv_num(s) - shift_iv
-        count_ratio = (_iv_num(2 * s + 3) / _iv_num(2 * s + 1)) ** (dim - 1)
-        expo = pi_iv * (-lam_iv * (2 * gap + 1) + c1_iv)
-        return count_ratio * _iv.exp(expo)
+        # shell_bound(s+1)/shell_bound(s) without division: ((2s+3)/(2s+1))
+        # ^(dim-1) e^{pi (-lambda (2 gap + 1) + c1)}, valid and monotone
+        # decreasing for s >= center_shift
+        gap = mpi_sub(_int_interval(s), shift_iv, _PREC)
+        count_ratio = mpi_div(_int_interval(2 * s + 3),
+                              _int_interval(2 * s + 1), _PREC)
+        count_ratio = mpi_pow(count_ratio, power, _PREC)
+        slope = mpi_add(mpi_mul(two, gap, _PREC), one, _PREC)
+        expo = mpi_add(mpi_mul(neg_lam, slope, _PREC), c1_iv, _PREC)
+        expo = mpi_mul(_PI, expo, _PREC)
+        return mpi_mul(count_ratio, mpi_exp(expo, _PREC), _PREC)
 
-    start = max(0, math.ceil(float(shift_iv.b)))
-    for m_try in range(start, max_radius + 1):
+    for m_try in range(max(0, math.ceil(to_float(shift_iv[1]))),
+                       max_radius + 1):
         s1 = m_try + 1
-        if float(ratio_bound(s1).b) > 0.5:
+        if to_float(ratio_bound(s1)[1]) > 0.5:
             continue
-        tail = 2 * shell_bound(s1)
-        if float(tail.b) <= tol:
+        tail = to_float(mpi_mul(two, shell_bound(s1), _PREC)[1])
+        if tail <= tol:
             return TruncationCertificate(
-                radius=m_try, tail_bound=float(tail.b), lambda_min=lam
-            )
+                radius=m_try, tail_bound=tail, lambda_min=lam)
     raise TruncationBudgetExceeded(
         f"no certified radius <= {max_radius} reaches tail {tol:g}"
     )
@@ -331,7 +359,8 @@ class ThetaSpec:
     ``tol`` of None defers to the numeric context default (1e-10 in double,
     1e-20 in dd).  Admissibility is checked on construction by
     :func:`toruslift.brane.admissible_d`, raising InadmissibleSpec; the
-    pairing form A it returns is kept as ``a_form``.
+    pairing form A it returns is kept as ``a_form``, with the decay Gram
+    ``q_form`` = Im(tau) D and the center ``p_vec`` = D^{-1} k.
     """
 
     tau_re: RatMat
@@ -342,6 +371,8 @@ class ThetaSpec:
     tol: Optional[float] = None
     max_radius: int = DEFAULT_MAX_RADIUS
     a_form: RatMat = field(init=False, repr=False, compare=False)
+    q_form: RatMat = field(init=False, repr=False, compare=False)
+    p_vec: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "a_form", admissible_d(
@@ -355,19 +386,12 @@ class ThetaSpec:
         if len(bits) != n or any(b not in (0, 1) for b in bits):
             raise InadmissibleSpec("xi_lin must be a 0/1 vector of length n")
         object.__setattr__(self, "xi_lin", bits)
+        object.__setattr__(self, "q_form", self.tau_im @ self.d_mat)
+        object.__setattr__(self, "p_vec", self.d_mat.solve(ratvec(char)))
 
     @property
     def n(self) -> int:
         return self.d_mat.nrows
-
-    @property
-    def q_form(self) -> RatMat:
-        """Gram of the decay form: Im(tau) D."""
-        return self.tau_im @ self.d_mat
-
-    @property
-    def p_vec(self) -> tuple:
-        return self.d_mat.solve(ratvec(self.char))
 
     def xi_value(self, m) -> int:
         # integer numerators: admissible_d checked that A is integral
@@ -618,7 +642,8 @@ def gaussian_theta_lhs(tau: complex, u: complex, v: complex,
     dr, di = ur - vr, ui - vi
     # constant prefactor magnitude, exact in Q: Re(-u^2 - v^2 + 2uv) / (2a)
     pref_coeff = -(dr * dr - di * di) / (2 * a)
-    tol_eff = tol * math.exp(-max(float(_iv_num(pref_coeff).b), 0.0) * math.pi)
+    tol_eff = tol * math.exp(
+        -max(to_float(_interval(pref_coeff)[1]), 0.0) * math.pi)
     # -(1/a) (m + n conj(tau)) u + (1/a) (m + n tau) v - (u - v)^2 / (2a)
     forms = _pair_forms(
         tau, (dr / a, b * dr / a + ui + vi), -pref_coeff,

@@ -326,6 +326,22 @@ def test_cli_summary_format(tmp_path, capsys):
     assert "1 task: 1 pass, 0 fail, 0 error" in out
 
 
+def test_consecutive_calls_share_no_parser_state(tmp_path, capsys):
+    # the parser is built once per process; flags given to one call must
+    # not leak into the next
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text(MINIMAL)
+    out_path = tmp_path / "report.txt"
+    assert main(["--config", str(cfg), "--format", "summary", "--out",
+                 str(out_path), "--precision", "dd"]) == 0
+    assert "1 task: 1 pass" in out_path.read_text()
+    assert capsys.readouterr().out == ""
+    assert main(["--config", str(cfg)]) == 0
+    record = json.loads(capsys.readouterr().out)  # lines, to stdout
+    assert record["kind"] == "theta"
+    assert record["values"]["tail_bound"] > 1e-20  # back in double
+
+
 def test_max_radius_caps_every_certified_task(tmp_path, capsys):
     cfg = tmp_path / "job.cfg"
     cfg.write_text("[torus]\nn = 2\ntau = i 0 ; 0 i\n"

@@ -11,13 +11,14 @@ import math
 from fractions import Fraction
 
 import pytest
+from mpmath.libmp import to_float
 
 from toruslift.exact import rat
 from toruslift.runner import _TAU_DEFAULT, _UV_DEFAULT, _Z_DEFAULT
 from toruslift.summation import get_context
 from toruslift.theta import (
     _identity1_middle,
-    _iv_num,
+    _interval,
     _pair_gram,
     _pair_linear_coeff,
     gaussian_theta_lhs,
@@ -35,7 +36,8 @@ def closure_sum(term, tau, lin, tol, ctx, const=Fraction(0)):
 
 
 def tol_eff(tol, pref_coeff):
-    return tol * math.exp(-max(float(_iv_num(pref_coeff).b), 0.0) * math.pi)
+    return tol * math.exp(-max(to_float(_interval(pref_coeff)[1]), 0.0)
+                          * math.pi)
 
 
 def closure_lhs(tau, u, v, ctx):

@@ -274,6 +274,142 @@ def test_non_certifiable_gram_raises_on_every_call(rows):
             min_eigenvalue_bound(gram)
 
 
+# --- the radius search equals the mpmath.iv shell walk --------------------------
+
+
+def iv_radius_walk(lam, dim, c1, c0, shift, tol, max_radius):
+    """Reference: the shell walk in mpmath.iv interval objects at 53 bits,
+    as truncation_radius ran it before it moved onto raw libmp tuples.
+    Returns (radius, tail_bound) or raises TruncationBudgetExceeded."""
+    iv = mpmath.iv
+
+    def num(x):
+        if isinstance(x, Fraction):
+            return iv.mpf(x.numerator) / iv.mpf(x.denominator)
+        return iv.mpf(x)
+
+    lam_iv, c1_iv, c0_iv, shift_iv = num(lam), num(c1), num(c0), num(shift)
+
+    def shell_bound(s):
+        gap = num(s) - shift_iv
+        if float(gap.a) < 0:
+            gap = iv.mpf(0)
+        expo = iv.pi * (-lam_iv * gap * gap + c1_iv * num(s) + c0_iv)
+        count = num(2 * dim) * num(2 * s + 1) ** (dim - 1)
+        return count * iv.exp(expo)
+
+    def ratio_bound(s):
+        gap = num(s) - shift_iv
+        count_ratio = (num(2 * s + 3) / num(2 * s + 1)) ** (dim - 1)
+        return count_ratio * iv.exp(iv.pi * (-lam_iv * (2 * gap + 1) + c1_iv))
+
+    for m_try in range(max(0, math.ceil(float(shift_iv.b))), max_radius + 1):
+        if float(ratio_bound(m_try + 1).b) > 0.5:
+            continue
+        tail = 2 * shell_bound(m_try + 1)
+        if float(tail.b) <= tol:
+            return m_try, float(tail.b)
+    raise TruncationBudgetExceeded(f"no radius <= {max_radius}")
+
+
+def seeded_search_inputs(seed, count):
+    """(lambda_min, dim, c1, c0, shift, tol, max_radius) tuples: lambda_min
+    from real Grams or with ~90-bit numerators, negative and positive c0,
+    shifts past zero, tol 1e-6 to 1e-30, and small radius budgets."""
+    rng = random.Random(seed)
+    grams = [g for dim in (1, 2, 4) for g in seeded_grams(seed + dim, dim, 6)
+             if g.is_positive_definite()]
+    for _ in range(count):
+        dim = rng.choice((1, 2, 3, 4))
+        if rng.random() < 0.5:
+            lam = min_eigenvalue_bound(rng.choice(grams))
+        else:
+            lam = Fraction(rng.getrandbits(90) | 1 << 89,
+                           1 << rng.randint(86, 96))
+        c1 = Fraction(rng.randint(0, 60), rng.choice((1, 7, 100, 2 ** 53)))
+        c0 = Fraction(rng.randint(-300, 300), rng.choice((1, 3, 100)))
+        shift = Fraction(rng.randint(0, 30), rng.choice((4, 10)))
+        tol = 10.0 ** -rng.uniform(6, 30)
+        yield lam, dim, c1, c0, shift, tol, rng.choice((3, 12, 60, 60))
+
+
+def test_radius_search_matches_the_iv_walk():
+    exceeded = 0
+    for args in seeded_search_inputs(7, 300):
+        try:
+            want = iv_radius_walk(*args)
+        except TruncationBudgetExceeded:
+            exceeded += 1
+            with pytest.raises(TruncationBudgetExceeded):
+                theta_module._radius_search(*args)
+            continue
+        cert = theta_module._radius_search(*args)
+        assert (cert.radius, cert.tail_bound) == want, args
+        assert cert.lambda_min == args[0]
+    assert 0 < exceeded < 300
+
+
+def test_certificates_of_every_caller_match_the_iv_walk():
+    # theta series, doubled products and pair sums pass their own c1, c0
+    # and shift; the public call must give the walk's certificate
+    gram = _double_gram(RatMat([[0, 1], [0, 0]]), RatMat.identity(2),
+                        RatMat([[2, 0], [0, 1]]))
+    cases = [
+        (RatMat([[2, 1], [1, 1]]), Fraction(0), Fraction(0), Fraction(1, 3)),
+        (gram, Fraction(0), Fraction(0), Fraction(7, 10)),
+        (RatMat([[Fraction(1, 2), Fraction(1, 4)], [Fraction(1, 4), 1]]),
+         Fraction(12, 5), Fraction(-3, 8), Fraction(0)),
+    ]
+    for q_form, c1, c0, shift in cases:
+        for tol in (1e-6, 1e-12, 1e-20, 1e-30):
+            cert = truncation_radius(q_form, c1, tol, center_shift=shift,
+                                     constant_exponent=c0)
+            lam = min_eigenvalue_bound(q_form)
+            assert (cert.radius, cert.tail_bound) == iv_radius_walk(
+                lam, q_form.nrows, c1, c0, shift, tol, 60)
+
+
+def test_radius_search_is_memoised_on_exact_inputs():
+    theta_module._radius_search.cache_clear()
+    first = truncation_radius(RatMat([[3, 1], [1, 2]]), Fraction(1, 2), 1e-12)
+    again = truncation_radius(RatMat([[3, 1], [1, 2]]), Fraction(1, 2), 1e-12)
+    assert again is first
+    info = theta_module._radius_search.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    assert info.maxsize is not None  # bounded
+
+
+def test_budget_exceeded_raises_on_every_call():
+    theta_module._radius_search.cache_clear()
+    for _ in range(3):
+        with pytest.raises(TruncationBudgetExceeded):
+            truncation_radius(RatMat([[Fraction(1, 10000)]]), tol=1e-30)
+    info = theta_module._radius_search.cache_info()
+    assert (info.hits, info.currsize) == (0, 0)
+
+
+def test_pair_sum_tolerance_is_the_iv_upper_endpoint():
+    # gaussian_theta_lhs scales tol by e^{-pi max(c, 0)} with c's interval
+    # upper endpoint; the libmp interval must give the mpmath.iv endpoint
+    rng = random.Random(11)
+    for _ in range(200):
+        c = theta_module.rat(rng.uniform(-3, 3)) / rng.choice((1, 3, 7))
+        want = float((mpmath.iv.mpf(c.numerator)
+                      / mpmath.iv.mpf(c.denominator)).b)
+        assert mpmath.libmp.to_float(theta_module._interval(c)[1]) == want
+    for tau, u, v in [(1j, 0.3 + 0.2j, -0.1), (0.5 + 1j, 0.7j, 0.2 - 0.4j)]:
+        b, a = theta_module._tau_parts(tau)
+        dr = theta_module.rat(u.real) - theta_module.rat(v.real)
+        di = theta_module.rat(u.imag) - theta_module.rat(v.imag)
+        c = -(dr * dr - di * di) / (2 * a)
+        iv_c = mpmath.iv.mpf(c.numerator) / mpmath.iv.mpf(c.denominator)
+        tol_eff = 1e-12 * math.exp(-max(float(iv_c.b), 0.0) * math.pi)
+        cert = truncation_radius(
+            theta_module._pair_gram(tau),
+            theta_module._pair_linear_coeff(tau, [u, v]), tol_eff)
+        assert gaussian_theta_lhs(tau, u, v, 1e-12).certificate == cert
+
+
 # --- spec admissibility -------------------------------------------------------
 
 
@@ -306,6 +442,8 @@ def test_spec_defaults_and_derived_data():
     sp = generic_spec()
     assert sp.xi_lin == (0,)
     assert sp.p_vec == (Fraction(1, 2),)
+    assert sp.q_form == RatMat([[2]])
+    assert sp.p_vec is sp.p_vec and sp.q_form is sp.q_form  # computed once
     assert sp.a_form.is_zero()
     sp2 = re_spec2()
     assert sp2.a_form == RatMat([[0, 1], [-1, 0]])
