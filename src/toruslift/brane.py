@@ -82,6 +82,16 @@ def pairing_form(tau_re: RatMat, d: RatMat, *, error=InadmissibleD) -> RatMat:
     return a
 
 
+def xi_bits(xi_lin, n: int, error=InvalidXi,
+            where: str = "of length n") -> tuple:
+    """Sign bits as n zeros and ones, all zeros for None or (); else raises
+    ``error``, chosen by the caller as for :func:`admissible_d`."""
+    bits = tuple(int(b) for b in xi_lin or ()) or (0,) * n
+    if len(bits) != n or any(b not in (0, 1) for b in bits):
+        raise error(f"xi_lin must be a 0/1 vector {where}")
+    return bits
+
+
 def _as_frac_vec(v, length, what):
     vec = ratvec(v)
     if len(vec) != length:
@@ -131,9 +141,7 @@ class Brane:
             raise ValueError(f"conn_quad must be {d}x{d}, got {n_mat.shape}")
         phi = _as_frac_vec(conn_flat if conn_flat is not None else [0] * d,
                            d, "conn_flat")
-        bits = tuple(int(b) for b in (xi_lin if xi_lin is not None else [0] * d))
-        if len(bits) != d or any(b not in (0, 1) for b in bits):
-            raise InvalidXi("xi_lin must be a 0/1 vector on the support generators")
+        bits = xi_bits(xi_lin, d, where="on the support generators")
 
         f_old = n_mat.T - n_mat
         if not f_old.is_integer():

@@ -26,17 +26,11 @@ Key quantities:
   under the doubled complex structure and reports the anti-holomorphic
   exterior-power dimensions.
 
-Both product sums run through the one integer kernel of the package,
-:func:`toruslift.theta.lattice_terms`: ``mu2_base`` is the theta series at
+Both product sums are the one integer kernel of the package,
+:func:`toruslift.theta.lattice_sum`: ``mu2_base`` is the theta series at
 z = tau^T r - phi (:func:`toruslift.theta.theta_dk`) times a prefactor, and
-``mu2_double`` builds its own forms.  The decay exponent (a rational times
-pi) and the phase in "turns" (fractions of a full circle) are
-affine-quadratic in the lattice vector, evaluation point included, so each
-is an integer form over one denominator, the phase is reduced mod 1
-exactly, and each is rounded once; no part of an exponent is added in
-floating point.  Each sum is the exact sum of its terms rounded once
-(:mod:`toruslift.summation`), so results are bitwise reproducible and do
-not depend on the order of the terms.
+``mu2_double`` builds its own forms, with the phase in exact "turns"
+(fractions of a full circle).
 """
 
 from __future__ import annotations
@@ -46,9 +40,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .brane import Brane, _as_frac_vec, _mod1, admissible_d, pairing_form
+from .brane import (Brane, _as_frac_vec, _mod1, admissible_d, pairing_form,
+                    xi_bits)
 from .errors import (
     InadmissibleD,
+    InadmissibleSpec,
     InvalidBrane,
     JNotPreserving,
     NonTransversal,
@@ -64,7 +60,7 @@ from .theta import (
     _resolved_tol,
     centered_form,
     int_form,
-    lattice_terms,
+    lattice_sum,
     theta_bar_dk,
     theta_dk,
     truncation_radius,
@@ -77,13 +73,6 @@ def _int_vec(v, n: int, name: str) -> tuple:
     if len(out) != n:
         raise ValueError(f"{name} must have length {n}")
     return out
-
-
-def _xi_bits(xi_lin, n: int) -> tuple:
-    bits = tuple(int(b) for b in xi_lin) or (0,) * n
-    if len(bits) != n or any(b not in (0, 1) for b in bits):
-        raise ValueError("xi_lin must be a 0/1 vector of length n")
-    return bits
 
 
 # -- intersection bases --------------------------------------------------------
@@ -235,8 +224,10 @@ def mu2_base(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat, k, r, phi, *,
     k = _int_vec(k, n, "characteristic")
     r = _as_frac_vec(r, n, "fiber position")
     phi = _as_frac_vec(phi, n, "flat connection")
-    spec = ThetaSpec(tau_re, tau_im, d_mat, k, _xi_bits(xi_lin, n), tol_f,
-                     max_radius)
+    try:  # D and k are checked above, so only the sign bits can fail here
+        spec = ThetaSpec(tau_re, tau_im, d_mat, k, xi_lin, tol_f, max_radius)
+    except InadmissibleSpec as err:
+        raise ValueError(str(err)) from None
     z = list(zip(vec_sub(tau_re.T @ r, phi), tau_im.T @ r))
     total = theta_dk(spec, z, context=context)
 
@@ -294,9 +285,8 @@ def mu2_double(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat, k, l,
     kappa> - <D m', phi>, and the sign/transport factors xi(m)/2 -
     <m - p, A r>/2 + <p, A m>/2, with m' = m + (r-p), n' = n + (that-q).
 
-    Decay and phase are integer forms in w = (m, n), summed by the shell
-    kernel :func:`toruslift.theta.lattice_terms`: a term costs a few
-    integer operations, two correctly rounded ratios and one exp.
+    Decay and phase are integer forms in w = (m, n), summed by
+    :func:`toruslift.theta.lattice_sum`.
     """
     a_form = admissible_d(tau_re, tau_im, d_mat)
     n = d_mat.nrows
@@ -306,7 +296,7 @@ def mu2_double(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat, k, l,
     tol_f = _resolved_tol(tol, ctx)
     k = _int_vec(k, n, "characteristic")
     l = _int_vec(l, n, "dual characteristic")
-    bits = _xi_bits(xi_lin, n)
+    bits = xi_bits(xi_lin, n, ValueError)
 
     p = d_mat.solve(ratvec(k))
     q = d_mat.T.solve(vec_add(a_form @ p, ratvec(l)))
@@ -339,8 +329,8 @@ def mu2_double(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat, k, l,
         + half * vec_dot(p, a_form @ pt.r)
     )
     turns = int_form(t_mat, t_lin, t_const)
-    terms = lattice_terms(ctx, 2 * n, use, decay, turns)
-    return CertifiedValue(ctx.sum(terms), cert, context)
+    return CertifiedValue(lattice_sum(ctx, 2 * n, use, decay, turns), cert,
+                          context)
 
 
 def trivialization_factor(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat,

@@ -29,22 +29,18 @@ floating-point rounding of the summed terms is not included.
 
 Every certified sum of the package -- the theta series, the periodized
 Gaussian pair sums below and the product sums of :mod:`toruslift.floer` --
-takes its terms from one integer kernel, :func:`lattice_terms`.  The decay
-exponent and the phase (sign structure, characteristic coupling, the
-Re(tau) quadratic part, the evaluation point z taken exactly) are
-affine-quadratic in the lattice vector, so each is an integer form over one
-denominator; the phase is reduced mod 1 exactly and each reaches a float by
-one correctly rounded division, with no part added in floating point.
-Sup-norm shells are enumerated directly, not filtered from cubes, in the
-canonical order (shells, lexicographic inside a shell).  Each sum is
-reduced by ``ctx.sum`` from :mod:`toruslift.summation`, which rounds the
-exact sum of the terms once, so the value does not depend on that order.
+is one call of the integer kernel :func:`lattice_sum`.  The decay exponent
+and the phase (sign structure, characteristic coupling, Re(tau) quadratic
+part, evaluation point z taken exactly) are integer forms in the lattice
+vector over one denominator each; the phase is reduced mod 1 exactly and
+each is rounded once.  The sum is the exact sum of the terms rounded once,
+so it does not depend on the order of the walk.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -56,7 +52,7 @@ from mpmath.libmp import (
     mpi_sub, round_ceiling, round_floor, to_float,
 )
 
-from .brane import _xi_of, admissible_d
+from .brane import _xi_of, admissible_d, xi_bits
 from .config import DEFAULT_MAX_RADIUS
 from .errors import (
     InadmissibleSpec,
@@ -68,25 +64,19 @@ from .summation import get_context
 
 # -- lattice enumeration ------------------------------------------------------
 
-def _last_coordinates(s: int, reached: bool):
-    """Last coordinates that complete a prefix to a point of shell ``s``:
-    all of [-s, s] once the prefix reaches s, else only -s and s."""
-    return range(-s, s + 1) if reached else (-s, s)
-
-
 def iter_shell(dim: int, s: int) -> Iterator[tuple]:
     """Lattice points with sup norm exactly ``s``, in lexicographic order:
-    each prefix of dim - 1 coordinates completed by its last coordinates."""
+    each prefix of dim - 1 coordinates completed by its last coordinates,
+    all of [-s, s] once the prefix reaches s, else only -s and s."""
     for prefix in product(range(-s, s + 1), repeat=dim - 1):
-        reached = not s or s in prefix or -s in prefix
-        for t in _last_coordinates(s, reached):
+        full = not s or s in prefix or -s in prefix
+        for t in range(-s, s + 1) if full else (-s, s):
             yield prefix + (t,)
 
 
 def iter_ball(dim: int, radius: int) -> Iterator[tuple]:
-    """Canonical term order: shells 0..radius, lexicographic inside each.
-    The package's sums walk this order inside :func:`lattice_terms` and do
-    not call it; ``perfbench/trace.py`` still wraps it by name."""
+    """Shells 0..radius: the cube :func:`lattice_sum` walks.  The package
+    does not call it; ``perfbench/trace.py`` wraps it by name."""
     for s in range(radius + 1):
         yield from iter_shell(dim, s)
 
@@ -116,59 +106,85 @@ def centered_form(mat: RatMat, center) -> tuple:
     return mat.rows, lin, vec_dot(center, mc)
 
 
-def lattice_terms(ctx, dim: int, radius: int, decay, turns) -> list:
-    """The terms e^{-pi decay(w) + 2 pi i turns(w)} of an affine-quadratic
-    lattice sum over the shells 0..radius, in canonical order.
+def _lines(span, k: int, d_quad, t_quad, da, dl, ta, tl):
+    """(da, db, ta, tb) of each line of the last coordinate through the
+    cube span^dim, along which the decay and turns numerators are
+    da + t (db + d_cc t) and ta + t (tb + t_cc t).  Coordinates before k
+    are folded into da, ta and the coefficients dl, tl, never stored."""
+    dq, tq = d_quad[k], t_quad[k]
+    for x in span:
+        da_x = da + x * (dl[0] + dq[k] * x)
+        ta_x = ta + x * (tl[0] + tq[k] * x)
+        if len(dl) == 2:
+            yield da_x, dl[1] + dq[k + 1] * x, ta_x, tl[1] + tq[k + 1] * x
+        else:
+            yield from _lines(
+                span, k + 1, d_quad, t_quad,
+                da_x, [l + q * x for l, q in zip(dl[1:], dq[k + 1:])],
+                ta_x, [l + q * x for l, q in zip(tl[1:], tq[k + 1:])])
 
-    This is the one kernel of every certified sum in the package.
-    ``decay`` and ``turns`` are integer forms (:func:`int_form`) that carry
-    the whole exponent, evaluation point included; turns are reduced mod 1
-    exactly, and each form becomes a float by one ``ctx.ratio``, so no part
-    of an exponent is added in floating point.
 
-    Shells are enumerated as in :func:`iter_shell`.  Fixing a coordinate
-    folds it into the forms' constant and linear parts, so along the last
-    coordinate t each form is an integer quadratic A + t (B + C t).
-    """
+@lru_cache(maxsize=64)
+def _decay_band(prec: int, points: int) -> tuple:
+    """T, a dyadic just above ((prec + 24) ln 2 + ln(4 points)) / pi, and a
+    raw 53-bit upper bound of e^{-pi T}: 4 points e^{-pi T} <= 2^-(prec+24)."""
+    t = Fraction(math.ceil(16 * ((prec + 24) * math.log(2)
+                                 + math.log(4 * points)) / math.pi), 16)
+    return t, mpi_exp(mpi_mul(mpi_neg(_PI), _interval(t), _PREC), _PREC)[1]
+
+
+def lattice_sum(ctx, dim: int, radius: int, decay, turns):
+    """``ctx.sum`` of the terms ``ctx.exp(ctx.to_complex(-pi decay(w),
+    2 pi turns(w)))`` over the cube [-radius, radius]^dim (shells
+    0..radius), bit for bit: the one kernel of every certified sum.
+    ``decay`` (positive definite) and ``turns`` are :func:`int_form` forms.
+
+    Each line first sums its band of decay at most T (:func:`_decay_band`).
+    The n deferred terms add up to at most B = 4 n e^{-pi T} per part, if
+    ``exp`` is within a factor 2 and |cos|, |sin| <= 1.  If the kept sum
+    minus B and plus B round alike, rounding being monotone, that is the
+    sum; else the deferred terms are added (:func:`_add_deferred`)."""
     d_den, d_quad, d_lin, d_const = decay
     t_den, t_quad, t_lin, t_const = turns
-    neg_pi, two_pi = -ctx.pi, 2 * ctx.pi
-    ratio, exp, to_complex = ctx.ratio, ctx.exp, ctx.to_complex
-    last = dim - 1
-    d_cc, t_cc = d_quad[last][last], t_quad[last][last]
-    terms = []
-    append = terms.append
+    d_cc = d_quad[-1][-1]
+    add, close = ctx.line_terms(d_den, d_cc, t_den, t_quad[-1][-1])
+    span = range(-radius, radius + 1)
+    deferred = len(span) ** dim
+    limit, e_up = _decay_band(ctx.prec, deferred)
+    p, q = limit.numerator, limit.denominator
+    a2 = 2 * q * d_cc
 
-    def line(ts, da, db, ta, tb):
-        for t in ts:
-            append(exp(to_complex(
-                neg_pi * ratio(da + t * (db + d_cc * t), d_den),
-                two_pi * ratio((ta + t * (tb + t_cc * t)) % t_den, t_den))))
+    def bands():
+        # [lo, hi] holds the roots of q (da + t (db + d_cc t)) - p d_den,
+        # widened by math.isqrt; empty within [-radius, radius + 1]
+        lines = [(d_const, d_lin[0], t_const, t_lin[0])] if dim == 1 else \
+            _lines(span, 0, d_quad, t_quad, d_const, d_lin, t_const, t_lin)
+        for da, db, ta, tb in lines:
+            b, c = q * db, q * da - p * d_den
+            disc = b * b - 2 * a2 * c
+            lo, hi = 0, -1
+            if disc >= 0:
+                root = math.isqrt(disc) + 1
+                lo = min(max(-radius, -((b + root) // a2)), radius + 1)
+                hi = max(min(radius, (root - b) // a2), lo - 1)
+            yield da, db, ta, tb, lo, hi
 
-    def walk(k, s, reached, da, dl, ta, tl):
-        # coordinates before k are fixed: da, ta are the forms' values
-        # there, dl, tl their linear coefficients from coordinate k on
-        dq, tq = d_quad[k], t_quad[k]
-        for x in range(-s, s + 1):
-            da_x = da + x * (dl[0] + dq[k] * x)
-            ta_x = ta + x * (tl[0] + tq[k] * x)
-            hit = reached or x == s or x == -s
-            if k + 1 == last:
-                line(_last_coordinates(s, hit), da_x, dl[1] + dq[last] * x,
-                     ta_x, tl[1] + tq[last] * x)
-            else:
-                walk(k + 1, s, hit,
-                     da_x, [l + q * x for l, q in zip(dl[1:], dq[k + 1:])],
-                     ta_x, [l + q * x for l, q in zip(tl[1:], tq[k + 1:])])
+    for da, db, ta, tb, lo, hi in bands():
+        add(range(lo, hi + 1), da, db, ta, tb)
+        deferred -= hi + 1 - lo
+    if deferred:
+        value = close((deferred, e_up))
+        if value is not None:
+            return value
+        _add_deferred(add, radius, bands())
+    return close()
 
-    for s in range(radius + 1):
-        if dim == 1:
-            line(_last_coordinates(s, not s), d_const, d_lin[0],
-                 t_const, t_lin[0])
-        else:
-            walk(0, s, not s, d_const, d_lin, t_const, t_lin)
-    del walk  # a recursive closure is a reference cycle that holds the terms
-    return terms
+
+def _add_deferred(add, radius: int, bands) -> None:
+    """The fallback of :func:`lattice_sum`: add each line outside its band."""
+    for da, db, ta, tb, lo, hi in bands:
+        add(range(-radius, lo), da, db, ta, tb)
+        add(range(hi + 1, radius + 1), da, db, ta, tb)
 
 
 # -- certified truncation -----------------------------------------------------
@@ -382,10 +398,8 @@ class ThetaSpec:
         if len(char) != n:
             raise InadmissibleSpec(f"characteristic must have length {n}")
         object.__setattr__(self, "char", char)
-        bits = tuple(int(b) for b in self.xi_lin) or (0,) * n
-        if len(bits) != n or any(b not in (0, 1) for b in bits):
-            raise InadmissibleSpec("xi_lin must be a 0/1 vector of length n")
-        object.__setattr__(self, "xi_lin", bits)
+        object.__setattr__(self, "xi_lin",
+                           xi_bits(self.xi_lin, n, InadmissibleSpec))
         object.__setattr__(self, "q_form", self.tau_im @ self.d_mat)
         object.__setattr__(self, "p_vec", self.d_mat.solve(ratvec(char)))
 
@@ -418,13 +432,11 @@ class ThetaSpec:
                 int_form(t_mat, t_lin, t_const))
 
     def with_char(self, char) -> "ThetaSpec":
-        return ThetaSpec(self.tau_re, self.tau_im, self.d_mat, tuple(char),
-                         self.xi_lin, self.tol, self.max_radius)
+        return replace(self, char=tuple(char))
 
     def bar(self) -> "ThetaSpec":
         """Spec of the conjugate series (modulus -conj(tau); same D, k, xi)."""
-        return ThetaSpec(-self.tau_re, self.tau_im, self.d_mat, self.char,
-                         self.xi_lin, self.tol, self.max_radius)
+        return replace(self, tau_re=-self.tau_re)
 
 
 def spec_n1(tau: complex, d: int = 1, k: int = 0, xi: int = 0,
@@ -496,24 +508,19 @@ def _theta_certificate(spec: ThetaSpec, z, tol: float) -> TruncationCertificate:
 
 def theta_dk(spec: ThetaSpec, z: Sequence[complex], *, context: str = "double",
              radius: Optional[int] = None) -> CertifiedValue:
-    """Certified evaluation of the theta series at a complex n-vector z.
-
-    z is taken exactly (:func:`_exact_z`) into the integer forms of
-    :meth:`ThetaSpec.forms`, which :func:`lattice_terms` sums over shells
-    0..radius in canonical order.  The absolute truncation error is bounded
-    by the certificate's tail bound, itself below the working tolerance;
-    rounding in the summed terms is not part of that bound.  ``radius`` can
-    enlarge the summed ball beyond the certified shell count
-    (self-consistency checks); it is clamped from below by the certified
-    radius.
+    """Certified evaluation of the theta series at a complex n-vector z,
+    taken exactly (:func:`_exact_z`) into the forms of
+    :meth:`ThetaSpec.forms`.  The truncation error is below the
+    certificate's tail bound (rounding is not part of it).  ``radius`` can
+    enlarge the summed ball beyond the certified radius, never shrink it.
     """
     ctx = get_context(context)
     zz = _exact_z(z, spec.n)
     tol = _resolved_tol(spec.tol, ctx)
     cert = _theta_certificate(spec, zz, tol)
     use = cert.radius if radius is None else max(radius, cert.radius)
-    terms = lattice_terms(ctx, spec.n, use, *spec.forms(zz))
-    return CertifiedValue(ctx.sum(terms), cert, context)
+    value = lattice_sum(ctx, spec.n, use, *spec.forms(zz))
+    return CertifiedValue(value, cert, context)
 
 
 def theta_bar_dk(spec: ThetaSpec, z, **kw) -> CertifiedValue:
@@ -531,23 +538,19 @@ def verify_quasi_periodicity(spec: ThetaSpec, z, h, *,
     ctx = get_context(context)
     zz = _exact_z(z, spec.n)
     hh = [int(c) for c in h]
-    shift_re = spec.tau_re.T @ hh
-    shift_im = spec.tau_im.T @ hh
-    z_shift = [
-        (re + xr, im + xi_)
-        for (re, im), xr, xi_ in zip(zz, shift_re, shift_im)
-    ]
+    z_shift = [(re + xr, im + xi_) for (re, im), xr, xi_ in
+               zip(zz, spec.tau_re.T @ hh, spec.tau_im.T @ hh)]
     lhs = theta_dk(spec, z_shift, context=context).value
     dh = spec.d_mat @ hh
     re_quad = vec_dot(spec.tau_re @ dh, hh)  # Re <tau D h, h>, exact
     im_quad = vec_dot(spec.tau_im @ dh, hh)
-    turns = (Fraction(spec.xi_value(hh), 2) - re_quad / 2) % 1
-    exp_re = ctx.pi * ctx.real(im_quad)
-    angle = 2 * ctx.pi * ctx.real(turns)
-    for gi, (re, im) in zip(dh, zz):
-        exp_re = exp_re + 2 * ctx.pi * ctx.real(int(gi) * im)
-        angle = angle - 2 * ctx.pi * ctx.real(int(gi) * re)
-    rhs = ctx.exp(ctx.to_complex(exp_re, angle)) \
+    # the factor's exponent pi decay + 2 pi i turns, each part one exact
+    # rational rounded once
+    decay = im_quad + 2 * vec_dot(dh, [im for _, im in zz])
+    turns = (Fraction(spec.xi_value(hh), 2) - re_quad / 2
+             - vec_dot(dh, [re for re, _ in zz])) % 1
+    rhs = ctx.exp(ctx.to_complex(ctx.pi * ctx.real(decay),
+                                 2 * ctx.pi * ctx.real(turns))) \
         * theta_dk(spec, zz, context=context).value
     return float(ctx.abs(lhs - rhs))
 
@@ -596,27 +599,12 @@ def _pair_linear_coeff(tau: complex, points) -> Fraction:
     return tot * tau_up / a
 
 
-def _pair_forms(tau: complex, decay_lin, decay_const, turns_lin,
-                turns_const) -> tuple:
-    """Integer decay and turns forms in w = (m, n) of a pair-sum term
-    (-1)^{mn} e^{-pi/(2a) |m + n tau|^2} times an affine part given by its
-    exact decay and turns coefficients.  The quadratic decay is the
-    certificate's Gram; the sign is the turn mn/2."""
-    return (int_form(_pair_gram(tau).rows, decay_lin, decay_const),
-            int_form([[0, Fraction(1, 2)], [0, 0]], turns_lin, turns_const))
-
-
 def _double_sum(forms, tau: complex, lin_coeff, tol: float, max_radius: int,
-                ctx, const_exponent=Fraction(0)):
+                ctx):
     """A pair sum's forms summed over the certified (m, n) shells."""
-    cert = truncation_radius(
-        _pair_gram(tau),
-        linear_bound=lin_coeff,
-        tol=tol,
-        constant_exponent=const_exponent,
-        max_radius=max_radius,
-    )
-    return ctx.sum(lattice_terms(ctx, 2, cert.radius, *forms)), cert
+    cert = truncation_radius(_pair_gram(tau), linear_bound=lin_coeff,
+                             tol=tol, max_radius=max_radius)
+    return lattice_sum(ctx, 2, cert.radius, *forms), cert
 
 
 def gaussian_theta_lhs(tau: complex, u: complex, v: complex,
@@ -644,57 +632,34 @@ def gaussian_theta_lhs(tau: complex, u: complex, v: complex,
     pref_coeff = -(dr * dr - di * di) / (2 * a)
     tol_eff = tol * math.exp(
         -max(to_float(_interval(pref_coeff)[1]), 0.0) * math.pi)
+    # the Gram part, the sign (-1)^{mn} as the turn mn/2, and
     # -(1/a) (m + n conj(tau)) u + (1/a) (m + n tau) v - (u - v)^2 / (2a)
-    forms = _pair_forms(
-        tau, (dr / a, b * dr / a + ui + vi), -pref_coeff,
-        (-di / (2 * a), (a * (ur + vr) - b * di) / (2 * a)), -dr * di / (2 * a))
+    forms = (int_form(_pair_gram(tau).rows, (dr / a, b * dr / a + ui + vi),
+                      -pref_coeff),
+             int_form([[0, Fraction(1, 2)], [0, 0]],
+                      (-di / (2 * a), (a * (ur + vr) - b * di) / (2 * a)),
+                      -dr * di / (2 * a)))
     value, cert = _double_sum(forms, tau, lin, tol_eff, max_radius, ctx)
     return CertifiedValue(value, cert, context)
-
-
-def _identity1_middle(tau: complex, z: complex, tol: float, ctx,
-                      max_radius: int):
-    """Shifted-Gaussian form: sum over e^{-pi/(2a)(z+m)^2}
-    e^{-pi/a n conj(tau) (z+m)} e^{-pi/(2a) n^2 |tau|^2}.
-
-    Expanded exactly, each term equals the signed periodized Gaussian's
-    (:func:`gaussian_theta_lhs` at u = z, v = 0), since 2 n conj(tau) m is
-    2 Re(tau) m n up to the sign turn; the two sums differ in how their
-    forms are written and in their certificates."""
-    b, a = _tau_parts(tau)
-    lin = _pair_linear_coeff(tau, [z])
-    zr, zi = rat(z.real), rat(z.imag)
-    const = abs(zr * zr - zi * zi) / (2 * a)  # from the constant z^2 part
-    # Re and Im of (z+m)^2 + 2 n conj(tau) (z+m) beyond the Gram part
-    forms = _pair_forms(
-        tau, (zr / a, (b * zr + a * zi) / a), (zr * zr - zi * zi) / (2 * a),
-        (-zi / (2 * a), (a * zr - b * zi) / (2 * a)), -zr * zi / (2 * a))
-    value, _ = _double_sum(forms, tau, lin, tol, max_radius, ctx,
-                           const_exponent=const)
-    return value
 
 
 def verify_identity_1(tau: complex, z: complex, tol: Optional[float] = None,
                       *, context: str = "double",
                       max_radius: int = DEFAULT_MAX_RADIUS) -> float:
-    """Three-way residual between the signed periodized Gaussian, its
-    shifted-Gaussian form, and sqrt(2a) (conjugate series at 0) (series at z).
-    """
+    """Residual between the signed periodized Gaussian and sqrt(2a)
+    (conjugate series at 0) (series at z).  Its shifted-Gaussian form,
+    sum e^{-pi/(2a)(z+m)^2 - pi/a n conj(tau) (z+m) - pi/(2a) n^2 |tau|^2},
+    is the same sum term by term (:func:`gaussian_theta_lhs` at v = 0)."""
     ctx = get_context(context)
     tol = _resolved_tol(tol, ctx)
     first = gaussian_theta_lhs(tau, z, 0j, tol, context=context,
                                max_radius=max_radius).value
-    middle = _identity1_middle(tau, z, tol, ctx, max_radius)
     base = spec_n1(tau, tol=tol, max_radius=max_radius)
     theta_z = theta_dk(base, [z], context=context).value
     bar_0 = theta_bar_dk(base, [0], context=context).value
     _, a = _tau_parts(tau)
     product_form = ctx.sqrt(ctx.real(2 * a)) * bar_0 * theta_z
-    return max(
-        float(ctx.abs(first - product_form)),
-        float(ctx.abs(middle - product_form)),
-        float(ctx.abs(first - middle)),
-    )
+    return float(ctx.abs(first - product_form))
 
 
 def verify_identity_2(tau: complex, u: complex, v: complex,

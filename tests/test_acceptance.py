@@ -103,7 +103,7 @@ def test_criterion_2_first_series_identity():
                 for tau in TAU_GRID for z in Z_GRID)
     elapsed = time.perf_counter() - start
     ok = worst < 1e-10 and elapsed < 1.0
-    _line(2, "three-way series identity", ok, elapsed,
+    _line(2, "first series identity", ok, elapsed,
           f"worst residual {worst:.2e} over {len(TAU_GRID) * len(Z_GRID)} samples")
     assert worst < 1e-10
     assert elapsed < 1.0

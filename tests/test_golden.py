@@ -16,6 +16,7 @@ from toruslift import floer, theta
 from toruslift.config import parse_config
 from toruslift.report import emit_report
 from toruslift.runner import run
+from toruslift.summation import get_context
 
 THETA_N1 = """
 [torus]
@@ -304,17 +305,33 @@ def test_lines_report_matches_stored_digest(name):
 
 @pytest.mark.parametrize("name", sorted(JOBS))
 def test_lines_report_does_not_depend_on_term_order(name, monkeypatch):
-    # every sum is rounded once from its exact value, so producing the terms
-    # in the reverse order must not move a byte
-    original = theta.lattice_terms
+    # every sum is rounded once from its exact value, so walking the cube in
+    # the reverse order must not move a byte: the lines in reverse (each
+    # prefix coordinate runs from +radius down) and each line from its top
+    walked = []
+    lines = theta._lines
 
-    def reversed_terms(*args):
-        return original(*args)[::-1]
+    def reversed_lines(span, *args):
+        return lines(span[::-1], *args)
 
-    monkeypatch.setattr(theta, "lattice_terms", reversed_terms)
-    monkeypatch.setattr(floer, "lattice_terms", reversed_terms)
+    monkeypatch.setattr(theta, "_lines", reversed_lines)
+    for ctx in (get_context("double"), get_context("dd")):
+        def line_terms(*forms, original=type(ctx).line_terms, ctx=ctx):
+            add, close = original(ctx, *forms)
+
+            def add_reversed(ts, *line):
+                walked.append(ts[::-1])
+                return add(ts[::-1], *line)
+
+            return add_reversed, close
+
+        monkeypatch.setattr(ctx, "line_terms", line_terms)
     got = lines_digest(JOBS[name])
-    assert got == GOLDEN[name], f"job {name!r}: reversed terms give {got}"
+    assert got == GOLDEN[name], f"job {name!r}: a reversed walk gives {got}"
+    # the jobs without a lattice sum: exact algebra, or an error first
+    summed = not name.startswith(("lift", "validate", "twist", "upart")) \
+        and name not in ("theta-asymmetric", "usub-not-positive")
+    assert any(len(ts) > 1 for ts in walked) == summed
 
 
 @pytest.mark.parametrize("name", sorted(JOBS))

@@ -1,13 +1,17 @@
-"""Term-level equivalence of the integer shell kernel.
+"""Bit-for-bit equivalence of the line-walk kernel ``theta.lattice_sum``.
 
-``mu2_double``, ``mu2_base`` and the theta sum produce their terms through
-``theta.lattice_terms``.  Each term must equal, bit for bit and in the same
-order, the term of a per-point ``Fraction`` loop that forms each exponent
-exactly and rounds it once.  Those loops are copied here as references,
-together with the filtered-cube shell enumeration they walked.  The terms
-are captured where each site hands them to ``ctx.sum``.
+``mu2_double``, ``mu2_base`` and the theta sum are each one
+``lattice_sum``.  Its value must equal, bit for bit, ``ctx.sum`` of the
+terms of a per-point ``Fraction`` loop that forms each exponent exactly and
+rounds it once.  Those loops are copied here as references, together with
+the filtered-cube shell enumeration they walked.  The kernel's values are
+captured where each site receives them.  The term evaluators of both
+contexts are checked against ``cmath.exp`` and ``mp.exp`` term by term, and
+the decay band's fallback is shown to run where a part of the sum is zero
+or nearly zero.
 """
 
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -15,12 +19,20 @@ from itertools import product
 
 import pytest
 
+from toruslift import floer, theta
 from toruslift.brane import _mod1
 from toruslift.exact import RatMat, ratvec, vec_add, vec_dot, vec_sub
 from toruslift.floer import DoublePoint, _double_gram, mu2_base, mu2_double
 from toruslift.lattice import cosets
 from toruslift.summation import get_context
-from toruslift.theta import ThetaSpec, iter_shell, theta_dk
+from toruslift.theta import (
+    ThetaSpec,
+    int_form,
+    iter_shell,
+    lattice_sum,
+    spec_n1,
+    theta_dk,
+)
 
 F = Fraction
 
@@ -174,18 +186,28 @@ def old_double_terms(tau_re, tau_im, d_mat, k, l, pt, bits, ctx, radius):
     return terms
 
 
+def exact_bits(value):
+    """The exact bits of a double complex or of an mpc."""
+    got = getattr(value, "_mpc_", None)
+    return got if got is not None else (value.real.hex(), value.imag.hex())
+
+
+def ref_sum(terms, context):
+    return exact_bits(get_context(context).sum(terms))
+
+
 @pytest.fixture
 def captured(monkeypatch):
-    """Term lists handed to either context's ``sum``, in call order."""
+    """Bits of the values ``lattice_sum`` returns, in call order."""
     got = []
-    for name in ("double", "dd"):
-        ctx = get_context(name)
 
-        def record(terms, orig=ctx.sum):
-            got.append(list(terms))
-            return orig(terms)
+    def record(*args):
+        value = lattice_sum(*args)
+        got.append(exact_bits(value))
+        return value
 
-        monkeypatch.setattr(ctx, "sum", record)
+    monkeypatch.setattr(theta, "lattice_sum", record)
+    monkeypatch.setattr(floer, "lattice_sum", record)
     return got
 
 
@@ -226,7 +248,7 @@ def test_theta_terms_match_the_fraction_loop(captured, seed, context):
     value = theta_dk(spec, z, context=context)
     ref = old_theta_terms(spec, z, get_context(context),
                           value.certificate.radius)
-    assert captured[-1] == ref
+    assert captured[-1] == ref_sum(ref, context)
 
 
 @pytest.mark.parametrize("seed,context", CASES)
@@ -237,7 +259,7 @@ def test_base_product_terms_match_the_fraction_loop(captured, seed, context):
                      tol=TOL[context], context=context)
     ref = old_base_terms(tau_re, tau_im, d_mat, k, ratvec(r), ratvec(phi),
                          bits, get_context(context), value.certificate.radius)
-    assert captured[-1] == ref
+    assert captured[-1] == ref_sum(ref, context)
 
 
 # the unimodular 4-D sums have radius 7 (50,625 terms) at any tolerance; in
@@ -261,7 +283,7 @@ def test_doubled_product_terms_match_the_fraction_loop(captured, seed,
                        tol=tol, context=context)
     ref = old_double_terms(tau_re, tau_im, d_mat, k, l, pt, bits,
                            get_context(context), value.certificate.radius)
-    assert captured[-1] == ref
+    assert captured[-1] == ref_sum(ref, context)
 
 
 def test_doubled_product_terms_match_on_an_enlarged_ball(captured):
@@ -272,7 +294,7 @@ def test_doubled_product_terms_match_on_an_enlarged_ball(captured):
     mu2_double(*args, xi_lin=bits, tol=1e-3, radius=radius)
     ref = old_double_terms(*args, bits, get_context("double"), radius)
     assert len(ref) == (2 * radius + 1) ** 4
-    assert captured[-1] == ref
+    assert captured[-1] == ref_sum(ref, "double")
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
@@ -299,3 +321,199 @@ def test_base_product_is_the_theta_series_times_its_prefactor(seed, context):
                                        2 * ctx.pi * ctx.real(turns)))
     assert got.value == series.value * prefactor
     assert got.certificate == series.certificate
+
+
+# -- the term evaluators ---------------------------------------------------------
+
+def one_term(context, dv, d_den, tv, t_den):
+    """The kernel's value on the single point of a radius-0 line: decay
+    dv / d_den and turns tv / t_den.  One term is its own rounded sum, up to
+    the sign of a zero part, which no sum keeps."""
+    return lattice_sum(get_context(context), 1, 0, (d_den, [[1]], [0], dv),
+                       (t_den, [[0]], [0], tv))
+
+
+def exp_term(context, dv, d_den, tv, t_den):
+    """The term as ``cmath.exp`` (double) or ``mp.exp`` (dd) computes it,
+    as a one-term sum."""
+    ctx = get_context(context)
+    return ctx.sum([ctx.exp(ctx.to_complex(
+        -ctx.pi * ctx.ratio(dv, d_den),
+        2 * ctx.pi * ctx.ratio(tv % t_den, t_den)))])
+
+
+def evaluator_inputs(seed, count):
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(count):
+        d_den = rng.choice((1, 3, 16, 1000003, rng.randint(1, 10 ** 12)))
+        t_den = rng.choice((1, 2, 12, 998244353, rng.randint(1, 10 ** 12)))
+        decay = rng.choice((F(rng.randint(-40, 40), 7),
+                            F(rng.randint(-10 ** 6, 10 ** 9), 10 ** 6)))
+        dv = round(decay * d_den)
+        tv = rng.randint(-3 * t_den, 3 * t_den)
+        cases.append((dv, d_den, tv, t_den))
+    # decay 0, turns 0 (the two special branches of mpc_exp), both, and
+    # turns that are whole numbers of circles
+    cases += [(0, 5, 3, 7), (0, 1, 0, 1), (17, 4, 0, 9), (-17, 4, 18, 9),
+              (0, 3, -6, 3)]
+    return cases
+
+
+@pytest.mark.parametrize("context", ["double", "dd"])
+def test_term_evaluator_matches_exp_term_by_term(context):
+    for case in evaluator_inputs(5, 300 if context == "double" else 120):
+        assert exact_bits(one_term(context, *case)) == \
+            exact_bits(exp_term(context, *case)), case
+
+
+def test_double_evaluator_takes_cmath_exp_above_its_rescaling_threshold():
+    # -pi decay above log(DBL_MAX / 4) ~ 708.4: cmath.exp rescales there,
+    # and the kernel calls it; below 708 the kernel's own product is used
+    for decay in (F(-22537, 100), F(-2254, 10), F(-2259, 10), F(-2250, 10)):
+        case = (decay.numerator, decay.denominator, 5, 11)
+        assert exact_bits(one_term("double", *case)) == \
+            exact_bits(exp_term("double", *case))
+    # and overflows as cmath.exp does
+    with pytest.raises(OverflowError):
+        exp_term("double", -226, 1, 1, 3)
+    with pytest.raises(OverflowError):
+        one_term("double", -226, 1, 1, 3)
+
+
+def random_forms(rng, dim):
+    """A positive-definite decay form and a turns form, with rational
+    coefficients over random denominators."""
+    while True:
+        rows = [[F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(dim)]
+                for _ in range(dim)]
+        gram = RatMat(rows).T @ RatMat(rows) + RatMat.identity(dim) * F(1, 5)
+        if gram.is_positive_definite():
+            break
+    lin = [F(rng.randint(-30, 30), rng.randint(1, 9)) for _ in range(dim)]
+    decay = int_form(gram.rows, lin, F(rng.randint(-20, 20), rng.randint(1, 7)))
+    t_mat = [[F(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(dim)]
+             for _ in range(dim)]
+    t_lin = [F(rng.randint(-9, 9), rng.randint(1, 13)) for _ in range(dim)]
+    turns = int_form(t_mat, t_lin, F(rng.randint(-9, 9), rng.randint(1, 5)))
+    return decay, turns
+
+
+def form_value(form, w):
+    den, quad, lin, const = form
+    dim = len(w)
+    num = const + sum(l * x for l, x in zip(lin, w))
+    num += sum(quad[i][j] * w[i] * w[j] for i in range(dim)
+               for j in range(i, dim))
+    return num, den
+
+
+def per_point_terms(ctx, dim, radius, decay, turns):
+    terms = []
+    for w in product(range(-radius, radius + 1), repeat=dim):
+        dv, d_den = form_value(decay, w)
+        tv, t_den = form_value(turns, w)
+        terms.append(ctx.exp(ctx.to_complex(
+            -ctx.pi * ctx.ratio(dv, d_den),
+            2 * ctx.pi * ctx.ratio(tv % t_den, t_den))))
+    return terms
+
+
+@pytest.mark.parametrize("context", ["double", "dd"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_lattice_sum_is_the_rounded_sum_of_every_cube_term(context, dim):
+    rng = random.Random(100 * dim + len(context))
+    ctx = get_context(context)
+    for _ in range(6 if context == "double" else 2):
+        decay, turns = random_forms(rng, dim)
+        radius = rng.randint(0, {1: 12, 2: 6, 3: 3}[dim])
+        got = lattice_sum(ctx, dim, radius, decay, turns)
+        ref = per_point_terms(ctx, dim, radius, decay, turns)
+        assert exact_bits(got) == ref_sum(ref, context)
+
+
+# -- the decay band and its fallback ---------------------------------------------
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Calls of the kernel's fallback, which adds the deferred points."""
+    calls = []
+    original = theta._add_deferred
+
+    def counted(*args):
+        calls.append(args[1])
+        return original(*args)
+
+    monkeypatch.setattr(theta, "_add_deferred", counted)
+    return calls
+
+
+REAL_SPECS = [
+    # tau = i, z = 0, k = 0, no signs: every turn is 0, so every imaginary
+    # part is exactly zero
+    (spec_n1(1j, d=1, k=0, xi=0, tol=1e-12), [0j]),
+    # the sign (-1)^m: turns m / 2, sin(pi) ~ 1.2e-16, so the imaginary part
+    # is nearly zero
+    (spec_n1(1j, d=1, k=0, xi=1, tol=1e-12), [0j]),
+]
+
+
+@pytest.mark.parametrize("context", ["double", "dd"])
+@pytest.mark.parametrize("case", range(len(REAL_SPECS)))
+def test_a_zero_or_nearly_zero_part_runs_the_fallback(fallbacks, case,
+                                                      context):
+    spec, z = REAL_SPECS[case]
+    # enlarge the ball so that points beyond the band exist
+    value = theta_dk(spec, z, context=context, radius=12).value
+    assert fallbacks == [12]
+    zz = [(F(0), F(0))]
+    ref = old_theta_terms(spec, zz, get_context(context), 12)
+    assert exact_bits(value) == ref_sum(ref, context)
+    assert abs(complex(value).imag) < 1e-15
+
+
+@pytest.mark.parametrize("context", ["double", "dd"])
+def test_the_band_decides_a_complex_sum_without_the_fallback(fallbacks,
+                                                              context):
+    spec = spec_n1(0.5 + 1j, d=3, k=1, xi=1, tol=1e-12)
+    z = [(F(1, 5), F(3, 10))]
+    value = theta_dk(spec, z, context=context, radius=12).value
+    assert fallbacks == []
+    ref = old_theta_terms(spec, z, get_context(context), 12)
+    assert exact_bits(value) == ref_sum(ref, context)
+
+
+@pytest.mark.parametrize("context", ["double", "dd"])
+def test_points_outside_the_band_have_decay_above_T(monkeypatch, context):
+    # a zero turns form makes every imaginary part exactly 0, so each sum
+    # falls back and hands its bands to _add_deferred: every point left out
+    # of a band must have decay above T, or B would not bound it
+    rng = random.Random(7)
+    ctx = get_context(context)
+    seen = []
+    original = theta._add_deferred
+
+    def check(add, radius, bands):
+        bands = list(bands)
+        seen.append(len(bands))
+        p, q = t_band.numerator, t_band.denominator
+        for da, db, _, _, lo, hi in bands:
+            assert -radius <= lo <= radius + 1 and lo - 1 <= hi <= radius
+            for t in range(-radius, radius + 1):
+                if not lo <= t <= hi:
+                    assert q * (da + t * (db + d_cc * t)) > p * d_den
+        return original(add, radius, bands)
+
+    monkeypatch.setattr(theta, "_add_deferred", check)
+    for dim, radius in [(1, 30), (2, 9), (3, 4)] * (3 if context == "double"
+                                                    else 1):
+        decay, _ = random_forms(rng, dim)
+        # shrink the Gram so that bands hold many points, yet not the cube
+        d_den, d_cc = decay[0] * 4, decay[1][-1][-1]
+        decay = (d_den,) + decay[1:]
+        t_band, _ = theta._decay_band(ctx.prec, (2 * radius + 1) ** dim)
+        turns = int_form([[0] * dim for _ in range(dim)], [0] * dim, 0)
+        got = lattice_sum(ctx, dim, radius, decay, turns)
+        ref = per_point_terms(ctx, dim, radius, decay, turns)
+        assert exact_bits(got) == ref_sum(ref, context)
+    assert len(seen) == (9 if context == "double" else 3)
