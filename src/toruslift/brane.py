@@ -11,6 +11,13 @@ A brane on a torus of real dimension 2N is stored as
 * ``conn_flat``-- the flat part phi (rational d-vector, kept mod 1),
 * ``xi_lin``   -- sign bits on the support generators.
 
+The constructor puts the support in column Hermite form H and takes the
+row Hermite form of H once: it must be [I; 0] (independent columns, a
+saturated lattice), and its transform gives the unimodular completion C
+with H^T C = [I | 0] kept as ``completion``.  ``coordinates``, the
+validators, ``lift`` and ``floer.u_part_self`` all read C; none of them
+runs a Smith form, an integer solve or a rank test against the support.
+
 The curvature Gram F = N^T - N must have integer entries.  The sign
 function on the whole support lattice is
 
@@ -41,7 +48,7 @@ from fractions import Fraction
 
 from .errors import InadmissibleD, InvalidBrane, InvalidXi
 from .exact import RatMat, hstack, ratvec, vec_add, vec_dot, vec_sub, vstack
-from .lattice import column_hnf, int_kernel, smith
+from .lattice import column_hnf, row_hnf
 from .torus import DoubledTorus, Torus, double_torus
 
 
@@ -126,12 +133,16 @@ class Brane:
             raise InvalidBrane(f"support rank {d} is out of range 1..{dim2}")
         if not support.is_integer():
             raise InvalidBrane("support basis must have integer entries")
-        # Smith diagonal s_1 | ... | s_d: s_d = 0 iff the columns are
-        # dependent, and s_d = 1 iff every s_i is 1 (a saturated lattice)
-        last = smith(support)[0][d - 1, d - 1]
-        if last == 0:
+        # canonical basis H = support @ V (column Hermite form), then the
+        # row Hermite form R = U @ H: a zero on R's diagonal means dependent
+        # columns, an entry above 1 an unsaturated lattice; otherwise
+        # R = [I; 0] and C = U^T is a unimodular completion, H^T C = [I | 0]
+        hnf, v = column_hnf(support)
+        r, u_rows = row_hnf(hnf)
+        diag = [r.num[i][i] for i in range(d)]
+        if 0 in diag:
             raise InvalidBrane("support basis columns are linearly dependent")
-        if last != 1:
+        if any(x != 1 for x in diag):
             raise InvalidBrane("support basis does not generate a saturated lattice")
 
         offset = _as_frac_vec(offset if offset is not None else [0] * dim2,
@@ -147,8 +158,7 @@ class Brane:
         if not f_old.is_integer():
             raise InvalidBrane("curvature N^T - N is not integral on the lattice")
 
-        # canonical basis: column Hermite form, connection data transported
-        hnf, v = column_hnf(support)
+        # connection data transported to the canonical basis
         n_new = v.T @ n_mat @ v
         phi_new = v.T @ phi
         f_rows = f_old.to_int_rows()
@@ -180,12 +190,22 @@ class Brane:
         self.conn_flat = tuple(_mod1(x) for x in phi_new)
         self.xi_lin = bits_new
         self.f_gram = f_new
+        self.completion = u_rows.T
 
     # -- basic structure ---------------------------------------------------
 
     @property
     def dim(self) -> int:
         return self.support.ncols
+
+    def coordinates(self, x: RatMat) -> RatMat | None:
+        """Support coordinates M with ``support @ M == x``, or None when a
+        column of x leaves the rational span of the support.  The first d
+        columns of the completion, transposed, are a left inverse of the
+        support, so this runs no elimination."""
+        c = self.completion
+        m = c.submatrix(range(c.nrows), range(self.dim)).T @ x
+        return m if self.support @ m == x else None
 
     def __eq__(self, other):
         if not isinstance(other, Brane):
@@ -370,28 +390,26 @@ def validate_coisotropic(brane: Brane) -> BraneReport:
     torus = brane.torus
     u = brane.support
     failures = []
-    # coisotropy proper: the symplectic complement of the support must be
-    # tangent to the support (exact rank computation over Q)
-    ann = int_kernel(u.T)
+    # coisotropy proper: the symplectic complement of the support, spanned
+    # by omega^{-1} applied to the annihilator C[:, d:] of the support, must
+    # be tangent to it
+    ann = brane.completion.submatrix(range(torus.dim), range(brane.dim, torus.dim))
     omega_inv = torus.omega_inv()
-    if ann.ncols and hstack(u, omega_inv @ ann).rank() != u.ncols:
+    if ann.ncols and brane.coordinates(omega_inv @ ann) is None:
         failures.append("symplectic complement of the support is not tangent to it")
     g = u.T @ torus.omega @ u
     h = brane.f_gram + u.T @ torus.b_field @ u
     iso = g.kernel()  # columns: null directions of the restricted form
     if iso.ncols and not (iso.T @ h).is_zero():
         failures.append("F + B does not vanish on the isotropic directions")
-    # transverse square: solve for the endomorphism ambient image and demand
-    # that it stays tangent to the support.
-    gram_inv = (u.T @ u).inv()
-    e_amb = u @ gram_inv @ h.T
-    v_amb = -(omega_inv @ e_amb)
-    if hstack(u, v_amb).rank() != u.ncols:
+    # transverse square: the endomorphism's ambient image must stay tangent
+    # to the support; its support coordinates c enter the square condition
+    e_amb = u @ (u.T @ u).inv() @ h.T
+    c = brane.coordinates(-(omega_inv @ e_amb))
+    if c is None:
         failures.append("transverse endomorphism does not preserve the support")
-    else:
-        c = gram_inv @ (u.T @ v_amb)
-        if not (g + c.T @ h).is_zero():
-            failures.append("transverse square condition fails on the support")
+    elif not (g + c.T @ h).is_zero():
+        failures.append("transverse square condition fails on the support")
     return _report(failures)
 
 
@@ -427,17 +445,14 @@ def lift(brane: Brane) -> Brane:
     f = brane.f_gram
 
     # Tangent lattice of the lift: {(U m, b) : U^T b = F^T m} plus the dual
-    # directions annihilating the support, which are the trailing columns of
-    # the Smith transform Q of U^T.  Since the support is primitive, the
-    # Smith form of U^T has unit diagonal, so the particular solutions
-    # below are integral and the block basis generates the full lattice.
-    s, p_uni, q_uni = smith(u.T)
-    if any(s[i, i] != 1 for i in range(d)):
-        raise InvalidBrane("support is not primitive: Smith form of U^T "
-                           "has a non-unit diagonal entry")
-    q_left = q_uni.submatrix(range(dim2), range(d))
-    kernel = q_uni.submatrix(range(dim2), range(d, dim2))
-    bmat = q_left @ (p_uni @ f.T)
+    # directions annihilating the support U.  The brane's completion C has
+    # U^T C = [I | 0], so C[:, :d] gives integral particular solutions and
+    # C[:, d:] is a basis of the annihilator: the block basis generates the
+    # full lattice.
+    c = brane.completion
+    c_left = c.submatrix(range(dim2), range(d))
+    kernel = c.submatrix(range(dim2), range(d, dim2))
+    bmat = c_left @ f.T
     if u.T @ bmat != f.T:
         raise InvalidBrane("lifted tangent block B does not solve U^T B = F^T")
     w = vstack(
@@ -448,23 +463,19 @@ def lift(brane: Brane) -> Brane:
     rho = tuple(
         Fraction(bit, 2) - ph for bit, ph in zip(brane.xi_lin, brane.conn_flat)
     )
-    xhat = q_left @ (p_uni @ rho)
+    xhat = c_left @ rho
     if u.T @ xhat != rho:
         raise InvalidBrane("dual offset does not solve U^T x_hat = rho")
     offset = brane.offset + tuple(xhat)
 
     # the projection of the lift tangent onto the brane support is [I | 0]
     # in this basis, so the connection data extends by zero on the kernel.
-    zeros_k = RatMat.zeros(d, kernel.ncols)
-    n_lift = hstack(brane.conn_quad, zeros_k)
-    if kernel.ncols:
-        n_lift = vstack(
-            n_lift,
-            hstack(RatMat.zeros(kernel.ncols, d),
-                   RatMat.zeros(kernel.ncols, kernel.ncols)),
-        )
-    phi_lift = brane.conn_flat + tuple(Fraction(0) for _ in range(kernel.ncols))
-    xi_lift = brane.xi_lin + (0,) * kernel.ncols
+    k = kernel.ncols
+    n_lift = hstack(brane.conn_quad, RatMat.zeros(d, k))
+    if k:
+        n_lift = vstack(n_lift, RatMat.zeros(k, d + k))
+    phi_lift = brane.conn_flat + (Fraction(0),) * k
+    xi_lift = brane.xi_lin + (0,) * k
     lifted = Brane(doubled, w, offset=offset, conn_quad=n_lift,
                    conn_flat=phi_lift, xi_lin=xi_lift)
     # pulled-back curvature must agree with the brane condition in the double
@@ -488,13 +499,11 @@ def verify_lift_lagrangian(lifted: Brane) -> bool:
 
 def verify_lift_complex(lifted: Brane) -> bool:
     """True iff the doubled complex structure maps the lift tangent space
-    onto itself (exact rank test)."""
+    onto itself (exact span test on the support coordinates)."""
     torus = lifted.torus
     if not isinstance(torus, DoubledTorus):
         raise TypeError("expected a brane on a doubled torus")
-    w = lifted.support
-    jw = torus.j_mat @ w
-    return hstack(w, jw).rank() == w.ncols
+    return lifted.coordinates(torus.j_mat @ lifted.support) is not None
 
 
 # -- the B-twist -------------------------------------------------------------

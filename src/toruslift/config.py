@@ -462,7 +462,7 @@ def echo_config(config: JobConfig) -> str:
     for b in config.branes:
         out += ["", f"[brane {b.name}]", f"kind = {b.kind}"]
         for key in ("d", "n_mat", "position", "phi", "offset", "xi"):
-            value = getattr(b, "n_mat" if key == "n_mat" else key)
+            value = getattr(b, key)
             if value is not None:
                 out.append(f"{key} = {_fmt_value(_BRANE_KEYS[key], value)}")
     for t in config.tasks:

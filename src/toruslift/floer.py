@@ -51,7 +51,7 @@ from .errors import (
     UnsupportedTriple,
 )
 from .exact import RatMat, hstack, ratvec, vec_add, vec_dot, vec_sub, vstack
-from .lattice import coset_reduce, cosets, int_kernel, solve_integer_system
+from .lattice import coset_reduce, cosets
 from .summation import get_context
 from .theta import (
     DEFAULT_MAX_RADIUS,
@@ -597,54 +597,34 @@ def u_part_self(brane: Brane) -> UPartSelf:
     """Split the complexified tangent space of a lifted brane under the
     doubled complex structure and return exterior-power dimensions.
 
-    The restriction M of J to the support solves W M = J W exactly; a
-    failure means J does not preserve the tangent space (JNotPreserving).
-    The anti-holomorphic covectors form the kernel of M^T + i on
-    coefficients, computed as the rational kernel of the realified block
-    system; its complex dimension n gives degree dimensions C(n, q).
+    The restriction M of J to the support solves W M = J W exactly and is
+    read off the brane's support coordinates; a failure means J does not
+    preserve the tangent space (JNotPreserving).  Since J^2 = -Id, M^2 = -I,
+    so the anti-holomorphic covectors, the kernel of M^T + i, are the
+    vectors x + i M^T x; its complex dimension n = k/2 on a k-dimensional
+    tangent space gives degree dimensions C(n, q).
     """
     torus = brane.torus
     if not isinstance(torus, DoubledTorus):
         raise InvalidBrane("the u-part splitting needs a brane on a doubled torus")
-    w = brane.support
-    jw = torus.j_mat @ w
-    cols = []
-    for j in range(jw.ncols):
-        try:
-            cols.append(solve_integer_system(w, jw.col(j)))
-        except ValueError:
-            raise JNotPreserving(
-                "the doubled complex structure does not preserve the tangent "
-                "space of this brane"
-            )
-    m_res = RatMat.from_columns(cols)
-
-    # realified kernel of (M^T + i I): vectors x + i y with
-    # M^T x = y and M^T y = -x
+    m_res = brane.coordinates(torus.j_mat @ brane.support)
+    if m_res is None:
+        raise JNotPreserving(
+            "the doubled complex structure does not preserve the tangent "
+            "space of this brane"
+        )
     k = m_res.nrows
-    mt = m_res.T
-    rows = []
-    for i in range(k):
-        rows.append([mt[i, j] for j in range(k)]
-                    + [0 if j != i else -1 for j in range(k)])
-    for i in range(k):
-        rows.append([0 if j != i else 1 for j in range(k)]
-                    + [mt[i, j] for j in range(k)])
-    real_sys = RatMat(rows)
-    kern = int_kernel(real_sys * real_sys.den)
-    if kern.ncols % 2 != 0:
-        raise JNotPreserving("the realified eigenspace has odd dimension")
-    dim_c = kern.ncols // 2
+    dim_c = k // 2
 
-    # pick a complex basis: greedily take kernel columns that stay
-    # independent over C (realified rank grows by two per new vector)
+    # pick a complex basis: greedily take x = e_j, i.e. the vectors
+    # e_j + i (row j of M), that stay independent over C (the realified
+    # rank grows by two per new vector)
     chosen = []
     taken_cols = []
-    for j in range(kern.ncols):
-        x = [kern[i, j] for i in range(k)]
-        y = [kern[i + k, j] for i in range(k)]
-        trial = taken_cols + [tuple(x) + tuple(y),
-                              tuple(-c for c in y) + tuple(x)]
+    for j in range(k):
+        x = tuple(int(i == j) for i in range(k))
+        y = m_res.row(j)
+        trial = taken_cols + [x + y, tuple(-c for c in y) + x]
         if RatMat.from_columns(trial).rank() == len(trial):
             taken_cols = trial
             chosen.append(tuple(complex(float(a), float(b))

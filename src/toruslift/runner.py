@@ -29,7 +29,7 @@ from .exact import RatMat
 from .floer import DoublePoint, u_part_self, verify_main_diagram, verify_usub
 from .lattice import cosets
 from .theta import ThetaSpec, theta_dk, verify_identity_1, verify_identity_2
-from .torus import DoubledTorus, Torus
+from .torus import Torus
 
 
 @dataclass(frozen=True)
@@ -260,9 +260,7 @@ def _task_diagram(config, spec):
 
 def _task_upart_self(config, spec):
     bc = _named_brane(config, spec)
-    brane = build_brane(build_torus(config), bc)
-    if not isinstance(brane.torus, DoubledTorus):
-        brane = lift(brane)
+    brane = lift(build_brane(build_torus(config), bc))
     result = u_part_self(brane)
     values = [("brane", bc.name), ("dims", list(result.dims)),
               ("complex_dim", len(result.dims) - 1),

@@ -91,12 +91,6 @@ class Torus:
     # -- misc -------------------------------------------------------------
 
     def omega_inv(self) -> RatMat:
-        if self._period is not None:
-            # [[0, Y], [-Y^T, 0]]^{-1} = [[0, -Y^{-T}], [Y^{-1}, 0]]
-            _, im = self._period
-            iminv = im.inv()
-            z = RatMat.zeros(self.n, self.n)
-            return vstack(hstack(z, -iminv.T), hstack(iminv, z))
         return self.omega.inv()
 
     def __repr__(self) -> str:
@@ -193,23 +187,13 @@ def double_torus(t: Torus) -> DoubledTorus:
     # and Q = B P these are
     #   2 Omega = [[omega + Q, -P^T], [P, -omega^{-1}]]
     #   J       = [[-P, omega^{-1}], [-(omega + Q), P^T]]
-    # (J^2 = -Id and J^T Omega J = Omega are property-tested, not re-checked).
+    # for every torus, split or not (J^2 = -Id and J^T Omega J = Omega are
+    # property-tested, not re-checked).
     dim = t.dim
     eye = RatMat.identity(dim)
     winv = t.omega_inv()
-    if t.is_split:
-        # the n x n blocks of P = omega^{-1} B and Q = B P for tau = R + iY:
-        # P = diag(Y^{-T} R^T, Y^{-1} R), Q = [[0, R Y^{-1} R], [-(..)^T, 0]]
-        re, im = t.period()
-        iminv = im.inv()
-        yr = iminv @ re
-        ry = re @ iminv
-        z = RatMat.zeros(t.n, t.n)
-        p = vstack(hstack(ry.T, z), hstack(z, yr))
-        q = vstack(hstack(z, ry @ re), hstack(-(ry @ re).T, z))
-    else:
-        p = winv @ t.b_field
-        q = t.b_field @ p
+    p = winv @ t.b_field
+    q = t.b_field @ p
     half = Fraction(1, 2)
     omega = half * vstack(
         hstack(t.omega + q, -p.T), hstack(p, -winv)

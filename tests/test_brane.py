@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -28,10 +29,12 @@ from toruslift.errors import (
     InadmissibleSpec,
     InvalidBrane,
     InvalidXi,
+    JNotPreserving,
     TorusLiftError,
 )
 from toruslift.exact import RatMat, hstack, vstack
-from toruslift.floer import DoublePoint, mu2_double
+from toruslift.floer import DoublePoint, mu2_double, u_part_self
+from toruslift.lattice import int_kernel, smith, solve_integer_system
 from toruslift.theta import ThetaSpec
 from toruslift.torus import Torus, double_torus
 
@@ -494,3 +497,234 @@ def test_twist_trivial_on_base_section_lift():
 def test_twist_needs_doubled_torus():
     with pytest.raises(InvalidBrane):
         twist_brane(zero_section_brane(SQ2))
+
+
+# --- one completion per brane ------------------------------------------------
+#
+# Test-local copy of the earlier completion: the Smith form S = P U^T Q of
+# the canonical support gives the particular solutions Q[:, :d] P and the
+# annihilator Q[:, d:], and span membership was a rank test.  The brane's
+# stored completion must reproduce every result it fed.
+
+
+def _ref_completion(u):
+    dim2, d = u.shape
+    s, p_uni, q_uni = smith(u.T)
+    assert all(s[i, i] == 1 for i in range(d))
+    return (q_uni.submatrix(range(dim2), range(d)) @ p_uni,
+            q_uni.submatrix(range(dim2), range(d, dim2)))
+
+
+def _ref_in_span(u, x):
+    return hstack(u, x).rank() == u.ncols
+
+
+def _ref_lift(brane):
+    u, f = brane.support, brane.f_gram
+    dim2, d = u.shape
+    left, kernel = _ref_completion(u)
+    k = kernel.ncols
+    w = vstack(hstack(u, RatMat.zeros(dim2, k)), hstack(left @ f.T, kernel))
+    rho = tuple(Fraction(b, 2) - p for b, p in zip(brane.xi_lin, brane.conn_flat))
+    n_lift = hstack(brane.conn_quad, RatMat.zeros(d, k))
+    if k:
+        n_lift = vstack(n_lift, RatMat.zeros(k, d + k))
+    return Brane(double_torus(brane.torus), w,
+                 offset=brane.offset + left @ rho, conn_quad=n_lift,
+                 conn_flat=brane.conn_flat + (0,) * k,
+                 xi_lin=brane.xi_lin + (0,) * k)
+
+
+def _ref_validate_coisotropic(brane):
+    torus, u = brane.torus, brane.support
+    failures = []
+    ann = int_kernel(u.T)
+    omega_inv = torus.omega.inv()
+    if ann.ncols and not _ref_in_span(u, omega_inv @ ann):
+        failures.append("symplectic complement of the support is not tangent to it")
+    g = u.T @ torus.omega @ u
+    h = brane.f_gram + u.T @ torus.b_field @ u
+    iso = g.kernel()
+    if iso.ncols and not (iso.T @ h).is_zero():
+        failures.append("F + B does not vanish on the isotropic directions")
+    gram_inv = (u.T @ u).inv()
+    v_amb = -(omega_inv @ u @ gram_inv @ h.T)
+    if not _ref_in_span(u, v_amb):
+        failures.append("transverse endomorphism does not preserve the support")
+    else:
+        c = gram_inv @ (u.T @ v_amb)
+        if not (g + c.T @ h).is_zero():
+            failures.append("transverse square condition fails on the support")
+    return tuple(failures)
+
+
+def _ref_j_restricted(lifted):
+    w = lifted.support
+    jw = lifted.torus.j_mat @ w
+    try:
+        return RatMat.from_columns(solve_integer_system(w, jw.col(j))
+                                   for j in range(jw.ncols))
+    except ValueError:
+        return None
+
+
+def _criterion_1_branes(graph_sample):
+    # criterion 1's families, with a seeded sample of its n = 2 graph branes
+    branes = [t4_space_filling_brane()]
+    slopes = graph_slopes(1, 3) + random.Random(5).sample(graph_slopes(2, 3),
+                                                          graph_sample)
+    for d in slopes:
+        n = d.nrows
+        branes.append(graph_brane(Torus.from_period(RatMat.zeros(n, n), d.T), d))
+    rng = random.Random(17)
+    for n in (1, 2):
+        torus = Torus.from_period(RatMat.zeros(n, n), RatMat.identity(n))
+        for _ in range(5):
+            pos = [Fraction(rng.randint(0, 9), 10) for _ in range(n)]
+            phi = [Fraction(rng.randint(0, 9), 10) for _ in range(n)]
+            branes.append(fiber_brane(torus, pos, phi=phi))
+    return branes + coisotropic_sample(60, 45, seed=4)
+
+
+def _sheared_graph_branes(count, seed):
+    # graph branes on tori with Re(tau) != 0, with sign bits and a flat part
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.choice((1, 2))
+        d = rng.choice(graph_slopes(n, 2))
+        re = RatMat([[Fraction(rng.randint(-2, 2), rng.choice((1, 2)))
+                      for _ in range(n)] for _ in range(n)])
+        if re.is_zero():
+            continue
+        try:
+            out.append(graph_brane(
+                Torus.from_period(re, d.T), d,
+                xi_lin=[rng.randint(0, 1) for _ in range(n)],
+                phi=[Fraction(rng.randint(0, 5), 6) for _ in range(n)]))
+        except InadmissibleD:
+            continue
+    return out
+
+
+def _coisotropic_negative_branes():
+    # the branes of test_coisotropic_negatives
+    return [
+        full_torus_brane(SQ2, RatMat.zeros(4, 4)),
+        full_torus_brane(SQ2, RatMat([[0, 0, 0, 1], [0, 0, 1, 0],
+                                      [0, 0, 0, 0], [0, 0, 0, 0]])),
+        Brane(SQ2, RatMat.from_columns([(1, 0, 0, 0)])),
+    ]
+
+
+def _random_supported_branes(torus, count, seed):
+    # saturated integer supports of every rank, some unsaturated or
+    # dependent draws skipped, with random integral curvature
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        d = rng.randint(1, torus.dim)
+        cols = [[rng.randint(-2, 2) for _ in range(torus.dim)] for _ in range(d)]
+        quad = RatMat([[rng.randint(-1, 1) if i < j else 0 for j in range(d)]
+                       for i in range(d)])
+        try:
+            out.append(Brane(torus, RatMat.from_columns(cols), conn_quad=quad))
+        except InvalidBrane:
+            continue
+    return out
+
+
+def _assert_completion(brane):
+    c, h = brane.completion, brane.support
+    d = brane.dim
+    assert abs(c.det()) == 1
+    assert h.T @ c == hstack(RatMat.identity(d), RatMat.zeros(d, c.ncols - d))
+
+
+def test_completion_matches_smith_reference():
+    base = (_criterion_1_branes(250) + _sheared_graph_branes(40, seed=8)
+            + _coisotropic_negative_branes()
+            + _random_supported_branes(SQ2, 40, seed=2)
+            + _random_supported_branes(T21, 40, seed=3))
+    lifted_count = 0
+    for b in base:
+        _assert_completion(b)
+        assert tuple(validate_coisotropic(b).failures) == \
+            _ref_validate_coisotropic(b), b
+        try:
+            lb = lift(b)
+        except InvalidBrane:
+            assert _ref_validate_coisotropic(b) and validate_lagrangian(b).failures
+            continue
+        lifted_count += 1
+        ref = _ref_lift(b)
+        assert lb == ref and hash(lb) == hash(ref), b
+        assert lb.conn_quad == ref.conn_quad and lb.f_gram == ref.f_gram
+        _assert_completion(lb)
+        assert verify_lift_complex(lb)
+        assert u_part_self(lb).j_restricted == _ref_j_restricted(lb)
+    assert lifted_count >= 400
+
+
+def test_span_tests_match_rank_reference():
+    # supports on a doubled torus, J-invariant or not: verify_lift_complex
+    # and u_part_self must agree with the rank test
+    doubled = double_torus(T21)
+    branes = _random_supported_branes(doubled, 60, seed=6)
+    branes += [lift(b) for b in _sheared_graph_branes(10, seed=9)]
+    preserved = 0
+    for b in branes:
+        _assert_completion(b)
+        jw = b.torus.j_mat @ b.support
+        expected = _ref_in_span(b.support, jw)
+        assert verify_lift_complex(b) == expected
+        ref = _ref_j_restricted(b)
+        assert (ref is not None) == expected
+        if expected:
+            preserved += 1
+            assert u_part_self(b).j_restricted == ref
+        else:
+            with pytest.raises(JNotPreserving):
+                u_part_self(b)
+    assert 10 <= preserved < len(branes)
+
+
+def test_lift_and_checks_run_no_smith(monkeypatch):
+    # the brane's one row Hermite form serves every consumer: patch every
+    # module binding of the Smith form to raise, and run them all
+    def no_smith(m):
+        raise RuntimeError("smith called")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("toruslift") and getattr(module, "smith", None) is smith:
+            monkeypatch.setattr(module, "smith", no_smith)
+    with pytest.raises(RuntimeError):
+        int_kernel(RatMat([[1, 1]]))  # the patch reaches lattice itself
+    branes = [t4_space_filling_brane(), t4_brane(random.Random(1)),
+              fiber_brane(SQ2, (Fraction(1, 3), 0), phi=(0, Fraction(1, 2)))]
+    branes += _sheared_graph_branes(4, seed=10)
+    branes += coisotropic_sample(0, 2, seed=12)
+    for b in branes:
+        validate_coisotropic(b)
+        lb = lift(b)
+        assert verify_lift_lagrangian(lb) and verify_lift_complex(lb)
+        assert u_part_self(lb).dims[0] == 1
+    failures = validate_coisotropic(_coisotropic_negative_branes()[2]).failures
+    assert any("complement" in f for f in failures)
+
+
+@pytest.mark.parametrize("support, message", [
+    (RatMat([[2, 0], [0, 1], [0, 0], [0, 0]]),
+     "does not generate a saturated lattice"),
+    (RatMat([[1, 2], [0, 0], [1, 2], [0, 0]]), "columns are linearly dependent"),
+])
+@pytest.mark.parametrize("malformed", [
+    {"conn_quad": RatMat.zeros(3, 3)},
+    {"conn_quad": RatMat([[0, Fraction(1, 3)], [0, 0]])},
+    {"offset": (0, 0)},
+    {"conn_flat": (0,)},
+    {"xi_lin": (2, 0)},
+])
+def test_support_check_runs_before_connection_checks(support, message, malformed):
+    with pytest.raises(InvalidBrane, match=message):
+        Brane(SQ2, support, **malformed)
