@@ -165,23 +165,14 @@ class Brane:
         bits_new = tuple(_xi_of(f_rows, bits, col) for col in v.T.num)
         f_new = n_new.T - n_new
 
-        # canonical offset: reduce mod 1, then kill the pivot-row entries by
-        # sliding along the support.  Moving the chart origin by -H @ shift
-        # re-bases the flat part as phi -> phi - F @ shift (this is forced by
-        # invariance of the holonomy of every lattice loop).
+        # canonical offset: reduce x mod 1 and slide by shift = C[:, :d]^T x
+        # to C^T x = (0, C[:, d:]^T x), complete invariants mod 1.  Moving
+        # the chart origin by -H @ shift re-bases phi -> phi - F @ shift
+        # (forced by invariance of the holonomy of every lattice loop).
         off = tuple(_mod1(x) for x in offset)
-        h = hnf.to_int_rows()
-        pivots = [next(i for i in range(dim2) if h[i][j]) for j in range(d)]
-        shift = [Fraction(0)] * d
-        for j in range(d):
-            hp = h[pivots[j]]
-            acc = off[pivots[j]]
-            for jj in range(j):
-                acc -= hp[jj] * shift[jj]
-            shift[j] = acc / hp[j]
-        moved = hnf @ tuple(shift)
-        off = tuple(_mod1(x - m) for x, m in zip(off, moved))
-        phi_new = vec_sub(phi_new, f_new @ tuple(shift))
+        shift = u_rows.submatrix(range(d), range(dim2)) @ off
+        off = tuple(_mod1(x - m) for x, m in zip(off, hnf @ shift))
+        phi_new = vec_sub(phi_new, f_new @ shift)
 
         self.torus = torus
         self.support = hnf

@@ -27,8 +27,6 @@ from math import gcd, lcm
 from operator import add, mul, sub
 from typing import Iterable, Sequence
 
-Rat = Fraction
-
 
 def rat(x) -> Fraction:
     """Exact conversion to Fraction. Floats convert via their exact binary value."""

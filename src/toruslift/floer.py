@@ -14,17 +14,26 @@ Key quantities:
   product on the base torus, a certified n-dimensional lattice sum.
 * ``mu2_double``  -- the corresponding coefficient on the doubled torus, a
   certified 2n-dimensional lattice sum indexed by a pair of coset classes.
-* ``u_part_basis``/``project_u`` -- the span of the fiber-summed generators
-  and the averaging projector onto it.
+* ``u_part_basis``/``project_u``/``mu2_u`` -- the span of the fiber-summed
+  generators, the averaging projector onto it, and its product with the
+  doubled fiber brane.
 * ``verify_usub`` -- checks that the fiber-summed double sum factors into
   sqrt(det(2 Im tau D)) theta(u) conj-theta(v) times an explicit
   trivialization factor, with the mirror coordinates
 
       u = tau^T (r - kappa) - phi,      v = -conj(tau)^T kappa - theta_hat - phi.
 
+* ``verify_main_diagram`` -- checks that the doubled product of the
+  fiber-summed generator, divided by the base product, is one constant.
 * ``u_part_self`` -- splits the complexified tangent space of a lifted brane
   under the doubled complex structure and reports the anti-holomorphic
   exterior-power dimensions.
+
+Both checks take the fiber sum over the dual cosets l in Z^n / D^T Z^n
+from one correctly rounded ``ctx.sum``.  The layer keeps context values
+(mpmath at 106 bits in ``dd``) and rounds them to ``complex`` and
+``float`` only for the report; its explicit factors are exact exponents
+evaluated by :func:`toruslift.summation.exp_pi`.
 
 Both product sums are the one integer kernel of the package,
 :func:`toruslift.theta.lattice_sum`: ``mu2_base`` is the theta series at
@@ -40,8 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .brane import (Brane, _as_frac_vec, _mod1, admissible_d, pairing_form,
-                    xi_bits)
+from .brane import Brane, _as_frac_vec, admissible_d, pairing_form, xi_bits
 from .errors import (
     InadmissibleD,
     InadmissibleSpec,
@@ -52,7 +60,7 @@ from .errors import (
 )
 from .exact import RatMat, hstack, ratvec, vec_add, vec_dot, vec_sub, vstack
 from .lattice import coset_reduce, cosets
-from .summation import get_context
+from .summation import exp_pi, get_context
 from .theta import (
     DEFAULT_MAX_RADIUS,
     CertifiedValue,
@@ -101,7 +109,7 @@ class FloerVector:
         if len(self.basis) != len(self.coeffs):
             raise ValueError("coefficient and basis lengths differ")
         object.__setattr__(self, "basis", tuple(self.basis))
-        object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(self.coeffs))
 
     def scaled(self, factor) -> "FloerVector":
         return FloerVector(self.basis, tuple(factor * c for c in self.coeffs))
@@ -231,12 +239,9 @@ def mu2_base(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat, k, r, phi, *,
     z = list(zip(vec_sub(tau_re.T @ r, phi), tau_im.T @ r))
     total = theta_dk(spec, z, context=context)
 
-    pref_turns = _mod1(vec_dot((tau_re @ d_mat) @ r, r) / 2
+    prefactor = exp_pi(ctx, -vec_dot(spec.q_form @ r, r),
+                       vec_dot((tau_re @ d_mat) @ r, r) / 2
                        - vec_dot(d_mat @ r, phi))
-    pref_decay = vec_dot(spec.q_form @ r, r)
-    prefactor = ctx.exp(ctx.to_complex(
-        -ctx.pi * ctx.real(pref_decay), 2 * ctx.pi * ctx.real(pref_turns)
-    ))
     return CertifiedValue(total.value * prefactor, total.certificate, context)
 
 
@@ -343,7 +348,6 @@ def trivialization_factor(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat,
         e^{-2 pi i <D r, phi> + 2 pi i <D^T that - A r, kappa>}
     """
     a_form = admissible_d(tau_re, tau_im, d_mat)
-    ctx = get_context(context)
     x_mat, c_mat = _decay_blocks(tau_re, tau_im, d_mat)
     that = pt.theta_hat
 
@@ -367,9 +371,7 @@ def trivialization_factor(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat,
         - vec_dot(d_mat @ pt.r, pt.phi)
         + vec_dot(vec_sub(d_mat.T @ that, a_form @ pt.r), pt.kappa)
     )
-    return ctx.exp(ctx.to_complex(
-        ctx.pi * ctx.real(decay), 2 * ctx.pi * ctx.real(_mod1(turns))
-    ))
+    return exp_pi(get_context(context), decay, turns)
 
 
 # -- the u-part subspace -------------------------------------------------------
@@ -428,7 +430,8 @@ def mu2_u(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat, third, vec: FloerVector
     matrix in that slot means a triple of three graph branes, which has no
     product formula here and raises UnsupportedTriple.  ``vec`` is a vector
     over the doubled (k, l) intersection basis; ``x`` optionally scales the
-    long generator (a one-element FloerVector or a complex number).
+    long generator (a one-element FloerVector or a number).  The products
+    c * mu2_double are reduced by ``ctx.sum`` and stay context values.
 
     The image lands on the single short generator, where the averaging
     projector is the identity, so the output is always in the u-part.
@@ -440,29 +443,37 @@ def mu2_u(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat, third, vec: FloerVector
         )
     if not isinstance(third, DoublePoint):
         raise TypeError("third must be a DoublePoint or a slope matrix")
-    scale = 1.0 + 0j
-    if x is not None:
-        scale = complex(x.coeffs[0]) if isinstance(x, FloerVector) else complex(x)
-    n = d_mat.nrows
-    total = 0j
+    terms = []
     for e, c in zip(vec.basis, vec.coeffs):
         if c == 0:
             continue
         if e.l is None:
             raise ValueError("vector must be over doubled intersection points")
-        val = mu2_double(tau_re, tau_im, d_mat, e.k, e.l, third,
-                         xi_lin=xi_lin, tol=tol, context=context,
-                         max_radius=max_radius)
-        total += c * complex(val)
+        terms.append(c * mu2_double(tau_re, tau_im, d_mat, e.k, e.l, third,
+                                    xi_lin=xi_lin, tol=tol, context=context,
+                                    max_radius=max_radius).value)
+    total = get_context(context).sum(terms)
+    if x is not None:
+        total = (x.coeffs[0] if isinstance(x, FloerVector) else x) * total
+    n = d_mat.nrows
     zero = (Fraction(0),) * n
-    target = FloerBasisElement(
-        tuple(third.r) + zero + zero + tuple(third.theta_hat),
-        (0,) * n, (0,) * n,
-    )
-    return FloerVector((target,), (scale * total,))
+    target = FloerBasisElement(third.r + zero + zero + third.theta_hat,
+                               (0,) * n, (0,) * n)
+    return FloerVector((target,), (total,))
 
 
 # -- the factorization and diagram checks --------------------------------------
+
+
+def _fiber_sum(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat, k,
+               pt: DoublePoint, *, xi_lin, tol: float, context: str,
+               max_radius: int):
+    """sum_l s_{k,l}: the doubled products of coset k over the dual cosets
+    l in Z^n / D^T Z^n, one correctly rounded ``ctx.sum``."""
+    return get_context(context).sum([
+        mu2_double(tau_re, tau_im, d_mat, k, l, pt, xi_lin=xi_lin, tol=tol,
+                   context=context, max_radius=max_radius).value
+        for l in cosets(d_mat.T)])
 
 
 def verify_usub(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat, k,
@@ -482,16 +493,13 @@ def verify_usub(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat, k,
     ctx = get_context(context)
     tol_f = _resolved_tol(tol, ctx)
     k = _int_vec(k, n, "characteristic")
-    l_reps = cosets(d_mat.T)
     spec = ThetaSpec(tau_re, tau_im, d_mat, k, xi_lin, tol_f, max_radius)
     spec0 = spec.with_char((0,) * n)
     root = _root_det(ctx, tau_im, d_mat)
     worst = 0.0
     for pt in points:
-        lhs = ctx.sum([mu2_double(tau_re, tau_im, d_mat, k, l, pt,
-                                  xi_lin=xi_lin, tol=tol_f, context=context,
-                                  max_radius=max_radius).value
-                       for l in l_reps])
+        lhs = _fiber_sum(tau_re, tau_im, d_mat, k, pt, xi_lin=xi_lin,
+                         tol=tol_f, context=context, max_radius=max_radius)
         u, v = mirror_coordinates(tau_re, tau_im, pt)
         rhs = (root
                * theta_dk(spec, u, context=context).value
@@ -534,20 +542,18 @@ def verify_main_diagram(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat,
     coordinate u equals the base coordinate tau^T r - phi), and divided by
     the base product.  The ratio must be one constant across all (k, z):
     sqrt(det(2 Im tau D)) times the conjugate series at 0, whose
-    characteristic can be overridden for negative controls.
+    characteristic can be overridden for negative controls.  The numerator
+    is the fiber sum of verify_usub for the reduced coset, and ratios,
+    mean and residuals stay context values until the report.
     """
     admissible_d(tau_re, tau_im, d_mat)
     n = d_mat.nrows
     ctx = get_context(context)
     tol_f = _resolved_tol(tol, ctx)
-    space = u_part_basis(tau_re, RatMat.zeros(n, n), d_mat)
     ratios = []
     skipped = 0
     for k in [_int_vec(k, n, "characteristic") for k in k_list]:
         kk = coset_reduce(d_mat, k)
-        vec = next(v for v in space.vectors
-                   if any(c != 0 and e.k == kk
-                          for e, c in zip(v.basis, v.coeffs)))
         for (r, phi) in z_grid:
             r = _as_frac_vec(r, n, "fiber position")
             phi = _as_frac_vec(phi, n, "flat connection")
@@ -557,9 +563,9 @@ def verify_main_diagram(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat,
             if abs(complex(den)) <= tol_f ** 0.5:
                 skipped += 1
                 continue
-            num = mu2_u(tau_re, tau_im, d_mat, pt, vec, xi_lin=xi_lin,
-                        tol=tol_f, context=context, max_radius=max_radius)
-            ratios.append(complex(num.coeffs[0]) / complex(den))
+            num = _fiber_sum(tau_re, tau_im, d_mat, kk, pt, xi_lin=xi_lin,
+                             tol=tol_f, context=context, max_radius=max_radius)
+            ratios.append(num / den.value)
     if not ratios:
         raise ValueError(
             "the base product vanishes at every grid point; the ratio is "
@@ -569,16 +575,15 @@ def verify_main_diagram(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat,
         if reference_char is not None else (0,) * n
     spec = ThetaSpec(tau_re, tau_im, d_mat, ref, xi_lin, tol_f, max_radius)
     root = _root_det(ctx, tau_im, d_mat)
-    predicted = complex(
-        root * theta_bar_dk(spec, [0] * n, context=context).value
-    )
+    predicted = root * theta_bar_dk(spec, [0] * n, context=context).value
     mean = sum(ratios) / len(ratios)
-    spread = max(abs(rho - mean) for rho in ratios) / abs(mean)
-    max_error = max(abs(rho - predicted) for rho in ratios) / abs(predicted)
+    spread = float(max(ctx.abs(rho - mean) for rho in ratios) / ctx.abs(mean))
+    max_error = float(max(ctx.abs(rho - predicted) for rho in ratios)
+                      / ctx.abs(predicted))
     budget = 10 * tol_f
-    return DiagramReport(tuple(ratios), predicted, spread, max_error,
-                         tol_f, spread <= budget and max_error <= budget,
-                         skipped)
+    return DiagramReport(tuple(map(complex, ratios)), complex(predicted),
+                         spread, max_error, tol_f,
+                         spread <= budget and max_error <= budget, skipped)
 
 
 # -- self-Hom dimensions of a lifted brane --------------------------------------

@@ -4,7 +4,8 @@ Every certified sum of the package is the exact sum of its terms rounded
 once per part to the context's precision, so it does not depend on the
 order of the terms.  Each context also evaluates the terms of
 :func:`toruslift.theta.lattice_sum` (``line_terms``), bit for bit as
-``ctx.exp(ctx.to_complex(...))`` would.
+``ctx.exp(ctx.to_complex(...))`` would; :func:`exp_pi` is that evaluator
+for a single exact exponent.
 
 Two numeric contexts are provided:
 
@@ -235,6 +236,14 @@ class DDContext:
         if not im:
             return self._mp.make_mpf(total)
         return self.make(total, _rounded_sum(im, self.prec))
+
+
+def exp_pi(ctx, decay, turns):
+    """e^{pi decay + 2 pi i (turns mod 1)} in ``ctx`` from exact rationals:
+    each part of the exponent is one rounded rational times a rounded pi.
+    The one evaluator of the package's explicit factors and phases."""
+    return ctx.exp(ctx.to_complex(ctx.pi * ctx.real(decay),
+                                  2 * ctx.pi * ctx.real(turns % 1)))
 
 
 _CONTEXTS = {"double": DoubleContext(), "dd": DDContext()}

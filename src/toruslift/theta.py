@@ -60,7 +60,7 @@ from .errors import (
     TruncationBudgetExceeded,
 )
 from .exact import RatMat, rat, ratvec, vec_add, vec_dot
-from .summation import get_context
+from .summation import exp_pi, get_context
 
 # -- lattice enumeration ------------------------------------------------------
 
@@ -134,9 +134,9 @@ def _decay_band(prec: int, points: int) -> tuple:
 
 
 def lattice_sum(ctx, dim: int, radius: int, decay, turns):
-    """``ctx.sum`` of the terms ``ctx.exp(ctx.to_complex(-pi decay(w),
-    2 pi turns(w)))`` over the cube [-radius, radius]^dim (shells
-    0..radius), bit for bit: the one kernel of every certified sum.
+    """``ctx.sum`` of the terms ``exp_pi(ctx, -decay(w), turns(w))`` over
+    the cube [-radius, radius]^dim (shells 0..radius), bit for bit: the
+    one kernel of every certified sum.
     ``decay`` (positive definite) and ``turns`` are :func:`int_form` forms.
 
     Each line first sums its band of decay at most T (:func:`_decay_band`).
@@ -548,10 +548,8 @@ def verify_quasi_periodicity(spec: ThetaSpec, z, h, *,
     # rational rounded once
     decay = im_quad + 2 * vec_dot(dh, [im for _, im in zz])
     turns = (Fraction(spec.xi_value(hh), 2) - re_quad / 2
-             - vec_dot(dh, [re for re, _ in zz])) % 1
-    rhs = ctx.exp(ctx.to_complex(ctx.pi * ctx.real(decay),
-                                 2 * ctx.pi * ctx.real(turns))) \
-        * theta_dk(spec, zz, context=context).value
+             - vec_dot(dh, [re for re, _ in zz]))
+    rhs = exp_pi(ctx, decay, turns) * theta_dk(spec, zz, context=context).value
     return float(ctx.abs(lhs - rhs))
 
 
@@ -565,11 +563,9 @@ def verify_characteristic_shift(spec: ThetaSpec, z, s, *,
         tuple(k + int(c) for k, c in zip(spec.char, spec.d_mat @ ss))
     )
     lhs = theta_dk(shifted, z, context=context).value
-    turns = (
-        Fraction(spec.xi_value(ss), 2) + vec_dot(spec.a_form @ ss, spec.p_vec) / 2
-    ) % 1
-    phase = ctx.exp(ctx.to_complex(0, 2 * ctx.pi * ctx.real(turns)))
-    rhs = phase * theta_dk(spec, z, context=context).value
+    turns = (Fraction(spec.xi_value(ss), 2)
+             + vec_dot(spec.a_form @ ss, spec.p_vec) / 2)
+    rhs = exp_pi(ctx, 0, turns) * theta_dk(spec, z, context=context).value
     return float(ctx.abs(lhs - rhs))
 
 

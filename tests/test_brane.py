@@ -134,6 +134,37 @@ def test_offset_reduction_along_support():
     assert b.offset == (Fraction(0), Fraction(13, 15))
 
 
+def test_offset_is_a_complete_invariant_of_the_subtorus():
+    # support (2, 3): the pivot 2 leaves half-steps along the support that
+    # no pivot-row rule sees; (1/2, 0) + (2, 3)/4 = (1, 3/4) ~ (0, 3/4)
+    support = RatMat([[2], [3]])
+    a = Brane(SQ1, support, offset=(Fraction(1, 2), 0))
+    b = Brane(SQ1, support, offset=(0, Fraction(3, 4)))
+    assert a.offset == b.offset == (Fraction(1, 2), Fraction(1, 2))
+    assert a == b and a.same_support(b) and hash(a) == hash(b)
+    # any offset x + H t + v (t rational, v integer) names the same subtorus;
+    # without curvature the flat part does not move, so the branes are equal
+    rng = random.Random(1212)
+    for torus in (SQ1, SQ2) * 20:
+        dim2 = torus.dim
+        d = rng.randint(1, dim2)
+        cols = RatMat([[rng.randint(-3, 3) for _ in range(d)]
+                       for _ in range(dim2)])
+        x = [Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+             for _ in range(dim2)]
+        try:
+            base = Brane(torus, cols, offset=x)
+        except InvalidBrane:
+            continue
+        for _ in range(5):
+            t = [Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+                 for _ in range(d)]
+            moved = [xi + hi + rng.randint(-3, 3)
+                     for xi, hi in zip(x, cols @ t)]
+            other = Brane(torus, cols, offset=moved)
+            assert other.same_support(base) and other == base
+
+
 def test_redescription_equality():
     # same geometric brane-with-connection described in two charts:
     # offset moved by U c, flat part moved by F c

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toruslift import floer
 from toruslift.brane import (
     Brane,
     admissible_d,
@@ -39,6 +40,8 @@ from toruslift.floer import (
     verify_main_diagram,
     verify_usub,
 )
+from toruslift.lattice import coset_reduce
+from toruslift.summation import get_context
 from toruslift.theta import ThetaSpec, gaussian_theta_lhs, theta_bar_dk, theta_dk
 from toruslift.torus import MirrorCoords, Torus, double_torus
 
@@ -371,6 +374,19 @@ def test_projector_is_identity_for_a_unimodular_difference():
     assert project_u(space, vec).coeffs == vec.coeffs
 
 
+def test_floer_vectors_keep_context_values():
+    dd = get_context("dd")
+    space = u_part_basis(Z1, Z1, D2)
+    coeffs = tuple(dd.to_complex(F(1, 3) * j, F(-1, 7)) for j in range(4))
+    vec = FloerVector(space.elements, coeffs)
+    assert vec.coeffs == coeffs
+    proj = project_u(space, vec)
+    assert all(hasattr(c, "_mpc_") for c in proj.coeffs)
+    # coset 0 holds the first two elements: the average of 0 and 1/3, at
+    # 106 bits (halving is exact)
+    assert proj.coeffs[0] == dd.to_complex(F(1, 6), F(-1, 7))
+
+
 def test_projector_rejects_foreign_vectors():
     space = u_part_basis(Z1, Z1, D2)
     other = u_part_basis(Z1, Z1, D3)
@@ -471,6 +487,62 @@ def test_main_diagram_negative_control():
     assert not report.passed
     assert report.spread <= 1e-9
     assert report.max_error > 0.1
+
+
+def test_main_diagram_in_dd_keeps_the_working_precision():
+    # the ratios, their mean and the residuals stay 106-bit values; rounding
+    # them to complex first left a spread near 1e-16 against a 1e-19 budget
+    report = verify_main_diagram(HALF1, I1, D2, [(0,), (1,)], DIAGRAM_GRID,
+                                 context="dd")
+    assert report.passed
+    assert report.spread <= 1e-19 and report.max_error <= 1e-19
+    assert isinstance(report.predicted, complex)
+    assert all(isinstance(rho, complex) for rho in report.rho)
+
+
+def _bits(z):
+    """The exact bits of a context value: the raw mpc tuple, or the hex
+    forms of a complex's parts (which tell -0.0 from 0.0)."""
+    if hasattr(z, "_mpc_"):
+        return z._mpc_
+    return z.real.hex(), z.imag.hex()
+
+
+@pytest.mark.parametrize("context", ["double", "dd"])
+@pytest.mark.parametrize("tau_re, d_mat, k_list", [
+    (HALF1, D2, [(0,), (1,), (3,)]),
+    (HALF1, D3, [(0,), (-1,), (2,)]),
+    (RE2, DD2, [(0, 0), (1, 0), (-1, 2)]),
+])
+def test_diagram_numerator_is_the_averaged_product(monkeypatch, context,
+                                                   tau_re, d_mat, k_list):
+    # the diagram sums the dual cosets itself; its numerator must still be
+    # the averaged product of the u-part vector of the reduced coset
+    seen = []
+    fiber_sum = floer._fiber_sum
+
+    def recorded(*args, **kw):
+        value = fiber_sum(*args, **kw)
+        seen.append((args[3], args[4], value))
+        return value
+
+    monkeypatch.setattr(floer, "_fiber_sum", recorded)
+    n = d_mat.nrows
+    tau_im = RatMat.identity(n)
+    grid = [(r * n, phi * n) for r, phi in DIAGRAM_GRID[:2]]
+    verify_main_diagram(tau_re, tau_im, d_mat, k_list, grid, tol=1e-10,
+                        context=context)
+    assert len(seen) == len(k_list) * len(grid)
+    space = u_part_basis(tau_re, RatMat.zeros(n, n), d_mat)
+    for kk, pt, value in seen:
+        vec, = [v for v in space.vectors
+                if any(c and e.k == kk for e, c in zip(v.basis, v.coeffs))]
+        out = mu2_u(tau_re, tau_im, d_mat, pt, vec, tol=1e-10,
+                    context=context).coeffs[0]
+        assert _bits(out) == _bits(value)
+        assert hasattr(out, "_mpc_") == (context == "dd")
+    assert {kk for kk, _, _ in seen} == {
+        coset_reduce(d_mat, k) for k in k_list}
 
 
 def test_product_checks_honour_max_radius():

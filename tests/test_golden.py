@@ -76,8 +76,8 @@ points = 1/5 -1/10 0 1/4 3/20 0 -1/5 1/10 ; 0 1/2 1/10 -3/20 1/4 1/5 0 -1/20
 tol = 1e-9
 """
 
-# product paths: the n=2 base sum (diagram), a doubled sum with two dual
-# cosets and a sign bit, an n=1 doubled sum with Re(tau) != 0 in dd, and an
+# product paths: the n=2 base sum (diagram, also run in dd), a doubled sum
+# with two dual cosets and a sign bit, an n=1 doubled sum with Re(tau) != 0 in dd, and an
 # n=2 theta series with Re(tau) != 0, a non-diagonal D and k != 0
 DIAGRAM_N2 = """
 [torus]
@@ -92,6 +92,22 @@ grid = 1/5 -3/10 1/10 2/5 ; -2/5 1/4 -1/20 -1/5
 
 [numeric]
 tol = 1e-9
+"""
+
+# the diagram's first job whose fiber sum has three dual cosets
+DIAGRAM_N1_D3 = """
+[torus]
+n = 1
+tau = 1/2+i
+
+[task diagram]
+d = 3
+k_list = 0 ; 1 ; 2
+xi = 1
+grid = 1/5 1/10 ; -3/10 2/5 ; 1/4 -1/5
+
+[numeric]
+tol = 1e-12
 """
 
 USUB_N2_DIAG21 = """
@@ -230,6 +246,8 @@ JOBS = {
     "identity2": IDENTITY2,
     "usub-n2": USUB_N2,
     "diagram-n2": DIAGRAM_N2,
+    "diagram-n2-dd": DIAGRAM_N2.replace("tol = 1e-9", "precision = dd"),
+    "diagram-n1-d3": DIAGRAM_N1_D3,
     "usub-n2-diag21": USUB_N2_DIAG21,
     "usub-n1-dd": USUB_N1_DD,
     "theta-n2-re": THETA_N2_RE,
@@ -263,6 +281,10 @@ GOLDEN = {
         "4b46058f19b37dc42547c46bc86c76e2cfb89299640da5c235830e5d185bff57",
     "diagram-n2":
         "5a57533fe4c06d92791c1e4152a4dd219aa1d12bf15f105e1bbf62abff19794d",
+    "diagram-n2-dd":
+        "48aacfeb0e55f0da1d668750c9e026c47647a443a909fcfd33b9e60397018ab5",
+    "diagram-n1-d3":
+        "bf3d692b9b7775b75e6aa30e3e8b9e8a84197a1d937e9ee37aa620531125697d",
     "usub-n2-diag21":
         "e2d43f2b522423dde0731f540b9ec3ff405d1ef5a9abcafe09006a590090a893",
     "usub-n1-dd":

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toruslift.summation import DDContext, DoubleContext, get_context
+from toruslift.summation import DDContext, DoubleContext, exp_pi, get_context
 
 finite = st.floats(
     min_value=-1e300, max_value=1e300, allow_nan=False, allow_infinity=False
@@ -209,3 +209,40 @@ def test_ratio_rounds_the_exact_fraction_once():
         den = rng.randrange(2 ** 139, 2 ** 140)
         assert _exact(dd.ratio(num, den)) == _rounded(num, den)
         assert _exact(dd.real(Fraction(num, den))) == _rounded(num, den)
+
+
+def _bits(z):
+    if hasattr(z, "_mpc_"):
+        return z._mpc_
+    return z.real.hex(), z.imag.hex()
+
+
+@pytest.mark.parametrize("name", ["double", "dd"])
+def test_exp_pi_is_each_inline_exponent_it_replaced(name):
+    # the four inline forms exp_pi replaced: the mu2_base prefactor (negated
+    # decay), the trivialization factor and the quasi-periodicity factor
+    # (turns reduced by Fraction arithmetic) and the shift phase (no decay)
+    ctx = get_context(name)
+
+    def inline(decay, turns):
+        return ctx.exp(ctx.to_complex(ctx.pi * ctx.real(decay),
+                                      2 * ctx.pi * ctx.real(turns % 1)))
+
+    def prefactor(decay, turns):
+        red = Fraction(turns.numerator % turns.denominator, turns.denominator)
+        return ctx.exp(ctx.to_complex(-ctx.pi * ctx.real(decay),
+                                      2 * ctx.pi * ctx.real(red)))
+
+    def phase(turns):
+        return ctx.exp(ctx.to_complex(0, 2 * ctx.pi * ctx.real(turns % 1)))
+
+    rng = random.Random(1313)
+    for i in range(400):
+        den = rng.randint(1, 10 ** rng.randint(1, 12))
+        decay = Fraction(rng.randint(-40 * den, 40 * den), den) if i % 4 else \
+            Fraction(0)
+        turns = Fraction(rng.randint(-5 * den, 5 * den), rng.randint(1, 10 ** 6))
+        assert _bits(exp_pi(ctx, decay, turns)) == _bits(inline(decay, turns))
+        assert _bits(exp_pi(ctx, -decay, turns)) == \
+            _bits(prefactor(decay, turns))
+        assert _bits(exp_pi(ctx, 0, turns)) == _bits(phase(turns))
