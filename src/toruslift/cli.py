@@ -38,18 +38,11 @@ def main(argv=None) -> int:
     try:
         with open(args.config, encoding="utf-8") as handle:
             config = parse_config(handle.read())
-        overrides = {}
-        if args.tol is not None:
-            if args.tol <= 0:
-                raise ValidationError("tol must be positive")
-            overrides["tol"] = args.tol
-        if args.max_radius is not None:
-            if args.max_radius < 1:
-                raise ValidationError("max_radius must be at least 1")
-            overrides["max_radius"] = args.max_radius
-        if args.precision is not None:
-            overrides["precision"] = args.precision
+        overrides = {key: getattr(args, key)
+                     for key in ("tol", "max_radius", "precision")
+                     if getattr(args, key) is not None}
         if overrides:
+            # replace() re-runs NumericPolicy's own check on the overrides
             numeric = dataclasses.replace(config.numeric, **overrides)
             config = dataclasses.replace(config, numeric=numeric)
     except (OSError, ParseError, ValidationError) as exc:

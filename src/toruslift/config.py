@@ -111,6 +111,13 @@ class NumericPolicy:
     max_radius: int = DEFAULT_MAX_RADIUS
     precision: str = "double"
 
+    def __post_init__(self):
+        # the one check, run by the parser and by dataclasses.replace alike
+        _require(self.precision in PRECISIONS,
+                 f"precision must be one of {'/'.join(PRECISIONS)}")
+        _require(self.max_radius >= 1, "max_radius must be at least 1")
+        _require(self.tol is None or self.tol > 0, "tol must be positive")
+
 
 @dataclass(frozen=True)
 class JobConfig:
@@ -300,15 +307,6 @@ def _build_brane(name, fields, n) -> BraneConfig:
     return BraneConfig(**out)
 
 
-def _build_numeric(fields) -> NumericPolicy:
-    policy = NumericPolicy(**fields)
-    _require(policy.precision in PRECISIONS,
-             f"precision must be one of {'/'.join(PRECISIONS)}")
-    _require(policy.max_radius >= 1, "max_radius must be at least 1")
-    _require(policy.tol is None or policy.tol > 0, "tol must be positive")
-    return policy
-
-
 def parse_config(text: str) -> JobConfig:
     """Parse and validate a job configuration."""
     sections = []          # (kind, name, header_line, fields{key: (value, line)})
@@ -371,7 +369,7 @@ def parse_config(text: str) -> JobConfig:
     branes = tuple(_build_brane(s[1], s[3], torus.n)
                    for s in sections if s[0] == "brane")
     numeric_fields = next((s[3] for s in sections if s[0] == "numeric"), {})
-    numeric = _build_numeric(numeric_fields)
+    numeric = NumericPolicy(**numeric_fields)
 
     tasks = []
     counts = {}

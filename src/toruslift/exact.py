@@ -199,10 +199,6 @@ class RatMat:
             return cls([])
         return cls([[cols[j][i] for j in range(len(cols))] for i in range(len(cols[0]))])
 
-    @classmethod
-    def column(cls, v: Iterable) -> "RatMat":
-        return cls([[x] for x in v])
-
     # -- shape / access -----------------------------------------------
 
     @property
@@ -337,9 +333,6 @@ class RatMat:
         if self.den != 1:
             raise ValueError("matrix has non-integer entries")
         return [list(r) for r in self.num]
-
-    def map(self, fn) -> "RatMat":
-        return RatMat([[fn(a) for a in r] for r in self.rows])
 
     # -- elimination-based operations -----------------------------------
 

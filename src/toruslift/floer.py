@@ -409,15 +409,22 @@ def u_part_basis(tau_re: RatMat, d_from: RatMat, d_to: RatMat) -> UPartSpace:
 
 
 def project_u(space: UPartSpace, vec: FloerVector) -> FloerVector:
-    """The averaging projector s_j x s'_h -> s_j x (sum_l s'_l)/det."""
+    """The averaging projector s_j x s'_h -> s_j x (sum_l s'_l)/det.
+
+    Each coset's coefficients are summed once by ``ctx.sum`` of their
+    context (``dd`` when any coefficient is an mpmath value, else
+    ``double``) and divided by det once.
+    """
     if vec.basis != space.elements:
         raise ValueError("vector is not expressed in the space's basis")
     det = abs(int(space.delta.det()))
-    sums = {}
+    ctx = get_context("dd" if any(hasattr(c, "_mpf_") or hasattr(c, "_mpc_")
+                                  for c in vec.coeffs) else "double")
+    groups = {}
     for e, c in zip(vec.basis, vec.coeffs):
-        sums[e.k] = sums.get(e.k, 0j) + c
-    coeffs = tuple(sums[e.k] / det for e in vec.basis)
-    return FloerVector(vec.basis, coeffs)
+        groups.setdefault(e.k, []).append(ctx.to_complex(c.real, c.imag))
+    means = {k: ctx.sum(terms) / det for k, terms in groups.items()}
+    return FloerVector(vec.basis, tuple(means[e.k] for e in vec.basis))
 
 
 def mu2_u(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat, third, vec: FloerVector,

@@ -3,6 +3,9 @@
 Row Hermite form ``H = U @ M``, column Hermite form ``H = M @ V`` and Smith
 form ``S = U @ M @ V`` all return their transforms, and ``|det U| = |det V|
 = 1`` always holds (checked cheaply in tests, relied on everywhere).
+:func:`row_hnf` is the one integer elimination: the column form is its
+transpose, the Smith form alternates the two, the kernels and solvers read
+the Smith form, and the coset box is the column form's diagonal.
 
 Built on :class:`toruslift.exact.RatMat`; inputs must have integer entries.
 """
@@ -95,99 +98,33 @@ def smith(m: RatMat) -> tuple[RatMat, RatMat, RatMat]:
     """Smith normal form.
 
     Returns (S, U, V) with S = U @ M @ V diagonal, s_1 | s_2 | ... >= 0.
+    Row and column Hermite forms alternate until the matrix is diagonal
+    (Kannan and Bachem, SIAM J. Comput. 8 (1979)).  Where s_i does not
+    divide a later s_j, column j is added to column i, and the next pass
+    puts gcd(s_i, s_j) in place of s_i.
     """
-    a = m.to_int_rows()
-    nr = len(a)
-    nc = len(a[0]) if a else 0
-    u = [[int(i == j) for j in range(nr)] for i in range(nr)]
-    v = [[int(i == j) for j in range(nc)] for i in range(nc)]
-
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def col_swap(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-
-    def row_addmul(dst, src, q):
-        a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
-
-    def col_addmul(dst, src, q):
-        for r in a:
-            r[dst] += q * r[src]
-        for r in v:
-            r[dst] += q * r[src]
-
-    def row_negate(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    n = min(nr, nc)
-    rank = 0
-    for t in range(n):
-        # find a nonzero pivot in the trailing block
-        entries = [
-            (abs(a[i][j]), i, j)
-            for i in range(t, nr)
-            for j in range(t, nc)
-            if a[i][j] != 0
-        ]
-        if not entries:
-            break
-        _, pi, pj = min(entries)
-        row_swap(t, pi)
-        col_swap(t, pj)
-        while True:
-            # clear column t
-            for i in range(t + 1, nr):
-                if a[i][t] != 0:
-                    row_addmul(i, t, -(a[i][t] // a[t][t]))
-            if any(a[i][t] != 0 for i in range(t + 1, nr)):
-                _, pi = min((abs(a[i][t]), i) for i in range(t, nr) if a[i][t] != 0)
-                row_swap(t, pi)
-                continue
-            # clear row t (cannot disturb the already-cleared column: its
-            # below-pivot entries are zero, so col ops add nothing there)
-            for j in range(t + 1, nc):
-                if a[t][j] != 0:
-                    col_addmul(j, t, -(a[t][j] // a[t][t]))
-            if any(a[t][j] != 0 for j in range(t + 1, nc)):
-                _, pj = min((abs(a[t][j]), j) for j in range(t, nc) if a[t][j] != 0)
-                col_swap(t, pj)
-                continue
-            break
-        if a[t][t] < 0:
-            row_negate(t)
-        rank = t + 1
-
-    # enforce divisibility s_i | s_j via the standard pairwise 2x2 reduction
-    # diag(x, y) -> diag(gcd(x, y), lcm(x, y))
-    for i in range(rank):
-        for j in range(i + 1, rank):
-            if a[j][j] % a[i][i] == 0:
-                continue
-            col_addmul(i, j, 1)  # block now [[x, 0], [y, y]]
-            # Euclid on column i entries (rows i and j)
-            while a[j][i] != 0:
-                q = a[i][i] // a[j][i]
-                row_addmul(i, j, -q)
-                if a[i][i] == 0:
-                    row_swap(i, j)
-                    break
-                if a[j][i] != 0:
-                    row_addmul(j, i, -(a[j][i] // a[i][i]))
-            # block is [[g, *], [0, ±lcm]]; g divides the fill-in exactly
-            if a[i][j] != 0:
-                col_addmul(j, i, -(a[i][j] // a[i][i]))
-            if a[i][i] < 0:
-                row_negate(i)
-            if a[j][j] < 0:
-                row_negate(j)
-    return RatMat(a), RatMat(u), RatMat(v)
+    nc = m.ncols
+    s, u, v = m, RatMat.identity(m.nrows), RatMat.identity(nc)
+    if not nc:
+        return s, u, v
+    while True:
+        s, w = row_hnf(s)
+        u = w @ u
+        s, w = column_hnf(s)
+        v = v @ w
+        a = s.to_int_rows()
+        if any(x for i, r in enumerate(a) for j, x in enumerate(r) if i != j):
+            continue
+        d = [a[i][i] for i in range(min(len(a), nc))]
+        # zeros trail the positive pivots, and 0 % s_i == 0
+        fix = next(((i, j) for i in range(len(d)) for j in range(i + 1, len(d))
+                    if d[i] and d[j] % d[i]), None)
+        if fix is None:
+            return s, u, v
+        i, j = fix
+        add = RatMat([[int(r == c or (r, c) == (j, i)) for c in range(nc)]
+                      for r in range(nc)])
+        s, v = s @ add, v @ add
 
 
 def int_kernel(m: RatMat) -> RatMat:
@@ -247,15 +184,12 @@ def coset_reduce(m: RatMat, x) -> tuple[int, ...]:
 def cosets(m: RatMat) -> list[tuple[int, ...]]:
     """Canonical representatives of Z^n / (M Z^n), lexicographically sorted.
 
-    The count is |det M|; raises SingularModulus when det M = 0.
+    The count is |det M|; raises SingularModulus when det M = 0.  Under the
+    lower triangular column Hermite form H every point of the box
+    0 <= y_i < h_ii is its own :func:`coset_reduce` representative.
     """
     _, diag = _coset_data(m)
-    reps = []
-    for box in product(*(range(d) for d in diag)):
-        # box coordinates are taken in the triangular fundamental domain
-        reps.append(coset_reduce(m, box))
-    reps = sorted(set(reps))
-    return reps
+    return list(product(*(range(d) for d in diag)))
 
 
 def solve_integer_system(a: RatMat, w) -> tuple[Fraction, ...]:

@@ -306,6 +306,21 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_numeric_overrides_go_through_the_config_check(tmp_path, capsys):
+    # an override and the same value in [numeric] fail with one message
+    for key, flag, value, message in (
+            ("max_radius", "--max-radius", "0", "max_radius must be at least 1"),
+            ("tol", "--tol", "-3", "tol must be positive")):
+        in_file = tmp_path / f"{key}.cfg"
+        in_file.write_text(MINIMAL + f"\n[numeric]\n{key} = {value}\n")
+        assert main(["--config", str(in_file)]) == 2
+        from_file = capsys.readouterr().err
+        good = tmp_path / "ok.cfg"
+        good.write_text(MINIMAL)
+        assert main(["--config", str(good), flag, value]) == 2
+        assert capsys.readouterr().err == from_file == f"config error: {message}\n"
+
+
 def test_removed_partitions_key_is_a_config_error(tmp_path, capsys):
     # summation order is fixed, so [numeric] has no partitions key
     text = MINIMAL + "\n[numeric]\npartitions = 2\n"

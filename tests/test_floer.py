@@ -387,6 +387,22 @@ def test_floer_vectors_keep_context_values():
     assert proj.coeffs[0] == dd.to_complex(F(1, 6), F(-1, 7))
 
 
+def test_projector_sums_each_coset_correctly_rounded():
+    # coset 0 of D = 3 holds the first three generators; a running sum from
+    # 0j loses the 1.0 between 1e16 and -1e16 and returns 0j
+    space = u_part_basis(Z1, Z1, D3)
+    assert [e.k for e in space.elements[:3]] == [(0,)] * 3
+    coeffs = (1e16, 1.0, -1e16) + (0.0,) * 6
+    proj = project_u(space, FloerVector(space.elements, coeffs))
+    assert proj.coeffs[:3] == (complex(1 / 3),) * 3
+    assert proj.coeffs[3:] == (0j,) * 6
+    dd = get_context("dd")
+    mixed = (dd.real(1e16), 1.0, -1e16) + (0,) * 6
+    proj = project_u(space, FloerVector(space.elements, mixed))
+    assert all(hasattr(c, "_mpc_") for c in proj.coeffs)
+    assert proj.coeffs[0] == dd.to_complex(Fraction(1, 3))
+
+
 def test_projector_rejects_foreign_vectors():
     space = u_part_basis(Z1, Z1, D2)
     other = u_part_basis(Z1, Z1, D3)

@@ -1,4 +1,6 @@
 import math
+import random
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -73,6 +75,73 @@ def test_smith_witnesses_and_divisibility(m):
 def test_smith_known_example():
     s, _, _ = smith(RatMat([[2, 4, 4], [-6, 6, 12], [10, 4, 16]]))
     assert [int(s[i, i]) for i in range(3)] == [2, 2, 156]
+
+
+SHAPES = [(1, 5), (2, 4), (4, 2), (5, 3), (3, 3)]
+
+
+def _minor_gcd(m, k):
+    g = 0
+    for rows in combinations(range(m.nrows), k):
+        for cols in combinations(range(m.ncols), k):
+            g = math.gcd(g, int(m.submatrix(rows, cols).det()))
+    return g
+
+
+def _check_smith(m):
+    s, u, v = smith(m)
+    assert u @ m @ v == s
+    assert abs(u.det()) == 1
+    assert abs(v.det()) == 1
+    assert s.shape == m.shape
+    assert all(s[i, j] == 0 for i in range(s.nrows) for j in range(s.ncols)
+               if i != j)
+    diag = [s[i, i] for i in range(min(m.shape))]
+    assert all(d >= 0 for d in diag)
+    for a, b in zip(diag, diag[1:]):
+        assert b == 0 if a == 0 else b % a == 0
+    # d_1 ... d_k is the gcd of the k x k minors, whatever the algorithm
+    for k in range(1, len(diag) + 1):
+        assert math.prod(diag[:k]) == _minor_gcd(m, k)
+
+
+def _smith_inputs(shape):
+    nr, nc = shape
+    r = max(min(shape) - 1, 1)
+    low_rank = st.tuples(int_matrices(nr, r), int_matrices(r, nc)).map(
+        lambda ab: ab[0] @ ab[1])
+    return st.one_of(int_matrices(nr, nc), low_rank,
+                     st.just(RatMat.zeros(nr, nc)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(SHAPES).flatmap(_smith_inputs))
+def test_smith_on_rectangular_and_rank_deficient_matrices(m):
+    _check_smith(m)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_smith_of_zero_and_rank_one_matrices(shape):
+    nr, nc = shape
+    _check_smith(RatMat.zeros(nr, nc))
+    rng = random.Random(nr * 10 + nc)
+    col = [rng.randint(-6, 6) or 1 for _ in range(nr)]
+    row = [rng.randint(-6, 6) or 1 for _ in range(nc)]
+    _check_smith(RatMat([[4 * a * b for b in row] for a in col]))
+
+
+def test_cosets_are_the_hermite_box():
+    rng = random.Random(11)
+    checked = 0
+    while checked < 40:
+        m = RatMat([[rng.randint(-4, 4) for _ in range(3)] for _ in range(3)])
+        if m.det() == 0:
+            continue
+        h, _ = column_hnf(m)
+        box = list(product(*(range(int(h[i, i])) for i in range(3))))
+        assert cosets(m) == box
+        assert box == sorted({coset_reduce(m, p) for p in box})
+        checked += 1
 
 
 @settings(max_examples=80, deadline=None)
