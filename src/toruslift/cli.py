@@ -8,9 +8,9 @@ import argparse
 import dataclasses
 import sys
 
-from .config import parse_config
+from .config import PRECISIONS, parse_config
 from .errors import ParseError, ValidationError
-from .report import emit_report
+from .report import FORMATS, emit_report
 from .runner import run
 
 
@@ -25,11 +25,11 @@ _PARSER.add_argument("--tol", type=float, default=None,
                      help="override the truncation tolerance")
 _PARSER.add_argument("--max-radius", type=int, default=None,
                      help="override the lattice summation radius cap")
-_PARSER.add_argument("--precision", choices=("double", "dd"), default=None,
+_PARSER.add_argument("--precision", choices=PRECISIONS, default=None,
                      help="override the working precision")
 _PARSER.add_argument("--out", metavar="PATH", default=None,
                      help="write the report here instead of stdout")
-_PARSER.add_argument("--format", choices=("lines", "summary"),
+_PARSER.add_argument("--format", choices=tuple(FORMATS),
                      default="lines", help="report format")
 
 

@@ -2,8 +2,9 @@
 
 The format is a sectioned key=value text; ``#`` starts a comment, blank
 lines are ignored, and every value is written exactly (rationals as
-``p/q``, complex numbers as ``a+bi`` with rational parts), so a config
-round-trips through :func:`echo_config` without loss.
+``p/q`` or decimals such as ``0.25`` and ``1e-3``, complex numbers as
+``a+bi`` with rational parts), so a config round-trips through
+:func:`echo_config` without loss.
 
 ::
 
@@ -27,6 +28,15 @@ round-trips through :func:`echo_config` without loss.
 Matrices are rows of whitespace-separated entries joined by ``;``;
 vectors are a single row.  Tasks run in declaration order; the same task
 kind may appear several times.
+
+Each section has one key table from key to value type; the torus, brane
+and numeric tables are the fields of :class:`TorusConfig`,
+:class:`BraneConfig` and :class:`NumericPolicy`.  Each value type has one
+(parse, format) codec: ``word``, ``int`` and ``float`` are scalars, and
+every other type names an element (``r`` rational, ``i`` integer, ``c``
+complex) in a container (``vec`` one row, ``rows`` rows, ``rmat`` a
+:class:`RatMat`, ``cmat`` its (Re, Im) pair).  Parsing, validation and
+:func:`echo_config` all read these tables.
 """
 
 import re
@@ -36,11 +46,10 @@ from typing import Optional
 
 from .errors import ParseError, ValidationError
 from .exact import RatMat
+from .summation import PRECISIONS
 
-BRANE_KINDS = ("graph", "fiber", "coisotropic")
-TASK_KINDS = ("validate", "lift", "theta", "identity1", "identity2",
-              "usub", "diagram", "upart-self", "twist")
-PRECISIONS = ("double", "dd")
+# each brane kind and the one key that places it
+BRANE_KINDS = {"graph": "d", "fiber": "position", "coisotropic": "n_mat"}
 # default cap on the certified summation radius, for config jobs and library calls
 DEFAULT_MAX_RADIUS = 40
 
@@ -66,6 +75,9 @@ _TASK_KEYS = {
 }
 for _keys in _TASK_KEYS.values():
     _keys["tolerance"] = "float"
+TASK_KINDS = tuple(_TASK_KEYS)
+_SECTION_KEYS = {"torus": _TORUS_KEYS, "brane": _BRANE_KEYS,
+                 "numeric": _NUMERIC_KEYS}
 
 
 @dataclass(frozen=True)
@@ -73,7 +85,7 @@ class TorusConfig:
     n: int
     tau: Optional[tuple] = None       # (re, im) RatMat pair when split
     omega: Optional[RatMat] = None
-    b_field: Optional[RatMat] = None
+    b: Optional[RatMat] = None        # the B-field; zero when not declared
 
 
 @dataclass(frozen=True)
@@ -99,10 +111,7 @@ class TaskSpec:
         return f"{self.kind}-{self.index}"
 
     def get(self, key, default=None):
-        for k, v in self.params:
-            if k == key:
-                return v
-        return default
+        return dict(self.params).get(key, default)
 
 
 @dataclass(frozen=True)
@@ -133,16 +142,12 @@ class JobConfig:
         raise KeyError(name)
 
 
-# --- token-level parsing ------------------------------------------------------
+# --- value codecs ----------------------------------------------------------------
 
 
 def _fail(message, line, raw=None, token=None):
-    column = None
-    if raw is not None and token is not None:
-        pos = raw.find(token)
-        if pos >= 0:
-            column = pos + 1
-    raise ParseError(message, line, column)
+    pos = raw.find(token) if raw is not None and token is not None else -1
+    raise ParseError(message, line, pos + 1 if pos >= 0 else None)
 
 
 def _rat(tok, line, raw):
@@ -166,64 +171,79 @@ def _float(tok, line, raw):
         _fail(f"not a number: {tok!r}", line, raw, tok)
 
 
+def _word(tok, line, raw):
+    if len(tok.split()) != 1:
+        _fail(f"expected a single word, got {tok!r}", line, raw, tok)
+    return tok
+
+
+_UNITS = {"": Fraction(1), "+": Fraction(1), "-": Fraction(-1)}
+
+
 def _complex(tok, line, raw):
     """Parse ``a``, ``bi`` or ``a+bi`` with exact rational parts."""
     if not tok.endswith("i"):
         return (_rat(tok, line, raw), Fraction(0))
     body = tok[:-1]
     split = 0
+    # the parts split at the last sign that starts a number, which is not
+    # a sign after another sign, a '/' or an exponent's e (1e-3i)
     for pos in range(len(body) - 1, 0, -1):
-        if body[pos] in "+-" and body[pos - 1] not in "+-/":
+        if body[pos] in "+-" and body[pos - 1] not in "+-/eE":
             split = pos
             break
     re_part, im_part = body[:split], body[split:]
-    if im_part in ("", "+"):
-        im = Fraction(1)
-    elif im_part == "-":
-        im = Fraction(-1)
-    else:
-        im = _rat(im_part, line, raw)
-    re = _rat(re_part, line, raw) if re_part else Fraction(0)
-    return (re, im)
+    im = _UNITS[im_part] if im_part in _UNITS else _rat(im_part, line, raw)
+    return (_rat(re_part, line, raw) if re_part else Fraction(0), im)
 
 
-def _rows(value):
-    return [row.split() for row in value.split(";")]
+def _fmt_complex(c) -> str:
+    re, im = c
+    if im == 0:
+        return str(re)
+    tail = {1: "i", -1: "-i"}.get(im, f"{im}i")
+    if re == 0:
+        return tail
+    return f"{re}{tail}" if tail[0] == "-" else f"{re}+{tail}"
+
+
+# (parse, format) per scalar type, and per element of the container types
+_SCALARS = {"word": (_word, str), "int": (_int, str), "float": (_float, repr)}
+_ELEMENTS = {"r": (_rat, str), "i": (_int, str), "c": (_complex, _fmt_complex)}
 
 
 def _parse_value(vtype, value, line, raw):
-    if vtype == "word":
-        if len(value.split()) != 1:
-            _fail(f"expected a single word, got {value!r}", line, raw, value)
-        return value
-    if vtype == "int":
-        return _int(value, line, raw)
-    if vtype == "float":
-        return _float(value, line, raw)
-    if vtype == "rvec":
-        return tuple(_rat(t, line, raw) for t in value.split())
-    if vtype == "ivec":
-        return tuple(_int(t, line, raw) for t in value.split())
-    if vtype == "cvec":
-        return tuple(_complex(t, line, raw) for t in value.split())
-    if vtype in ("rmat", "cmat", "rrows", "irows", "crows"):
-        rows = _rows(value)
-        width = len(rows[0])
-        if any(len(r) != width for r in rows) or width == 0:
-            _fail("matrix rows have unequal lengths", line, raw)
-        if vtype == "rrows":
-            return tuple(tuple(_rat(t, line, raw) for t in r) for r in rows)
-        if vtype == "irows":
-            return tuple(tuple(_int(t, line, raw) for t in r) for r in rows)
-        if vtype == "crows":
-            return tuple(tuple(_complex(t, line, raw) for t in r) for r in rows)
-        if vtype == "rmat":
-            return RatMat([[_rat(t, line, raw) for t in r] for r in rows])
-        parsed = [[_complex(t, line, raw) for t in r] for r in rows]
-        re = RatMat([[c[0] for c in r] for r in parsed])
-        im = RatMat([[c[1] for c in r] for r in parsed])
-        return (re, im)
-    raise AssertionError(f"unhandled value type {vtype}")
+    scalar = _SCALARS.get(vtype)
+    if scalar is not None:
+        return scalar[0](value, line, raw)
+    parse = _ELEMENTS[vtype[0]][0]
+    if vtype.endswith("vec"):
+        return tuple(parse(t, line, raw) for t in value.split())
+    rows = [row.split() for row in value.split(";")]
+    width = len(rows[0])
+    if any(len(r) != width for r in rows) or width == 0:
+        _fail("matrix rows have unequal lengths", line, raw)
+    rows = [[parse(t, line, raw) for t in r] for r in rows]
+    if vtype == "rmat":
+        return RatMat(rows)
+    if vtype == "cmat":
+        return (RatMat([[c[0] for c in r] for r in rows]),
+                RatMat([[c[1] for c in r] for r in rows]))
+    return tuple(map(tuple, rows))
+
+
+def _fmt_value(vtype, value) -> str:
+    scalar = _SCALARS.get(vtype)
+    if scalar is not None:
+        return scalar[1](value)
+    fmt = _ELEMENTS[vtype[0]][1]
+    if vtype.endswith("vec"):
+        return " ".join(map(fmt, value))
+    if vtype == "rmat":
+        value = value.rows
+    elif vtype == "cmat":
+        value = [zip(*parts) for parts in zip(value[0].rows, value[1].rows)]
+    return " ; ".join(" ".join(map(fmt, row)) for row in value)
 
 
 # --- section assembly ----------------------------------------------------------
@@ -249,15 +269,13 @@ def _build_torus(fields) -> TorusConfig:
     _require(has_tau != has_form,
              "the torus is declared either by tau or by omega/b, not both")
     if has_tau:
-        re, im = fields["tau"]
-        _check_shape(re, (n, n), "tau")
-        return TorusConfig(n, tau=(re, im))
-    _require("omega" in fields, "a non-split torus must declare omega")
-    omega = fields["omega"]
-    _check_shape(omega, (2 * n, 2 * n), "omega")
-    b = fields.get("b", RatMat.zeros(2 * n, 2 * n))
-    _check_shape(b, (2 * n, 2 * n), "b")
-    return TorusConfig(n, omega=omega, b_field=b)
+        _check_shape(fields["tau"][0], (n, n), "tau")
+    else:
+        _require("omega" in fields, "a non-split torus must declare omega")
+        fields.setdefault("b", RatMat.zeros(2 * n, 2 * n))
+        for key in ("omega", "b"):
+            _check_shape(fields[key], (2 * n, 2 * n), key)
+    return TorusConfig(**fields)
 
 
 def _build_brane(name, fields, n) -> BraneConfig:
@@ -265,46 +283,32 @@ def _build_brane(name, fields, n) -> BraneConfig:
     kind = fields["kind"]
     _require(kind in BRANE_KINDS,
              f"brane {name}: unknown kind {kind!r}")
-    out = {"name": name, "kind": kind}
-    if kind == "graph":
-        _require("d" in fields, f"brane {name}: graph branes need d")
-        _check_shape(fields["d"], (n, n), f"brane {name}: d")
-        out["d"] = fields["d"]
-        rank = n
-    elif kind == "fiber":
-        _require("position" in fields,
-                 f"brane {name}: fiber branes need position")
-        _require(len(fields["position"]) == n,
+    place = BRANE_KINDS[kind]
+    rank = 2 * n if kind == "coisotropic" else n
+    _require(place in fields, f"brane {name}: {kind} branes need {place}")
+    if place == "position":
+        _require(len(fields[place]) == n,
                  f"brane {name}: position must have length {n}")
-        out["position"] = fields["position"]
-        rank = n
     else:
-        _require("n_mat" in fields,
-                 f"brane {name}: coisotropic branes need n_mat")
-        _check_shape(fields["n_mat"], (2 * n, 2 * n), f"brane {name}: n_mat")
-        out["n_mat"] = fields["n_mat"]
-        rank = 2 * n
-    for extra in ("d", "n_mat", "position"):
-        if extra in fields and extra not in out:
+        _check_shape(fields[place], (rank, rank), f"brane {name}: {place}")
+    for key in _BRANE_KEYS:
+        if key in fields and key != place and key in BRANE_KINDS.values():
             raise ValidationError(
-                f"brane {name}: key {extra} does not apply to kind {kind}")
+                f"brane {name}: key {key} does not apply to kind {kind}")
     if "phi" in fields:
         _require(len(fields["phi"]) == rank,
                  f"brane {name}: phi must have length {rank}")
-        out["phi"] = fields["phi"]
     if "offset" in fields:
         _require(kind == "coisotropic",
                  f"brane {name}: only coisotropic branes take an offset")
         _require(len(fields["offset"]) == 2 * n,
                  f"brane {name}: offset must have length {2 * n}")
-        out["offset"] = fields["offset"]
     if "xi" in fields:
         _require(kind != "fiber", f"brane {name}: fiber branes carry no xi")
         bits = fields["xi"]
         _require(len(bits) == rank and all(b in (0, 1) for b in bits),
                  f"brane {name}: xi must be a 0/1 vector of length {rank}")
-        out["xi"] = bits
-    return BraneConfig(**out)
+    return BraneConfig(name, **fields)
 
 
 def parse_config(text: str) -> JobConfig:
@@ -353,8 +357,7 @@ def parse_config(text: str) -> JobConfig:
                   line)
         key, value = m.group(1), m.group(2)
         kind = current[0]
-        schema = {"torus": _TORUS_KEYS, "brane": _BRANE_KEYS,
-                  "numeric": _NUMERIC_KEYS}.get(kind) or _TASK_KEYS[current[1]]
+        schema = _SECTION_KEYS.get(kind) or _TASK_KEYS[current[1]]
         if key not in schema:
             _fail(f"unknown key {key!r} in [{kind}{' ' + current[1] if current[1] else ''}]",
                   lineno, rawline, key)
@@ -394,83 +397,24 @@ def parse_config(text: str) -> JobConfig:
 # --- serialization ---------------------------------------------------------------
 
 
-def _fmt_rat(x: Fraction) -> str:
-    return str(x)
+def _echo_section(header, schema, pairs) -> str:
+    return "\n".join([header] + [f"{key} = {_fmt_value(schema[key], value)}"
+                                 for key, value in pairs if value is not None])
 
 
-def _fmt_complex(c) -> str:
-    re, im = c
-    if im == 0:
-        return _fmt_rat(re)
-    if im == 1:
-        tail = "i"
-    elif im == -1:
-        tail = "-i"
-    else:
-        tail = f"{_fmt_rat(im)}i"
-    if re == 0:
-        return tail
-    if tail.startswith("-"):
-        return f"{_fmt_rat(re)}{tail}"
-    return f"{_fmt_rat(re)}+{tail}"
-
-
-def _fmt_value(vtype, value) -> str:
-    if vtype == "word":
-        return value
-    if vtype == "int":
-        return str(value)
-    if vtype == "float":
-        return repr(value)
-    if vtype == "rvec":
-        return " ".join(_fmt_rat(x) for x in value)
-    if vtype == "ivec":
-        return " ".join(str(x) for x in value)
-    if vtype == "cvec":
-        return " ".join(_fmt_complex(c) for c in value)
-    if vtype == "rmat":
-        return " ; ".join(" ".join(_fmt_rat(value[i, j])
-                                   for j in range(value.ncols))
-                          for i in range(value.nrows))
-    if vtype == "cmat":
-        re, im = value
-        return " ; ".join(
-            " ".join(_fmt_complex((re[i, j], im[i, j]))
-                     for j in range(re.ncols))
-            for i in range(re.nrows))
-    if vtype == "rrows":
-        return " ; ".join(" ".join(_fmt_rat(x) for x in r) for r in value)
-    if vtype == "irows":
-        return " ; ".join(" ".join(str(x) for x in r) for r in value)
-    if vtype == "crows":
-        return " ; ".join(" ".join(_fmt_complex(c) for c in r)
-                          for r in value)
-    raise AssertionError(f"unhandled value type {vtype}")
+def _echo_record(header, schema, record) -> str:
+    # a record's fields are its section's keys, echoed in the table's order
+    return _echo_section(header, schema,
+                         ((key, getattr(record, key)) for key in schema))
 
 
 def echo_config(config: JobConfig) -> str:
     """Serialize a JobConfig back to config text; parsing the result yields
     an equal JobConfig."""
-    out = ["[torus]", f"n = {config.torus.n}"]
-    if config.torus.tau is not None:
-        out.append(f"tau = {_fmt_value('cmat', config.torus.tau)}")
-    else:
-        out.append(f"omega = {_fmt_value('rmat', config.torus.omega)}")
-        out.append(f"b = {_fmt_value('rmat', config.torus.b_field)}")
-    for b in config.branes:
-        out += ["", f"[brane {b.name}]", f"kind = {b.kind}"]
-        for key in ("d", "n_mat", "position", "phi", "offset", "xi"):
-            value = getattr(b, key)
-            if value is not None:
-                out.append(f"{key} = {_fmt_value(_BRANE_KEYS[key], value)}")
-    for t in config.tasks:
-        out += ["", f"[task {t.kind}]"]
-        for key, value in t.params:
-            out.append(f"{key} = {_fmt_value(_TASK_KEYS[t.kind][key], value)}")
-    num = config.numeric
-    out += ["", "[numeric]"]
-    if num.tol is not None:
-        out.append(f"tol = {num.tol!r}")
-    out.append(f"max_radius = {num.max_radius}")
-    out.append(f"precision = {num.precision}")
-    return "\n".join(out) + "\n"
+    out = [_echo_record("[torus]", _TORUS_KEYS, config.torus)]
+    out += [_echo_record(f"[brane {b.name}]", _BRANE_KEYS, b)
+            for b in config.branes]
+    out += [_echo_section(f"[task {t.kind}]", _TASK_KEYS[t.kind], t.params)
+            for t in config.tasks]
+    out.append(_echo_record("[numeric]", _NUMERIC_KEYS, config.numeric))
+    return "\n\n".join(out) + "\n"

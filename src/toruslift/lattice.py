@@ -90,6 +90,9 @@ def row_hnf(m: RatMat) -> tuple[RatMat, RatMat]:
 
 def column_hnf(m: RatMat) -> tuple[RatMat, RatMat]:
     """Column Hermite normal form: (H, V) with H = M @ V."""
+    if not m.ncols:
+        # M.T would lose the row count of a matrix with no columns
+        return m, RatMat.identity(0)
     h_t, u = row_hnf(m.T)
     return h_t.T, u.T
 
@@ -105,8 +108,6 @@ def smith(m: RatMat) -> tuple[RatMat, RatMat, RatMat]:
     """
     nc = m.ncols
     s, u, v = m, RatMat.identity(m.nrows), RatMat.identity(nc)
-    if not nc:
-        return s, u, v
     while True:
         s, w = row_hnf(s)
         u = w @ u

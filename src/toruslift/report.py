@@ -64,11 +64,12 @@ def _summary(records) -> str:
     return "\n".join(out) + "\n"
 
 
+FORMATS = {"lines": _lines, "summary": _summary}
+
+
 def emit_report(records, format: str = "lines") -> str:
     """Render records; ``lines`` is the machine-readable determinism
     contract, ``summary`` the human view."""
-    if format == "lines":
-        return _lines(records)
-    if format == "summary":
-        return _summary(records)
-    raise ValueError(f"unknown report format {format!r}")
+    if format not in FORMATS:
+        raise ValueError(f"unknown report format {format!r}")
+    return FORMATS[format](records)

@@ -77,7 +77,7 @@ def build_torus(config: JobConfig) -> Torus:
     t = config.torus
     if t.tau is not None:
         return Torus.from_period(*t.tau)
-    return Torus(t.omega, t.b_field)
+    return Torus(t.omega, t.b)
 
 
 def build_brane(torus: Torus, bc: BraneConfig):

@@ -247,10 +247,12 @@ def exp_pi(ctx, decay, turns):
 
 
 _CONTEXTS = {"double": DoubleContext(), "dd": DDContext()}
+PRECISIONS = tuple(_CONTEXTS)
 
 
 def get_context(name: str):
     try:
         return _CONTEXTS[name]
     except KeyError:
-        raise ValueError(f"unknown precision {name!r}; expected 'double' or 'dd'") from None
+        raise ValueError(f"unknown precision {name!r}; expected "
+                         f"{' or '.join(map(repr, PRECISIONS))}") from None

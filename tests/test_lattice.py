@@ -130,6 +130,18 @@ def test_smith_of_zero_and_rank_one_matrices(shape):
     _check_smith(RatMat([[4 * a * b for b in row] for a in col]))
 
 
+@pytest.mark.parametrize("nrows", [1, 2, 3])
+def test_normal_forms_of_matrices_without_columns(nrows):
+    m = RatMat([[] for _ in range(nrows)])
+    h, v = column_hnf(m)
+    assert (h.shape, v.shape) == ((nrows, 0), (0, 0))
+    assert m @ v == h
+    s, u, v = smith(m)
+    assert (s.shape, u.shape, v.shape) == ((nrows, 0), (nrows, nrows), (0, 0))
+    assert u @ m @ v == s
+    assert u == RatMat.identity(nrows)
+
+
 def test_cosets_are_the_hermite_box():
     rng = random.Random(11)
     checked = 0
