@@ -75,6 +75,12 @@ _TASK_KEYS = {
 }
 for _keys in _TASK_KEYS.values():
     _keys["tolerance"] = "float"
+# each task key's shape in the torus dimension n, the same in every task
+# kind: the entries of a vector, the entries of each row of a row list, the
+# side of a square matrix; parse_config checks them once n is known
+_TASK_SHAPES = {"d": "n", "k": "n", "xi": "n", "z": "n",
+                "reference_char": "n", "k_list": "n", "grid": "2n",
+                "points": "4n", "uv_grid": "2"}
 TASK_KINDS = tuple(_TASK_KEYS)
 _SECTION_KEYS = {"torus": _TORUS_KEYS, "brane": _BRANE_KEYS,
                  "numeric": _NUMERIC_KEYS}
@@ -311,9 +317,28 @@ def _build_brane(name, fields, n) -> BraneConfig:
     return BraneConfig(name, **fields)
 
 
+def _check_task_shape(kind, key, value, n, line, raw):
+    shape = _TASK_SHAPES.get(key)
+    if shape is None:
+        return
+    width = int(shape.rstrip("n") or 1) * (n if shape.endswith("n") else 1)
+    vtype = _TASK_KEYS[kind][key]
+    if vtype == "rmat":
+        if value.shape != (width, width):
+            _fail(f"task {kind}: {key} must be {width}x{width}, got "
+                  f"{value.nrows}x{value.ncols}", line, raw, key)
+        return
+    what = key if vtype.endswith("vec") else f"{key} rows"
+    got = len(value if vtype.endswith("vec") else value[0])
+    if got != width:
+        need = shape if shape == str(width) else f"{shape} = {width}"
+        _fail(f"task {kind}: {what} must have {need} entries, got {got}", line,
+              raw, key)
+
+
 def parse_config(text: str) -> JobConfig:
     """Parse and validate a job configuration."""
-    sections = []          # (kind, name, header_line, fields{key: (value, line)})
+    sections = []  # (kind, name, header_line, {key: value}, {key: (line, raw)})
     current = None
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         line = rawline.split("#", 1)[0].strip()
@@ -345,7 +370,7 @@ def parse_config(text: str) -> JobConfig:
                         f"{', '.join(TASK_KINDS)}", lineno, rawline, kind)
             else:
                 _fail(f"unknown section kind {kind!r}", lineno, rawline, kind)
-            current = (kind, name, lineno, {})
+            current = (kind, name, lineno, {}, {})
             sections.append(current)
             continue
         m = _KEYVAL.match(line)
@@ -364,6 +389,7 @@ def parse_config(text: str) -> JobConfig:
         if key in current[3]:
             _fail(f"duplicate key {key!r}", lineno, rawline, key)
         current[3][key] = _parse_value(schema[key], value, lineno, rawline)
+        current[4][key] = (lineno, rawline)
 
     torus_fields = next((s[3] for s in sections if s[0] == "torus"), None)
     _require(torus_fields is not None, "a [torus] section is required")
@@ -381,6 +407,8 @@ def parse_config(text: str) -> JobConfig:
         if s[0] != "task":
             continue
         kind, fields = s[1], s[3]
+        for key, value in fields.items():
+            _check_task_shape(kind, key, value, torus.n, *s[4][key])
         counts[kind] = counts.get(kind, 0) + 1
         ref = fields.get("brane")
         if ref is not None:

@@ -387,13 +387,6 @@ class RatMat:
                 k[pc][j] = -a[prow][fc]
         return RatMat._make(tuple(map(tuple, k)), last)
 
-    def leading_principal_minors(self) -> list[Fraction]:
-        if not self.is_square():
-            raise ValueError("minors of non-square matrix")
-        return [
-            self.submatrix(range(k), range(k)).det() for k in range(1, self.nrows + 1)
-        ]
-
     def is_positive_definite(self) -> bool:
         """Sylvester test; requires a symmetric matrix.
 

@@ -4,9 +4,14 @@ The objects here live on a split torus T^{2n} with modulus tau (an n x n
 complex matrix given by exact rational real/imaginary parts) and on its
 twisted double.  Graph branes are indexed by integer slope matrices D with
 Im(tau) D symmetric positive definite and A := Re(tau) D - D^T Re(tau)^T
-integral, checked by :func:`toruslift.brane.admissible_d` (which raises
-InadmissibleD); transversal pairs of graphs reduce, after tensoring, to the
-pair (zero-section, graph of the difference map).
+integral; transversal pairs of graphs reduce, after tensoring, to the pair
+(zero-section, graph of the difference map).
+
+The products take their series datum (tau, D, k, xi) as one
+:class:`toruslift.theta.ThetaSpec`, checked once when it is built (raising
+InadmissibleSpec), with A, Im(tau) D and p = D^{-1} k kept on it: the
+characteristic k is ``spec.char``, and the sums read their tolerance and
+radius cap from ``spec.tol`` and ``spec.max_radius``.
 
 Key quantities:
 
@@ -24,7 +29,8 @@ Key quantities:
       u = tau^T (r - kappa) - phi,      v = -conj(tau)^T kappa - theta_hat - phi.
 
 * ``verify_main_diagram`` -- checks that the doubled product of the
-  fiber-summed generator, divided by the base product, is one constant.
+  fiber-summed generator, divided by the base product, is one constant,
+  predicted from the conjugate series of ``spec`` at 0.
 * ``u_part_self`` -- splits the complexified tangent space of a lifted brane
   under the doubled complex structure and reports the anti-holomorphic
   exterior-power dimensions.
@@ -49,10 +55,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .brane import Brane, _as_frac_vec, admissible_d, pairing_form, xi_bits
+from .brane import Brane, _as_frac_vec, pairing_form
 from .errors import (
     InadmissibleD,
-    InadmissibleSpec,
     InvalidBrane,
     JNotPreserving,
     NonTransversal,
@@ -62,7 +67,6 @@ from .exact import RatMat, hstack, ratvec, vec_add, vec_dot, vec_sub, vstack
 from .lattice import coset_reduce, cosets
 from .summation import exp_pi, get_context
 from .theta import (
-    DEFAULT_MAX_RADIUS,
     CertifiedValue,
     ThetaSpec,
     _resolved_tol,
@@ -74,13 +78,6 @@ from .theta import (
     truncation_radius,
 )
 from .torus import DoubledTorus, MirrorCoords
-
-
-def _int_vec(v, n: int, name: str) -> tuple:
-    out = tuple(int(c) for c in v)
-    if len(out) != n:
-        raise ValueError(f"{name} must have length {n}")
-    return out
 
 
 # -- intersection bases --------------------------------------------------------
@@ -210,9 +207,8 @@ def mirror_coordinates(tau_re: RatMat, tau_im: RatMat,
 # -- the base product sum ------------------------------------------------------
 
 
-def mu2_base(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat, k, r, phi, *,
-             xi_lin=(), tol: Optional[float] = None, context: str = "double",
-             max_radius: int = DEFAULT_MAX_RADIUS) -> CertifiedValue:
+def mu2_base(spec: ThetaSpec, r, phi, *,
+             context: str = "double") -> CertifiedValue:
     """Coefficient of the short generator in the base triangle product.
 
     The sum runs over the lattice of triangle classes:
@@ -221,25 +217,17 @@ def mu2_base(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat, k, r, phi, *,
               e^{2 pi i <D m - k, tau^T r - phi>}
 
     times the prefactor e^{pi i <tau D r, r>} e^{-2 pi i <D r, phi>}, with
-    p = D^{-1} k: the theta series of (tau, D, k, xi) at z = tau^T r - phi.
+    p = D^{-1} k: the theta series of ``spec`` at z = tau^T r - phi.
     The result carries the truncation certificate of the sum; the prefactor
     has modulus at most one, so the tail bound still applies.
     """
-    admissible_d(tau_re, tau_im, d_mat)
-    n = d_mat.nrows
-    ctx = get_context(context)
-    tol_f = _resolved_tol(tol, ctx)
-    k = _int_vec(k, n, "characteristic")
-    r = _as_frac_vec(r, n, "fiber position")
-    phi = _as_frac_vec(phi, n, "flat connection")
-    try:  # D and k are checked above, so only the sign bits can fail here
-        spec = ThetaSpec(tau_re, tau_im, d_mat, k, xi_lin, tol_f, max_radius)
-    except InadmissibleSpec as err:
-        raise ValueError(str(err)) from None
-    z = list(zip(vec_sub(tau_re.T @ r, phi), tau_im.T @ r))
+    tau_re, d_mat = spec.tau_re, spec.d_mat
+    r = _as_frac_vec(r, spec.n, "fiber position")
+    phi = _as_frac_vec(phi, spec.n, "flat connection")
+    z = list(zip(vec_sub(tau_re.T @ r, phi), spec.tau_im.T @ r))
     total = theta_dk(spec, z, context=context)
 
-    prefactor = exp_pi(ctx, -vec_dot(spec.q_form @ r, r),
+    prefactor = exp_pi(get_context(context), -vec_dot(spec.q_form @ r, r),
                        vec_dot((tau_re @ d_mat) @ r, r) / 2
                        - vec_dot(d_mat @ r, phi))
     return CertifiedValue(total.value * prefactor, total.certificate, context)
@@ -248,19 +236,20 @@ def mu2_base(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat, k, r, phi, *,
 # -- the doubled product sum ---------------------------------------------------
 
 
-def _decay_blocks(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat) -> tuple:
+def _decay_blocks(spec: ThetaSpec) -> tuple:
     """X = Im(tau)^{-1} D^T and C = Re(tau) X Re(tau)^T + Im(tau) X Im(tau)^T,
     the blocks of the doubled decay Gram and of the trivialization factor."""
-    x_mat = tau_im.inv() @ d_mat.T
+    tau_re, tau_im = spec.tau_re, spec.tau_im
+    x_mat = tau_im.inv() @ spec.d_mat.T
     return x_mat, tau_re @ x_mat @ tau_re.T + tau_im @ x_mat @ tau_im.T
 
 
-def _root_det(ctx, tau_im: RatMat, d_mat: RatMat):
+def _root_det(ctx, spec: ThetaSpec):
     """sqrt|det(2 Im tau D)|, the factorization constant, in ``ctx``."""
-    return ctx.sqrt(ctx.real(abs((2 * (tau_im @ d_mat)).det())))
+    return ctx.sqrt(ctx.real(abs((2 * spec.q_form).det())))
 
 
-def _double_gram(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat) -> RatMat:
+def _double_gram(spec: ThetaSpec) -> RatMat:
     """Decay Gram of the doubled sum.
 
     With X = Im(tau)^{-1} D^T (symmetric positive definite), the real decay
@@ -272,18 +261,18 @@ def _double_gram(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat) -> RatMat:
     The imaginary quadratic parts collapse: the only cross term is
     Im <X tau^T m', n'> = <D m', n'> because X Im(tau)^T = D exactly.
     """
-    x_mat, c_mat = _decay_blocks(tau_re, tau_im, d_mat)
-    cross = x_mat @ tau_re.T
+    x_mat, c_mat = _decay_blocks(spec)
+    cross = x_mat @ spec.tau_re.T
     gram = vstack(hstack(c_mat, cross.T), hstack(cross, x_mat))
     return gram * Fraction(1, 2)
 
 
-def mu2_double(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat, k, l,
-               pt: DoublePoint, *, xi_lin=(), tol: Optional[float] = None,
-               context: str = "double", radius: Optional[int] = None,
-               max_radius: int = DEFAULT_MAX_RADIUS) -> CertifiedValue:
+def mu2_double(spec: ThetaSpec, l, pt: DoublePoint,
+               radius: Optional[int] = None, *,
+               context: str = "double") -> CertifiedValue:
     """One doubled product coefficient: the certified (m, n) lattice sum
-    attached to the coset pair (k, l) and the evaluation point.
+    attached to the coset pair (k, l), k = ``spec.char``, and the
+    evaluation point.
 
     Phase bookkeeping (exact rational turns): the doubled-structure cross
     term -<D m', n'>/2, the connection pairing <D^T n', kappa> - <A m',
@@ -291,27 +280,26 @@ def mu2_double(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat, k, l,
     <m - p, A r>/2 + <p, A m>/2, with m' = m + (r-p), n' = n + (that-q).
 
     Decay and phase are integer forms in w = (m, n), summed by
-    :func:`toruslift.theta.lattice_sum`.
+    :func:`toruslift.theta.lattice_sum`.  ``radius`` can enlarge the summed
+    ball beyond the certified radius, never shrink it.
     """
-    a_form = admissible_d(tau_re, tau_im, d_mat)
-    n = d_mat.nrows
+    n = spec.n
     if pt.n != n:
         raise ValueError(f"evaluation point must have n = {n}")
+    l = tuple(int(c) for c in l)
+    if len(l) != n:
+        raise ValueError(f"dual characteristic must have length {n}")
     ctx = get_context(context)
-    tol_f = _resolved_tol(tol, ctx)
-    k = _int_vec(k, n, "characteristic")
-    l = _int_vec(l, n, "dual characteristic")
-    bits = xi_bits(xi_lin, n, ValueError)
+    d_mat, a_form, p = spec.d_mat, spec.a_form, spec.p_vec
 
-    p = d_mat.solve(ratvec(k))
     q = d_mat.T.solve(vec_add(a_form @ p, ratvec(l)))
     cm = vec_sub(pt.r, p)
     cn = vec_sub(pt.theta_hat, q)
 
-    gram = _double_gram(tau_re, tau_im, d_mat)
+    gram = _double_gram(spec)
     shift = max((abs(c) for c in cm + cn), default=Fraction(0))
-    cert = truncation_radius(gram, tol=tol_f, center_shift=shift,
-                             max_radius=max_radius)
+    cert = truncation_radius(gram, tol=_resolved_tol(spec.tol, ctx),
+                             center_shift=shift, max_radius=spec.max_radius)
     use = cert.radius if radius is None else max(radius, cert.radius)
 
     # decay(w) = <G (w + c), w + c>
@@ -324,7 +312,7 @@ def mu2_double(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat, k, l,
         t_mat[n + i][:n] = [-half * x for x in d_mat.num[i]]
     t_lin = tuple(
         half * (b - x - u + v) - y - z for b, x, y, z, u, v in zip(
-            bits, d_mat.T @ cn, a_form.T @ pt.kappa, d_mat.T @ pt.phi,
+            spec.xi_lin, d_mat.T @ cn, a_form.T @ pt.kappa, d_mat.T @ pt.phi,
             a_form @ pt.r, a_form.T @ p)
     ) + tuple(y - half * x for x, y in zip(d_mat @ cm, d_mat @ pt.kappa))
     t_const = (
@@ -338,8 +326,8 @@ def mu2_double(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat, k, l,
                           context)
 
 
-def trivialization_factor(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat,
-                          pt: DoublePoint, *, context: str = "double"):
+def trivialization_factor(spec: ThetaSpec, pt: DoublePoint, *,
+                          context: str = "double"):
     """The explicit factor relating the doubled product normalization to the
     holomorphic theta normalization (never dropped, always reported):
 
@@ -347,8 +335,8 @@ def trivialization_factor(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat,
         e^{-pi/2 <X that, that> - pi/2 <conj(tau) X tau^T r, r> - pi <X tau^T r, that>}
         e^{-2 pi i <D r, phi> + 2 pi i <D^T that - A r, kappa>}
     """
-    a_form = admissible_d(tau_re, tau_im, d_mat)
-    x_mat, c_mat = _decay_blocks(tau_re, tau_im, d_mat)
+    tau_re, tau_im, d_mat = spec.tau_re, spec.tau_im, spec.d_mat
+    x_mat, c_mat = _decay_blocks(spec)
     that = pt.theta_hat
 
     # u - v = tau^T r + theta_hat - 2 i Im(tau)^T kappa, exactly
@@ -369,7 +357,7 @@ def trivialization_factor(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat,
         Fraction(1, 4) * quad_im
         - vec_dot(d_mat @ pt.r, that) / 2
         - vec_dot(d_mat @ pt.r, pt.phi)
-        + vec_dot(vec_sub(d_mat.T @ that, a_form @ pt.r), pt.kappa)
+        + vec_dot(vec_sub(d_mat.T @ that, spec.a_form @ pt.r), pt.kappa)
     )
     return exp_pi(get_context(context), decay, turns)
 
@@ -427,18 +415,18 @@ def project_u(space: UPartSpace, vec: FloerVector) -> FloerVector:
     return FloerVector(vec.basis, tuple(means[e.k] for e in vec.basis))
 
 
-def mu2_u(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat, third, vec: FloerVector,
-          *, x=None, xi_lin=(), tol: Optional[float] = None,
-          context: str = "double",
-          max_radius: int = DEFAULT_MAX_RADIUS) -> FloerVector:
+def mu2_u(spec: ThetaSpec, third, vec: FloerVector, x=None, *,
+          context: str = "double") -> FloerVector:
     """Averaged triangle product against the doubled fiber brane.
 
     ``third`` is the fiber-brane evaluation data (a DoublePoint); a slope
     matrix in that slot means a triple of three graph branes, which has no
     product formula here and raises UnsupportedTriple.  ``vec`` is a vector
-    over the doubled (k, l) intersection basis; ``x`` optionally scales the
-    long generator (a one-element FloerVector or a number).  The products
-    c * mu2_double are reduced by ``ctx.sum`` and stay context values.
+    over the doubled (k, l) intersection basis, each element summed with
+    the characteristic of its k (``spec.with_char``); ``x`` optionally
+    scales the long generator (a one-element FloerVector or a number).  The
+    products c * mu2_double are reduced by ``ctx.sum`` and stay context
+    values.
 
     The image lands on the single short generator, where the averaging
     projector is the identity, so the output is always in the u-part.
@@ -456,37 +444,30 @@ def mu2_u(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat, third, vec: FloerVector
             continue
         if e.l is None:
             raise ValueError("vector must be over doubled intersection points")
-        terms.append(c * mu2_double(tau_re, tau_im, d_mat, e.k, e.l, third,
-                                    xi_lin=xi_lin, tol=tol, context=context,
-                                    max_radius=max_radius).value)
+        terms.append(c * mu2_double(spec.with_char(e.k), e.l, third,
+                                    context=context).value)
     total = get_context(context).sum(terms)
     if x is not None:
         total = (x.coeffs[0] if isinstance(x, FloerVector) else x) * total
-    n = d_mat.nrows
-    zero = (Fraction(0),) * n
+    zero = (Fraction(0),) * spec.n
     target = FloerBasisElement(third.r + zero + zero + third.theta_hat,
-                               (0,) * n, (0,) * n)
+                               (0,) * spec.n, (0,) * spec.n)
     return FloerVector((target,), (total,))
 
 
 # -- the factorization and diagram checks --------------------------------------
 
 
-def _fiber_sum(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat, k,
-               pt: DoublePoint, *, xi_lin, tol: float, context: str,
-               max_radius: int):
-    """sum_l s_{k,l}: the doubled products of coset k over the dual cosets
-    l in Z^n / D^T Z^n, one correctly rounded ``ctx.sum``."""
+def _fiber_sum(spec: ThetaSpec, pt: DoublePoint, *, context: str):
+    """sum_l s_{k,l}: the doubled products of coset k = ``spec.char`` over
+    the dual cosets l in Z^n / D^T Z^n, one correctly rounded ``ctx.sum``."""
     return get_context(context).sum([
-        mu2_double(tau_re, tau_im, d_mat, k, l, pt, xi_lin=xi_lin, tol=tol,
-                   context=context, max_radius=max_radius).value
-        for l in cosets(d_mat.T)])
+        mu2_double(spec, l, pt, context=context).value
+        for l in cosets(spec.d_mat.T)])
 
 
-def verify_usub(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat, k,
-                points: Sequence, *, xi_lin=(), tol: Optional[float] = None,
-                context: str = "double",
-                max_radius: int = DEFAULT_MAX_RADIUS) -> float:
+def verify_usub(spec: ThetaSpec, points: Sequence, *,
+                context: str = "double") -> float:
     """Max residual of the fiber-summed factorization over the sample points:
 
         sum_l s_{k,l} = sqrt(det(2 Im tau D)) theta_{D,k}(u)
@@ -495,24 +476,17 @@ def verify_usub(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat, k,
     (The constant is one factor sqrt(2) per dimension: det(2 Im tau D) =
     2^n det(Im tau D).)
     """
-    admissible_d(tau_re, tau_im, d_mat)
-    n = d_mat.nrows
     ctx = get_context(context)
-    tol_f = _resolved_tol(tol, ctx)
-    k = _int_vec(k, n, "characteristic")
-    spec = ThetaSpec(tau_re, tau_im, d_mat, k, xi_lin, tol_f, max_radius)
-    spec0 = spec.with_char((0,) * n)
-    root = _root_det(ctx, tau_im, d_mat)
+    spec0 = spec.with_char((0,) * spec.n)
+    root = _root_det(ctx, spec)
     worst = 0.0
     for pt in points:
-        lhs = _fiber_sum(tau_re, tau_im, d_mat, k, pt, xi_lin=xi_lin,
-                         tol=tol_f, context=context, max_radius=max_radius)
-        u, v = mirror_coordinates(tau_re, tau_im, pt)
+        lhs = _fiber_sum(spec, pt, context=context)
+        u, v = mirror_coordinates(spec.tau_re, spec.tau_im, pt)
         rhs = (root
                * theta_dk(spec, u, context=context).value
                * theta_bar_dk(spec0, v, context=context).value
-               * trivialization_factor(tau_re, tau_im, d_mat, pt,
-                                       context=context))
+               * trivialization_factor(spec, pt, context=context))
         worst = max(worst, float(ctx.abs(lhs - rhs)))
     return worst
 
@@ -535,11 +509,8 @@ class DiagramReport:
     skipped: int = 0
 
 
-def verify_main_diagram(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat,
-                        k_list, z_grid, *, xi_lin=(),
-                        tol: Optional[float] = None, context: str = "double",
-                        reference_char=None,
-                        max_radius: int = DEFAULT_MAX_RADIUS) -> DiagramReport:
+def verify_main_diagram(spec: ThetaSpec, k_list, z_grid, *,
+                        context: str = "double") -> DiagramReport:
     """Check that base and doubled products agree through the fiber-summed
     identification.
 
@@ -548,48 +519,40 @@ def verify_main_diagram(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat,
     theta_hat = -phi (the unique real solution of v = 0, where the mirror
     coordinate u equals the base coordinate tau^T r - phi), and divided by
     the base product.  The ratio must be one constant across all (k, z):
-    sqrt(det(2 Im tau D)) times the conjugate series at 0, whose
-    characteristic can be overridden for negative controls.  The numerator
-    is the fiber sum of verify_usub for the reduced coset, and ratios,
-    mean and residuals stay context values until the report.
+    sqrt(det(2 Im tau D)) times the conjugate series of ``spec`` at 0, whose
+    characteristic ``spec.char`` is 0 but for negative controls.  The
+    numerator is the fiber sum of verify_usub for the reduced coset, and
+    ratios, mean and residuals stay context values until the report.
     """
-    admissible_d(tau_re, tau_im, d_mat)
-    n = d_mat.nrows
+    n = spec.n
     ctx = get_context(context)
-    tol_f = _resolved_tol(tol, ctx)
+    tol = _resolved_tol(spec.tol, ctx)
+    mirror = MirrorCoords(spec.tau_re, spec.tau_im)
     ratios = []
     skipped = 0
-    for k in [_int_vec(k, n, "characteristic") for k in k_list]:
-        kk = coset_reduce(d_mat, k)
+    for base in [spec.with_char(k) for k in k_list]:
+        fiber = base.with_char(coset_reduce(spec.d_mat, base.char))
         for (r, phi) in z_grid:
-            r = _as_frac_vec(r, n, "fiber position")
-            phi = _as_frac_vec(phi, n, "flat connection")
-            pt = DoublePoint(*MirrorCoords(tau_re, tau_im).point_with_v_zero(r, phi))
-            den = mu2_base(tau_re, tau_im, d_mat, k, r, phi, xi_lin=xi_lin,
-                           tol=tol_f, context=context, max_radius=max_radius)
-            if abs(complex(den)) <= tol_f ** 0.5:
+            den = mu2_base(base, r, phi, context=context)
+            if abs(complex(den)) <= tol ** 0.5:
                 skipped += 1
                 continue
-            num = _fiber_sum(tau_re, tau_im, d_mat, kk, pt, xi_lin=xi_lin,
-                             tol=tol_f, context=context, max_radius=max_radius)
-            ratios.append(num / den.value)
+            pt = DoublePoint(*mirror.point_with_v_zero(r, phi))
+            ratios.append(_fiber_sum(fiber, pt, context=context) / den.value)
     if not ratios:
         raise ValueError(
             "the base product vanishes at every grid point; the ratio is "
             "undefined (choose non-symmetric sample points)"
         )
-    ref = _int_vec(reference_char, n, "reference characteristic") \
-        if reference_char is not None else (0,) * n
-    spec = ThetaSpec(tau_re, tau_im, d_mat, ref, xi_lin, tol_f, max_radius)
-    root = _root_det(ctx, tau_im, d_mat)
-    predicted = root * theta_bar_dk(spec, [0] * n, context=context).value
+    predicted = (_root_det(ctx, spec)
+                 * theta_bar_dk(spec, [0] * n, context=context).value)
     mean = sum(ratios) / len(ratios)
     spread = float(max(ctx.abs(rho - mean) for rho in ratios) / ctx.abs(mean))
     max_error = float(max(ctx.abs(rho - predicted) for rho in ratios)
                       / ctx.abs(predicted))
-    budget = 10 * tol_f
+    budget = 10 * tol
     return DiagramReport(tuple(map(complex, ratios)), complex(predicted),
-                         spread, max_error, tol_f,
+                         spread, max_error, tol,
                          spread <= budget and max_error <= budget, skipped)
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .brane import (
+    admissible_d,
     fiber_brane,
     full_torus_brane,
     graph_brane,
@@ -111,6 +112,17 @@ def _tolerance(config: JobConfig, spec: TaskSpec) -> float:
     return spec.get("tolerance", default)
 
 
+def _theta_spec(config: JobConfig, spec: TaskSpec, char: str = "k"):
+    """The task's series datum: d (default I), the characteristic under
+    the key ``char`` and xi (default 0), with the [numeric] tol and
+    max_radius."""
+    tau_re, tau_im = _period(config)
+    n = config.torus.n
+    return ThetaSpec(tau_re, tau_im, spec.get("d", RatMat.identity(n)),
+                     spec.get(char, (0,) * n), spec.get("xi", (0,) * n),
+                     config.numeric.tol, config.numeric.max_radius)
+
+
 def _numeric_kwargs(config: JobConfig):
     num = config.numeric
     return dict(tol=num.tol, context=num.precision, max_radius=num.max_radius)
@@ -120,10 +132,19 @@ def _complexes(pairs):
     return [complex(float(re), float(im)) for re, im in pairs]
 
 
-def _sample_rows(seed: int, count: int, width: int):
-    rng = random.Random(seed)
-    return tuple(tuple(Fraction(rng.randint(-9, 9), 20) for _ in range(width))
-                 for _ in range(count))
+def _task_rows(spec: TaskSpec, key: str, seed: int, width: int):
+    """The rows under ``key``, or five seeded rows of ``width`` rationals.
+    The parser checks a config's rows; this check is for library callers."""
+    rows = spec.get(key)
+    if rows is None:
+        rng = random.Random(seed)
+        return [[Fraction(rng.randint(-9, 9), 20) for _ in range(width)]
+                for _ in range(5)]
+    for row in rows:
+        if len(row) != width:
+            raise ValidationError(f"task {spec.kind}: {key} rows must have "
+                                  f"{width} entries, got {len(row)}")
+    return rows
 
 
 # --- the individual tasks -------------------------------------------------------
@@ -155,17 +176,12 @@ def _task_lift(config, spec):
 
 
 def _task_theta(config, spec):
-    tau_re, tau_im = _period(config)
-    n = config.torus.n
-    d_mat = spec.get("d", RatMat.identity(n))
-    k = spec.get("k", (0,) * n)
-    xi = spec.get("xi", (0,) * n)
-    tspec = ThetaSpec(tau_re, tau_im, d_mat, k, xi, config.numeric.tol,
-                      max_radius=config.numeric.max_radius)
-    z = spec.get("z", ((Fraction(0), Fraction(0)),) * n)
+    tspec = _theta_spec(config, spec)
+    z = spec.get("z", ((Fraction(0), Fraction(0)),) * tspec.n)
     got = theta_dk(tspec, list(z), context=config.numeric.precision)
-    values = [("value", complex(got)), ("d", d_mat), ("k", list(k)),
-              ("xi", list(xi)), ("radius", got.certificate.radius),
+    values = [("value", complex(got)), ("d", tspec.d_mat),
+              ("k", list(tspec.char)), ("xi", list(tspec.xi_lin)),
+              ("radius", got.certificate.radius),
               ("tail_bound", float(got.certificate.tail_bound))]
     return [], values
 
@@ -197,32 +213,18 @@ def _task_identity2(config, spec):
     return [("identity2", worst, tol)], [("samples", len(taus) * len(pairs))]
 
 
-def _points_for(spec, n):
-    rows = spec.get("points")
-    if rows is None:
-        rows = _sample_rows(2026, 5, 4 * n)
-    points = []
-    for row in rows:
-        if len(row) != 4 * n:
-            raise ValidationError(
-                f"usub points need 4n = {4 * n} entries per row, got {len(row)}")
-        points.append(DoublePoint(row[:n], row[n:2 * n],
-                                  row[2 * n:3 * n], row[3 * n:]))
-    return points
-
-
 def _task_usub(config, spec):
     tau_re, tau_im = _period(config)
     n = config.torus.n
-    d_mat = spec.get("d", RatMat.identity(n))
-    k = spec.get("k", (0,) * n)
-    xi = spec.get("xi", (0,) * n)
-    points = _points_for(spec, n)
-    worst = verify_usub(tau_re, tau_im, d_mat, k, points, xi_lin=xi,
-                        **_numeric_kwargs(config))
+    points = [DoublePoint(row[:n], row[n:2 * n], row[2 * n:3 * n], row[3 * n:])
+              for row in _task_rows(spec, "points", 2026, 4 * n)]
+    # D is checked before the spec, so the record names InadmissibleD
+    admissible_d(tau_re, tau_im, spec.get("d", RatMat.identity(n)))
+    tspec = _theta_spec(config, spec)
+    worst = verify_usub(tspec, points, context=config.numeric.precision)
     tol = _tolerance(config, spec)
-    values = [("d", d_mat), ("k", list(k)), ("xi", list(xi)),
-              ("points", len(points))]
+    values = [("d", tspec.d_mat), ("k", list(tspec.char)),
+              ("xi", list(tspec.xi_lin)), ("points", len(points))]
     return [("factorization", worst, tol)], values
 
 
@@ -235,24 +237,15 @@ def _task_diagram(config, spec):
     k_list = spec.get("k_list")
     if k_list is None:
         k_list = cosets(d_mat)
-    xi = spec.get("xi", (0,) * n)
-    grid_rows = spec.get("grid")
-    if grid_rows is None:
-        grid_rows = _sample_rows(5409, 5, 2 * n)
-    grid = []
-    for row in grid_rows:
-        if len(row) != 2 * n:
-            raise ValidationError(
-                f"diagram grid rows need 2n = {2 * n} entries, got {len(row)}")
-        grid.append((row[:n], row[n:]))
-    report = verify_main_diagram(tau_re, tau_im, d_mat, k_list, grid,
-                                 xi_lin=xi,
-                                 reference_char=spec.get("reference_char"),
-                                 **_numeric_kwargs(config))
+    grid = [(row[:n], row[n:]) for row in _task_rows(spec, "grid", 5409, 2 * n)]
+    admissible_d(tau_re, tau_im, d_mat)  # InadmissibleD, as in usub
+    tspec = _theta_spec(config, spec, "reference_char")
+    report = verify_main_diagram(tspec, k_list, grid,
+                                 context=config.numeric.precision)
     tol = _tolerance(config, spec)
     residuals = [("constancy", report.spread, tol),
                  ("prediction", report.max_error, tol)]
-    values = [("d", d_mat), ("xi", list(xi)),
+    values = [("d", d_mat), ("xi", list(tspec.xi_lin)),
               ("predicted", report.predicted), ("rho", list(report.rho)),
               ("skipped", report.skipped)]
     return residuals, values

@@ -189,12 +189,12 @@ def test_criterion_6_fiber_summed_factorization():
         rows = _sample_points(600 + d, 5, 4)
         points = [DoublePoint((r[0],), (r[1],), (r[2],), (r[3],))
                   for r in rows]
-        worst = max(worst, verify_usub(Z1, I1, RatMat([[d]]), (0,), points,
-                                       tol=1e-9))
+        worst = max(worst, verify_usub(
+            ThetaSpec(Z1, I1, RatMat([[d]]), (0,), tol=1e-9), points))
     rows = _sample_points(62, 5, 8)
     points = [DoublePoint(r[:2], r[2:4], r[4:6], r[6:]) for r in rows]
-    worst = max(worst, verify_usub(Z2, I2, RatMat([[2, 1], [1, 1]]), (0, 0),
-                                   points, tol=1e-9))
+    worst = max(worst, verify_usub(
+        ThetaSpec(Z2, I2, RatMat([[2, 1], [1, 1]]), (0, 0), tol=1e-9), points))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-8 and elapsed < 30.0
     _line(6, "fiber-summed factorization", ok, elapsed,
@@ -210,8 +210,8 @@ def test_criterion_7_diagram_constant():
     worst_err = 0.0
     for d in (1, 2):
         k_list = [(k,) for k in range(d)]
-        report = verify_main_diagram(Z1, I1, RatMat([[d]]), k_list, grid,
-                                     tol=1e-10)
+        report = verify_main_diagram(
+            ThetaSpec(Z1, I1, RatMat([[d]]), tol=1e-10), k_list, grid)
         worst_spread = max(worst_spread, report.spread)
         worst_err = max(worst_err, report.max_error)
     elapsed = time.perf_counter() - start

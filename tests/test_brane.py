@@ -87,8 +87,8 @@ FAILING_SLOPES = {
 ENTRY_POINTS = {
     "graph_brane": (InadmissibleD, graph_brane),
     "ThetaSpec": (InadmissibleSpec, lambda t, d: ThetaSpec(*t.period(), d)),
-    "mu2_double": (InadmissibleD, lambda t, d: mu2_double(
-        *t.period(), d, (0,) * d.nrows, (0,) * d.nrows,
+    "mu2_double": (InadmissibleSpec, lambda t, d: mu2_double(
+        ThetaSpec(*t.period(), d, (0,) * d.nrows), (0,) * d.nrows,
         DoublePoint.zero(d.nrows))),
 }
 

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from test_cli import FULL_JOB
-from toruslift import config, runner
+from toruslift import cli, config, runner
 from toruslift.config import _fmt_value, _parse_value, echo_config, parse_config
 from toruslift.errors import ParseError
 
@@ -208,6 +208,47 @@ def test_ragged_rows_are_rejected(vtype, text):
     with pytest.raises(ParseError) as err:
         _parse_value(vtype, text, 4, f"k = {text}")
     assert str(err.value) == "line 4: matrix rows have unequal lengths"
+
+
+# one malformed value per task key that has a shape in n, on an n = 1
+# torus: (task kind, the key's line, the message)
+MALFORMED_TASKS = {
+    "d": ("usub", "d = 1 0 ; 0 1", "task usub: d must be 1x1, got 2x2"),
+    "k": ("theta", "k = 1 2", "task theta: k must have n = 1 entries, got 2"),
+    "xi": ("diagram", "xi = 0 1",
+           "task diagram: xi must have n = 1 entries, got 2"),
+    "z": ("theta", "z = i 0", "task theta: z must have n = 1 entries, got 2"),
+    "reference_char": ("diagram", "reference_char = 0 0",
+                       "task diagram: reference_char must have n = 1 "
+                       "entries, got 2"),
+    "k_list": ("diagram", "k_list = 0 0 ; 1 0",
+               "task diagram: k_list rows must have n = 1 entries, got 2"),
+    "grid": ("diagram", "grid = 0 0 0",
+             "task diagram: grid rows must have 2n = 2 entries, got 3"),
+    "points": ("usub", "points = 0 0 0",
+               "task usub: points rows must have 4n = 4 entries, got 3"),
+    "uv_grid": ("identity2", "uv_grid = 0 0 0",
+                "task identity2: uv_grid rows must have 2 entries, got 3"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(MALFORMED_TASKS))
+def test_task_values_are_checked_against_the_torus_dimension(key, tmp_path,
+                                                             capsys):
+    kind, line, message = MALFORMED_TASKS[key]
+    text = f"[task {kind}]\n{line}\n\n[torus]\nn = 1\ntau = i\n"
+    with pytest.raises(ParseError) as err:
+        parse_config(text)
+    assert str(err.value) == f"line 2, column 1: {message}"
+    # the CLI reports it as a config error before any task runs
+    path = tmp_path / "job.cfg"
+    path.write_text(text)
+    assert cli.main(["--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"config error: {err.value}\n"
+
+
+def test_every_shaped_task_key_has_a_malformed_case():
+    assert config._TASK_SHAPES.keys() == MALFORMED_TASKS.keys()
 
 
 def test_task_kinds_are_the_runner_tasks():

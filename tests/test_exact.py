@@ -90,7 +90,7 @@ def test_rank_nullity_and_kernel(m):
 
 def test_leading_minors_and_positive_definite():
     g = RatMat([[2, 1], [1, 1]])
-    assert g.leading_principal_minors() == [2, 1]
+    assert [g.submatrix(range(k), range(k)).det() for k in (1, 2)] == [2, 1]
     assert g.is_positive_definite()
     assert not RatMat([[1, 2], [2, 1]]).is_positive_definite()
     with pytest.raises(ValueError):
@@ -342,7 +342,8 @@ def test_positive_definite_edge_cases():
     assert not RatMat([[1, 1], [1, 1]]).is_positive_definite()
     # leading minors stay positive until the last one
     g = RatMat([[2, 1, 1], [1, 2, 1], [1, 1, Fraction(1, 2)]])
-    assert [m > 0 for m in g.leading_principal_minors()] == [True, True, False]
+    assert [g.submatrix(range(k), range(k)).det() > 0
+            for k in (1, 2, 3)] == [True, True, False]
     assert not g.is_positive_definite()
     h = RatMat([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]])
     assert not h.is_positive_definite()

@@ -97,10 +97,10 @@ USUB_POINTS_2 = (
 )
 
 
-def doubled_value(name, **kwargs):
+def doubled_value(name, tol=None, **kwargs):
     c = DOUBLED_CASES[name]
-    return mu2_double(c["tau_re"], c["tau_im"], c["d_mat"], c["k"], c["l"],
-                      c["pt"], xi_lin=c["xi"], **kwargs)
+    spec = ThetaSpec(c["tau_re"], c["tau_im"], c["d_mat"], c["k"], c["xi"], tol)
+    return mu2_double(spec, c["l"], c["pt"], **kwargs)
 
 
 def doubled_oracle(name):
@@ -203,7 +203,7 @@ def test_v_zero_section_of_mirror_coordinates():
 
 
 def test_base_product_reference_value():
-    got = mu2_base(Z1, I1, I1, (0,), (0,), (0,), tol=1e-12)
+    got = mu2_base(ThetaSpec(Z1, I1, I1, (0,), tol=1e-12), (0,), (0,))
     assert abs(complex(got) - FROZEN_BASE) < 1e-10
 
 
@@ -219,7 +219,7 @@ def test_base_product_factorizes_through_the_series():
         ((F(9, 20),), (F(1, 10),)),
     ]
     for r, phi in grid:
-        got = complex(mu2_base(HALF1, I1, D2, (1,), r, phi, tol=1e-12))
+        got = complex(mu2_base(spec, r, phi))
         z = [(HALF1[0, 0] * r[0] - phi[0], r[0])]
         theta = complex(theta_dk(spec, z))
         # tau D = 1 + 2i at n = 1
@@ -238,9 +238,10 @@ def test_base_product_integer_shift_transfer(xi):
     h = (0, 1)
     k = (1, 0)
     a_form = RE2 @ I2 - I2.T @ RE2.T
-    v0 = complex(mu2_base(RE2, I2, I2, k, r, phi, xi_lin=xi, tol=1e-12))
+    v0 = complex(mu2_base(ThetaSpec(RE2, I2, I2, k, xi, tol=1e-12), r, phi))
     shifted = tuple(a + b for a, b in zip(r, h))
-    v1 = complex(mu2_base(RE2, I2, I2, k, shifted, phi, xi_lin=xi, tol=1e-12))
+    v1 = complex(mu2_base(ThetaSpec(RE2, I2, I2, k, xi, tol=1e-12), shifted,
+                          phi))
     xi_h = sum(int(a_form[i, j]) * h[i] * h[j]
                for i in range(2) for j in range(i + 1, 2))
     if xi:
@@ -257,9 +258,9 @@ def test_base_product_characteristic_shift():
     phi = (F(1, 10), F(2, 5))
     k, s = (1, 0), (0, 1)
     a_form = RE2 @ I2 - I2.T @ RE2.T
-    v0 = complex(mu2_base(RE2, I2, I2, k, r, phi, tol=1e-12))
+    v0 = complex(mu2_base(ThetaSpec(RE2, I2, I2, k, tol=1e-12), r, phi))
     ks = tuple(a + b for a, b in zip(k, s))
-    v1 = complex(mu2_base(RE2, I2, I2, ks, r, phi, tol=1e-12))
+    v1 = complex(mu2_base(ThetaSpec(RE2, I2, I2, ks, tol=1e-12), r, phi))
     angle = math.pi * float(sum(a * b for a, b in zip(a_form @ s, k)))
     assert abs(v1 / v0 - cmath.exp(1j * angle)) < 1e-13
 
@@ -285,7 +286,8 @@ def test_doubled_sum_against_box_oracle_dd(name):
 def test_doubled_sum_matches_the_periodized_gaussian():
     # at the origin with D = 1 the single doubled coefficient is the
     # two-variable Gaussian sum evaluated at u = v = 0
-    s00 = mu2_double(Z1, I1, I1, (0,), (0,), DoublePoint.zero(1), tol=1e-12)
+    s00 = mu2_double(ThetaSpec(Z1, I1, I1, (0,), tol=1e-12), (0,),
+                     DoublePoint.zero(1))
     g = gaussian_theta_lhs(1j, 0.0, 0.0, tol=1e-12)
     assert abs(complex(s00) - complex(g)) < 1e-14
 
@@ -298,8 +300,10 @@ def test_doubled_sum_radius_enlargement_stays_in_budget():
 
 
 def test_trivialization_factor_is_one_at_the_origin():
-    assert complex(trivialization_factor(Z1, I1, D2, DoublePoint.zero(1))) == 1.0
-    assert complex(trivialization_factor(RE2, I2, DD2, DoublePoint.zero(2))) == 1.0
+    assert complex(trivialization_factor(ThetaSpec(Z1, I1, D2),
+                                         DoublePoint.zero(1))) == 1.0
+    assert complex(trivialization_factor(ThetaSpec(RE2, I2, DD2),
+                                         DoublePoint.zero(2))) == 1.0
 
 
 # --- the fiber-summed factorization ---------------------------------------------
@@ -307,23 +311,25 @@ def test_trivialization_factor_is_one_at_the_origin():
 
 @pytest.mark.parametrize("d", [I1, D2, D3])
 def test_factorization_on_the_line(d):
-    worst = verify_usub(Z1, I1, d, (0,), USUB_POINTS_1, tol=1e-9)
+    worst = verify_usub(ThetaSpec(Z1, I1, d, (0,), tol=1e-9), USUB_POINTS_1)
     assert worst < 1e-8
 
 
 def test_factorization_rank_two():
-    worst = verify_usub(Z2, I2, D21, (0, 0), USUB_POINTS_2, tol=1e-9)
+    worst = verify_usub(ThetaSpec(Z2, I2, D21, (0, 0), tol=1e-9),
+                        USUB_POINTS_2)
     assert worst < 1e-8
 
 
 def test_factorization_with_pairing_and_signs():
-    worst = verify_usub(RE2, I2, DD2, (1, 0), USUB_POINTS_2[:1],
-                        xi_lin=(1, 0), tol=1e-9)
+    worst = verify_usub(ThetaSpec(RE2, I2, DD2, (1, 0), (1, 0), tol=1e-9),
+                        USUB_POINTS_2[:1])
     assert worst < 1e-8
 
 
 def test_factorization_half_modulus():
-    worst = verify_usub(HALF1, I1, D2, (1,), USUB_POINTS_1[:2], tol=1e-9)
+    worst = verify_usub(ThetaSpec(HALF1, I1, D2, (1,), tol=1e-9),
+                        USUB_POINTS_1[:2])
     assert worst < 1e-8
 
 
@@ -331,7 +337,8 @@ def test_factorization_is_stable_under_characteristic_shift():
     # k and k + D s index the same coset, and both sides of the identity
     # pick up the same constant
     for k in ((1,), (4,)):
-        assert verify_usub(Z1, I1, D3, k, USUB_POINTS_1[:2], tol=1e-9) < 1e-8
+        assert verify_usub(ThetaSpec(Z1, I1, D3, k, tol=1e-9),
+                           USUB_POINTS_1[:2]) < 1e-8
 
 
 # --- the u-part space -----------------------------------------------------------
@@ -418,7 +425,7 @@ def test_averaged_product_reproduces_the_factorization():
     # output coefficient is the closed product of the two series
     space = u_part_basis(Z1, Z1, I1)
     pt = USUB_POINTS_1[0]
-    out = mu2_u(Z1, I1, I1, pt, space.vectors[0], tol=1e-12)
+    out = mu2_u(ThetaSpec(Z1, I1, I1, tol=1e-12), pt, space.vectors[0])
     assert len(out.coeffs) == 1
     target = out.basis[0]
     assert target.k == (0,) and target.l == (0,)
@@ -428,7 +435,7 @@ def test_averaged_product_reproduces_the_factorization():
     closed = (math.sqrt(2.0)
               * complex(theta_dk(spec, u))
               * complex(theta_bar_dk(spec, v))
-              * complex(trivialization_factor(Z1, I1, I1, pt)))
+              * complex(trivialization_factor(spec, pt)))
     assert abs(complex(out.coeffs[0]) - closed) < 1e-10
 
 
@@ -436,12 +443,12 @@ def test_averaged_product_is_linear():
     space = u_part_basis(Z1, Z1, D2)
     pt = USUB_POINTS_1[1]
     v0, v1 = space.vectors
-    c0 = mu2_u(Z1, I1, D2, pt, v0, tol=1e-12).coeffs[0]
-    c1 = mu2_u(Z1, I1, D2, pt, v1, tol=1e-12).coeffs[0]
+    c0 = mu2_u(ThetaSpec(Z1, I1, D2, tol=1e-12), pt, v0).coeffs[0]
+    c1 = mu2_u(ThetaSpec(Z1, I1, D2, tol=1e-12), pt, v1).coeffs[0]
     mixed = v0.scaled(2.0) + v1.scaled(3j)
-    got = mu2_u(Z1, I1, D2, pt, mixed, tol=1e-12).coeffs[0]
+    got = mu2_u(ThetaSpec(Z1, I1, D2, tol=1e-12), pt, mixed).coeffs[0]
     assert abs(got - (2.0 * c0 + 3j * c1)) < 1e-12
-    scaled = mu2_u(Z1, I1, D2, pt, v0, x=2j, tol=1e-12).coeffs[0]
+    scaled = mu2_u(ThetaSpec(Z1, I1, D2, tol=1e-12), pt, v0, x=2j).coeffs[0]
     assert abs(scaled - 2j * c0) < 1e-12
 
 
@@ -449,12 +456,12 @@ def test_averaged_product_argument_errors():
     space = u_part_basis(Z1, Z1, D2)
     pt = DoublePoint.zero(1)
     with pytest.raises(UnsupportedTriple):
-        mu2_u(Z1, I1, D2, D3, space.vectors[0])
+        mu2_u(ThetaSpec(Z1, I1, D2), D3, space.vectors[0])
     with pytest.raises(TypeError):
-        mu2_u(Z1, I1, D2, 0.5, space.vectors[0])
+        mu2_u(ThetaSpec(Z1, I1, D2), 0.5, space.vectors[0])
     base_elem = intersections(Z1, D2)[0]
     with pytest.raises(ValueError):
-        mu2_u(Z1, I1, D2, pt, FloerVector((base_elem,), (1.0,)))
+        mu2_u(ThetaSpec(Z1, I1, D2), pt, FloerVector((base_elem,), (1.0,)))
 
 
 # --- the commuting-square check -------------------------------------------------
@@ -468,7 +475,8 @@ DIAGRAM_GRID = [
 
 
 def test_main_diagram_unimodular():
-    report = verify_main_diagram(Z1, I1, I1, [(0,)], DIAGRAM_GRID, tol=1e-10)
+    report = verify_main_diagram(ThetaSpec(Z1, I1, I1, tol=1e-10), [(0,)],
+                                 DIAGRAM_GRID)
     assert report.passed
     assert report.skipped == 0
     assert report.spread <= 1e-9
@@ -476,8 +484,8 @@ def test_main_diagram_unimodular():
 
 
 def test_main_diagram_determinant_two():
-    report = verify_main_diagram(HALF1, I1, D2, [(0,), (1,)], DIAGRAM_GRID,
-                                 tol=1e-10)
+    report = verify_main_diagram(ThetaSpec(HALF1, I1, D2, tol=1e-10),
+                                 [(0,), (1,)], DIAGRAM_GRID)
     assert report.passed
     assert len(report.rho) == 6
     assert report.max_error <= 1e-9
@@ -488,8 +496,8 @@ def test_main_diagram_skips_zeros_of_the_signed_series():
     point r = phi = 0 for the nonzero coset; that sample must be skipped,
     not divided through."""
     grid = [((F(0),), (F(0),))] + DIAGRAM_GRID
-    report = verify_main_diagram(Z1, I1, D2, [(0,), (1,)], grid,
-                                 xi_lin=(1,), tol=1e-10)
+    report = verify_main_diagram(ThetaSpec(Z1, I1, D2, xi_lin=(1,), tol=1e-10),
+                                 [(0,), (1,)], grid)
     assert report.passed
     assert report.skipped == 1
     assert len(report.rho) == 7
@@ -498,8 +506,8 @@ def test_main_diagram_skips_zeros_of_the_signed_series():
 def test_main_diagram_negative_control():
     # comparing against the conjugate series with the wrong characteristic
     # must fail loudly while the measured ratios stay constant
-    report = verify_main_diagram(Z1, I1, D2, [(0,), (1,)], DIAGRAM_GRID,
-                                 tol=1e-10, reference_char=(1,))
+    report = verify_main_diagram(ThetaSpec(Z1, I1, D2, (1,), tol=1e-10),
+                                 [(0,), (1,)], DIAGRAM_GRID)
     assert not report.passed
     assert report.spread <= 1e-9
     assert report.max_error > 0.1
@@ -508,8 +516,8 @@ def test_main_diagram_negative_control():
 def test_main_diagram_in_dd_keeps_the_working_precision():
     # the ratios, their mean and the residuals stay 106-bit values; rounding
     # them to complex first left a spread near 1e-16 against a 1e-19 budget
-    report = verify_main_diagram(HALF1, I1, D2, [(0,), (1,)], DIAGRAM_GRID,
-                                 context="dd")
+    report = verify_main_diagram(ThetaSpec(HALF1, I1, D2), [(0,), (1,)],
+                                 DIAGRAM_GRID, context="dd")
     assert report.passed
     assert report.spread <= 1e-19 and report.max_error <= 1e-19
     assert isinstance(report.predicted, complex)
@@ -539,21 +547,21 @@ def test_diagram_numerator_is_the_averaged_product(monkeypatch, context,
 
     def recorded(*args, **kw):
         value = fiber_sum(*args, **kw)
-        seen.append((args[3], args[4], value))
+        seen.append((args[0].char, args[1], value))
         return value
 
     monkeypatch.setattr(floer, "_fiber_sum", recorded)
     n = d_mat.nrows
     tau_im = RatMat.identity(n)
     grid = [(r * n, phi * n) for r, phi in DIAGRAM_GRID[:2]]
-    verify_main_diagram(tau_re, tau_im, d_mat, k_list, grid, tol=1e-10,
-                        context=context)
+    verify_main_diagram(ThetaSpec(tau_re, tau_im, d_mat, tol=1e-10), k_list,
+                        grid, context=context)
     assert len(seen) == len(k_list) * len(grid)
     space = u_part_basis(tau_re, RatMat.zeros(n, n), d_mat)
     for kk, pt, value in seen:
         vec, = [v for v in space.vectors
                 if any(c and e.k == kk for e, c in zip(v.basis, v.coeffs))]
-        out = mu2_u(tau_re, tau_im, d_mat, pt, vec, tol=1e-10,
+        out = mu2_u(ThetaSpec(tau_re, tau_im, d_mat, tol=1e-10), pt, vec,
                     context=context).coeffs[0]
         assert _bits(out) == _bits(value)
         assert hasattr(out, "_mpc_") == (context == "dd")
@@ -565,17 +573,17 @@ def test_product_checks_honour_max_radius():
     # a cap below the certified radius must surface as the certificate's
     # error, not be ignored
     with pytest.raises(TruncationBudgetExceeded):
-        verify_usub(Z1, I1, D2, (1,), USUB_POINTS_1[:1], tol=1e-9,
-                    max_radius=1)
+        verify_usub(ThetaSpec(Z1, I1, D2, (1,), tol=1e-9, max_radius=1),
+                    USUB_POINTS_1[:1])
     with pytest.raises(TruncationBudgetExceeded):
-        verify_main_diagram(Z1, I1, D2, [(0,), (1,)], DIAGRAM_GRID,
-                            tol=1e-10, max_radius=1)
+        verify_main_diagram(ThetaSpec(Z1, I1, D2, tol=1e-10, max_radius=1),
+                            [(0,), (1,)], DIAGRAM_GRID)
 
 
 def test_main_diagram_needs_a_regular_sample():
     with pytest.raises(ValueError):
-        verify_main_diagram(Z1, I1, D2, [(1,)], [((F(0),), (F(0),))],
-                            xi_lin=(1,), tol=1e-10)
+        verify_main_diagram(ThetaSpec(Z1, I1, D2, xi_lin=(1,), tol=1e-10),
+                            [(1,)], [((F(0),), (F(0),))])
 
 
 # --- the anti-holomorphic splitting ----------------------------------------------

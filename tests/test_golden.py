@@ -222,6 +222,16 @@ d = -1
 points = 1/5 -1/10 0 1/4
 """
 
+DIAGRAM_NOT_POSITIVE = """
+[torus]
+n = 1
+tau = i
+
+[task diagram]
+d = -1
+grid = 1/5 -1/10
+"""
+
 GRAPH_NONINTEGRAL_A = """
 [torus]
 n = 2
@@ -261,6 +271,7 @@ JOBS = {
     "upart-self-t4": T4_TORUS + T4_BRANE + _tasks("upart-self", "C"),
     "theta-asymmetric": THETA_ASYMMETRIC,
     "usub-not-positive": USUB_NOT_POSITIVE,
+    "diagram-not-positive": DIAGRAM_NOT_POSITIVE,
     "lift-graph-nonintegral-a": GRAPH_NONINTEGRAL_A + _tasks("lift", "L"),
 }
 
@@ -309,6 +320,8 @@ GOLDEN = {
         "2dd433d0c8514e37a4fa73d61be6d8b59f2e64ec55886cc29e18bfee13f79865",
     "usub-not-positive":
         "a604d985171641a654d0bd7efe05774c2e440e190a53e91ddfbbb41bbd972541",
+    "diagram-not-positive":
+        "01976660332714f5acb0a3806ea8b1d65dc14051e46d44ab31a3ec624841838b",
     "lift-graph-nonintegral-a":
         "2ad38115a6f01356c4c771ab202c35d71ff11168575eed3ad9b5a6a40a101dd6",
 }
@@ -352,7 +365,8 @@ def test_lines_report_does_not_depend_on_term_order(name, monkeypatch):
     assert got == GOLDEN[name], f"job {name!r}: a reversed walk gives {got}"
     # the jobs without a lattice sum: exact algebra, or an error first
     summed = not name.startswith(("lift", "validate", "twist", "upart")) \
-        and name not in ("theta-asymmetric", "usub-not-positive")
+        and name not in ("theta-asymmetric", "usub-not-positive",
+                         "diagram-not-positive")
     assert any(len(ts) > 1 for ts in walked) == summed
 
 

@@ -126,7 +126,7 @@ def old_double_terms(tau_re, tau_im, d_mat, k, l, pt, bits, ctx, radius):
     q = d_mat.T.solve(vec_add(a_form @ p, ratvec(l)))
     cm = vec_sub(pt.r, p)
     cn = vec_sub(pt.theta_hat, q)
-    gram = _double_gram(tau_re, tau_im, d_mat)
+    gram = _double_gram(ThetaSpec(tau_re, tau_im, d_mat))
     center = tuple(cm) + tuple(cn)
     g_den, g_int = gram.den, gram.num
     d_lin = tuple(2 * x for x in (gram @ center))
@@ -255,8 +255,8 @@ def test_theta_terms_match_the_fraction_loop(captured, seed, context):
 def test_base_product_terms_match_the_fraction_loop(captured, seed, context):
     _, tau_re, tau_im, d_mat, k, bits, vec = _case(seed)
     r, phi = vec(), vec()
-    value = mu2_base(tau_re, tau_im, d_mat, k, r, phi, xi_lin=bits,
-                     tol=TOL[context], context=context)
+    value = mu2_base(ThetaSpec(tau_re, tau_im, d_mat, k, bits,
+                               tol=TOL[context]), r, phi, context=context)
     ref = old_base_terms(tau_re, tau_im, d_mat, k, ratvec(r), ratvec(phi),
                          bits, get_context(context), value.certificate.radius)
     assert captured[-1] == ref_sum(ref, context)
@@ -279,8 +279,8 @@ def test_doubled_product_terms_match_the_fraction_loop(captured, seed,
     pt = DoublePoint(vec(), vec(), vec(), vec())
     # 4-D sums: a loose tolerance keeps the reference loop (and dd) short
     tol = TOL[context] if d_mat.nrows == 1 else 1e-3
-    value = mu2_double(tau_re, tau_im, d_mat, k, l, pt, xi_lin=bits,
-                       tol=tol, context=context)
+    value = mu2_double(ThetaSpec(tau_re, tau_im, d_mat, k, bits, tol=tol),
+                       l, pt, context=context)
     ref = old_double_terms(tau_re, tau_im, d_mat, k, l, pt, bits,
                            get_context(context), value.certificate.radius)
     assert captured[-1] == ref_sum(ref, context)
@@ -290,8 +290,9 @@ def test_doubled_product_terms_match_on_an_enlarged_ball(captured):
     _, tau_re, tau_im, d_mat, k, bits, vec = _case(10)
     args = (tau_re, tau_im, d_mat, k, (0, 0),
             DoublePoint(vec(), vec(), vec(), vec()))
-    radius = mu2_double(*args, xi_lin=bits, tol=1e-3).certificate.radius + 2
-    mu2_double(*args, xi_lin=bits, tol=1e-3, radius=radius)
+    spec = ThetaSpec(*args[:4], bits, tol=1e-3)
+    radius = mu2_double(spec, *args[4:]).certificate.radius + 2
+    mu2_double(spec, *args[4:], radius=radius)
     ref = old_double_terms(*args, bits, get_context("double"), radius)
     assert len(ref) == (2 * radius + 1) ** 4
     assert captured[-1] == ref_sum(ref, "double")
@@ -307,8 +308,8 @@ def test_iter_shell_matches_the_filtered_cube(dim):
 def test_base_product_is_the_theta_series_times_its_prefactor(seed, context):
     _, tau_re, tau_im, d_mat, k, bits, vec = _case(seed)
     r, phi = ratvec(vec()), ratvec(vec())
-    got = mu2_base(tau_re, tau_im, d_mat, k, r, phi, xi_lin=bits,
-                   tol=TOL[context], context=context)
+    got = mu2_base(ThetaSpec(tau_re, tau_im, d_mat, k, bits, tol=TOL[context]),
+                   r, phi, context=context)
     spec = ThetaSpec(tau_re, tau_im, d_mat, k, bits, tol=TOL[context])
     z = list(zip(vec_sub(tau_re.T @ r, phi), tau_im.T @ r))
     series = theta_dk(spec, z, context=context)

@@ -215,8 +215,8 @@ def test_min_eigenvalue_bound_matches_bisection(dim):
 
 
 def edge_grams():
-    doubled = _double_gram(RatMat([[0, 1], [0, 0]]), RatMat.identity(2),
-                           RatMat([[2, 0], [0, 1]]))
+    doubled = _double_gram(ThetaSpec(RatMat([[0, 1], [0, 0]]),
+                                     RatMat.identity(2), RatMat([[2, 0], [0, 1]])))
     return {
         "diag(1,5)": RatMat.diag([1, 5]),  # lambda is the least diagonal entry
         "[[2,1],[1,2]]": RatMat([[2, 1], [1, 2]]),  # lambda = 2^79 u exactly
@@ -352,8 +352,8 @@ def test_radius_search_matches_the_iv_walk():
 def test_certificates_of_every_caller_match_the_iv_walk():
     # theta series, doubled products and pair sums pass their own c1, c0
     # and shift; the public call must give the walk's certificate
-    gram = _double_gram(RatMat([[0, 1], [0, 0]]), RatMat.identity(2),
-                        RatMat([[2, 0], [0, 1]]))
+    gram = _double_gram(ThetaSpec(RatMat([[0, 1], [0, 0]]), RatMat.identity(2),
+                                  RatMat([[2, 0], [0, 1]])))
     cases = [
         (RatMat([[2, 1], [1, 1]]), Fraction(0), Fraction(0), Fraction(1, 3)),
         (gram, Fraction(0), Fraction(0), Fraction(7, 10)),
