@@ -83,7 +83,8 @@ def admissible_d(tau_re: RatMat, tau_im: RatMat, d: RatMat, *,
 def pairing_form(tau_re: RatMat, d: RatMat, *, error=InadmissibleD) -> RatMat:
     """The pairing form A = Re(tau)D - D^T Re(tau)^T, checked integral:
     the last condition of :func:`admissible_d`, with its message."""
-    a = tau_re @ d - d.T @ tau_re.T
+    rd = tau_re @ d
+    a = rd - rd.T  # D^T Re(tau)^T is (Re(tau) D)^T
     if not a.is_integer():
         raise error("Re(tau) D - D^T Re(tau)^T is not an integer matrix")
     return a

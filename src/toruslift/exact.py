@@ -75,12 +75,9 @@ def vec_dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
 
 def _int_vec(xs) -> tuple[tuple[int, ...], int]:
     """(numerators, common denominator) of a vector of exact scalars."""
-    xs = tuple(xs)
-    if all(type(x) is int for x in xs):
-        return xs, 1
-    v = ratvec(xs)
-    den = lcm(*(x.denominator for x in v)) if v else 1
-    return tuple(x.numerator * (den // x.denominator) for x in v), den
+    v = [x if type(x) is int or type(x) is Fraction else rat(x) for x in xs]
+    den = lcm(*[x.denominator for x in v])
+    return tuple([x.numerator * (den // x.denominator) for x in v]), den
 
 
 def _bareiss(a: list[list[int]], ncols: int, full: bool) -> tuple[list[int], int, int]:
@@ -360,8 +357,21 @@ class RatMat:
         return RatMat._make(tuple(tuple(den * x for x in r[n:]) for r in a), last)
 
     def solve(self, rhs: Sequence) -> tuple[Fraction, ...]:
-        """Solve self @ x = rhs for square invertible self."""
-        return self.inv() @ ratvec(rhs)
+        """Solve self @ x = rhs for square invertible self, by one
+        fraction-free elimination of the numerators [N | den v] for
+        rhs = v / vden: it ends on [p I | p den N^-1 v], and
+        x = den N^-1 v / vden."""
+        if not self.is_square():
+            raise ValueError("solve with a non-square matrix")
+        n = self.nrows
+        v, vden = _int_vec(rhs)
+        if len(v) != n:
+            raise ValueError(f"shape mismatch {self.shape} @ vector[{len(v)}]")
+        a = [list(r) + [self.den * x] for r, x in zip(self.num, v)]
+        pivots, last, _ = _bareiss(a, n, full=True)
+        if len(pivots) < n:
+            raise ZeroDivisionError("matrix is singular")
+        return tuple(Fraction(r[n], last * vden) for r in a)
 
     def rank(self) -> int:
         a = [list(r) for r in self.num]

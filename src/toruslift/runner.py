@@ -25,7 +25,7 @@ from .brane import (
     zero_section_brane,
 )
 from .config import BraneConfig, JobConfig, TaskSpec
-from .errors import ValidationError
+from .errors import InadmissibleSpec, ValidationError
 from .exact import RatMat
 from .floer import DoublePoint, u_part_self, verify_main_diagram, verify_usub
 from .lattice import cosets
@@ -123,6 +123,18 @@ def _theta_spec(config: JobConfig, spec: TaskSpec, char: str = "k"):
                      config.numeric.tol, config.numeric.max_radius)
 
 
+def _slope_spec(config: JobConfig, spec: TaskSpec, char: str = "k"):
+    """:func:`_theta_spec` for the tasks that take D as a slope, as graph
+    branes do.  The spec checks D once; when it rejects the job, D is
+    checked again, so that a fault of D is reported as InadmissibleD."""
+    try:
+        return _theta_spec(config, spec, char)
+    except InadmissibleSpec:
+        n = config.torus.n
+        admissible_d(*_period(config), spec.get("d", RatMat.identity(n)))
+        raise
+
+
 def _numeric_kwargs(config: JobConfig):
     num = config.numeric
     return dict(tol=num.tol, context=num.precision, max_radius=num.max_radius)
@@ -214,13 +226,11 @@ def _task_identity2(config, spec):
 
 
 def _task_usub(config, spec):
-    tau_re, tau_im = _period(config)
+    _period(config)  # a torus without tau fails before the rows are read
     n = config.torus.n
     points = [DoublePoint(row[:n], row[n:2 * n], row[2 * n:3 * n], row[3 * n:])
               for row in _task_rows(spec, "points", 2026, 4 * n)]
-    # D is checked before the spec, so the record names InadmissibleD
-    admissible_d(tau_re, tau_im, spec.get("d", RatMat.identity(n)))
-    tspec = _theta_spec(config, spec)
+    tspec = _slope_spec(config, spec)
     worst = verify_usub(tspec, points, context=config.numeric.precision)
     tol = _tolerance(config, spec)
     values = [("d", tspec.d_mat), ("k", list(tspec.char)),
@@ -229,7 +239,7 @@ def _task_usub(config, spec):
 
 
 def _task_diagram(config, spec):
-    tau_re, tau_im = _period(config)
+    _period(config)  # a torus without tau fails before the rows are read
     n = config.torus.n
     d_mat = spec.get("d")
     if d_mat is None:
@@ -238,8 +248,7 @@ def _task_diagram(config, spec):
     if k_list is None:
         k_list = cosets(d_mat)
     grid = [(row[:n], row[n:]) for row in _task_rows(spec, "grid", 5409, 2 * n)]
-    admissible_d(tau_re, tau_im, d_mat)  # InadmissibleD, as in usub
-    tspec = _theta_spec(config, spec, "reference_char")
+    tspec = _slope_spec(config, spec, "reference_char")
     report = verify_main_diagram(tspec, k_list, grid,
                                  context=config.numeric.precision)
     tol = _tolerance(config, spec)

@@ -23,9 +23,19 @@ so it is exactly what an 80-step bisection would return.  It is memoised
 per Gram matrix.  The shell series is itself bounded by a geometric series,
 and the comparison arithmetic runs on outward-rounded 53-bit mpmath.libmp
 interval tuples, so the reported tail bound is rigorous, if deliberately
-crude.  The radius search is memoised on its exact inputs in a bounded
-cache; errors are not cached.  The tail bound covers truncation only: the
+crude.  A double-precision screen skips the shells that must fail the
+interval test, by more than its own rounding error; the intervals decide
+every other shell, so the certificate is that of the all-interval walk.
+The radius search is memoised on its exact inputs in a bounded cache;
+errors are not cached.  The tail bound covers truncation only: the
 floating-point rounding of the summed terms is not included.
+
+A :class:`ThetaSpec` is checked and prepared once, when it is built: the
+pairing form A, the decay Gram, the center p = D^{-1} k, the integer
+decay and turns forms at z = 0 (from the integer numerators of the
+matrices) and the center shift of the certificate.  Per evaluation point
+z only the integer pairings of z with D and k are added, and each form is
+reduced once.
 
 Every certified sum of the package -- the theta series, the periodized
 Gaussian pair sums below and the product sums of :mod:`toruslift.floer` --
@@ -39,11 +49,15 @@ so it does not depend on the order of the walk.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, field, replace
+import sys
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import gcd, lcm
+from operator import mul
 from typing import Iterator, Optional, Sequence
 
 import mpmath
@@ -59,7 +73,7 @@ from .errors import (
     NotPositiveDefinite,
     TruncationBudgetExceeded,
 )
-from .exact import RatMat, rat, ratvec, vec_add, vec_dot
+from .exact import RatMat, _int_vec, rat, vec_add, vec_dot
 from .summation import exp_pi, get_context
 
 # -- lattice enumeration ------------------------------------------------------
@@ -316,16 +330,70 @@ def truncation_radius(
         int(max_radius))
 
 
+# The float screen of the radius walk.  An estimate is computed in doubles
+# in the log domain, with at most about 12 roundings of relative error
+# 2^-53 on any path and the platform log taken as faithful, so it is within
+# 2^-48 of the exact value times the sum of the magnitudes of its terms
+# (the same expression with every term taken positive); the screen charges
+# 2^-40 of that sum, and a shell is skipped only when the estimate clears
+# the interval test by _SCREEN_MARGIN more than that.
+_SCREEN_MARGIN = 2.0 ** -20
+_SCREEN_ERROR = 2.0 ** -40
+
+
+def _float_screen(lam: Fraction, dim: int, c1: Fraction, c0: Fraction,
+                  shift: Fraction, tol: float):
+    """fails(s): True only if shell s must fail the interval test of
+    :func:`_radius_search`, because double estimates show its tail bound
+    (twice the shell bound) above ``tol`` or its shell ratio above 1/2 by
+    more than their own rounding error.  False decides nothing: the
+    intervals test the shell.  Inputs out of double range screen nothing;
+    an overflow inside makes an estimate or its error bound inf or NaN,
+    which screens nothing either."""
+    try:
+        lam_f, c1_f, c0_f, shift_f = map(float, (lam, c1, c0, shift))
+    except OverflowError:
+        return lambda s: False
+    if dim < 1 or not tol >= sys.float_info.min:  # zero, subnormal, NaN tol
+        return lambda s: False
+    pi, log_count0 = math.pi, math.log(4 * dim)
+    log_tol, log_half = math.log(tol), math.log(0.5)
+
+    def fails(s: int) -> bool:
+        # the estimates below with every term positive (gap as s + |shift|)
+        # bound their magnitude sums
+        gap, gap_abs = s - shift_f, s + abs(shift_f)
+        # log of 2 * 2 dim (2s+1)^(dim-1) e^{pi (-lambda gap^2 + c1 s + c0)}
+        log_count = log_count0 + (dim - 1) * math.log(2 * s + 1)
+        est = log_count + pi * (c1_f * s + c0_f - lam_f * gap * gap)
+        size = log_count + abs(log_tol) + pi * (
+            abs(lam_f) * gap_abs * gap_abs + abs(c1_f) * s + abs(c0_f))
+        if est - log_tol > _SCREEN_MARGIN + _SCREEN_ERROR * size:
+            return True
+        # log of ((2s+3)/(2s+1))^(dim-1) e^{pi (-lambda (2 gap + 1) + c1)}
+        log_ratio = (dim - 1) * math.log1p(2 / (2 * s + 1))
+        est = log_ratio + pi * (c1_f - lam_f * (2 * gap + 1))
+        size = log_ratio - log_half + pi * (
+            abs(lam_f) * (2 * gap_abs + 1) + abs(c1_f))
+        return est - log_half > _SCREEN_MARGIN + _SCREEN_ERROR * size
+
+    return fails
+
+
 @lru_cache(maxsize=1024)
 def _radius_search(lam: Fraction, dim: int, c1: Fraction, c0: Fraction,
                    shift: Fraction, tol: float,
                    max_radius: int) -> TruncationCertificate:
-    """The shell walk of :func:`truncation_radius` in outward-rounded
-    libmp intervals, memoised on its exact inputs; errors are not cached."""
+    """The shell walk of :func:`truncation_radius`, memoised on its exact
+    inputs; errors are not cached.  :func:`_float_screen` skips the shells
+    that must fail; every other shell is tested in outward-rounded libmp
+    intervals, and the certificate is the interval bound of the shell the
+    walk stops on, as if every shell had been tested in intervals."""
     neg_lam = mpi_neg(_interval(lam), _PREC)
     c1_iv, c0_iv, shift_iv = _interval(c1), _interval(c0), _interval(shift)
     one, two = _int_interval(1), _int_interval(2)
     count0, power = _int_interval(2 * dim), _int_interval(dim - 1)
+    screen = _float_screen(lam, dim, c1, c0, shift, tol)
 
     def shell_bound(s: int):
         # the walk calls this at s >= ceil(shift) + 1, where gap >= 1
@@ -355,7 +423,7 @@ def _radius_search(lam: Fraction, dim: int, c1: Fraction, c0: Fraction,
     for m_try in range(max(0, math.ceil(to_float(shift_iv[1]))),
                        max_radius + 1):
         s1 = m_try + 1
-        if to_float(ratio_bound(s1)[1]) > 0.5:
+        if screen(s1) or to_float(ratio_bound(s1)[1]) > 0.5:
             continue
         tail = to_float(mpi_mul(two, shell_bound(s1), _PREC)[1])
         if tail <= tol:
@@ -368,6 +436,38 @@ def _radius_search(lam: Fraction, dim: int, c1: Fraction, c0: Fraction,
 
 # -- the theta spec -----------------------------------------------------------
 
+def _centred(rows, den: int, p, p_den: int) -> tuple:
+    """<M (m - c), m - c> for M = ``rows`` / ``den`` and c = ``p`` /
+    ``p_den`` (integer numerators), as integer numerators over the
+    denominator den p_den^2, not reduced: (den, quad, lin, const) with
+    quad[i][j] (i <= j) the coefficient of m_i m_j, as in :func:`int_form`."""
+    dim, sq = len(p), p_den * p_den
+    quad = [[0] * dim for _ in range(dim)]
+    for i in range(dim):
+        quad[i][i] = rows[i][i] * sq
+        for j in range(i + 1, dim):
+            quad[i][j] = (rows[i][j] + rows[j][i]) * sq
+    mp = [sum(map(mul, row, p)) for row in rows]
+    lin = [-(x + sum(map(mul, col, p))) * p_den
+           for x, col in zip(mp, zip(*rows))]
+    return den * sq, quad, lin, sum(map(mul, p, mp))
+
+
+def _add_linear(form: tuple, lin, const: int, den: int) -> tuple:
+    """``form`` (numerators over one denominator, as :func:`_centred`
+    gives) plus lin . m + const with ``lin`` and ``const`` integer
+    numerators over ``den``: the :func:`int_form` of the sum, scaled once to
+    the least common denominator."""
+    f_den, f_quad, f_lin, f_const = form
+    common = lcm(f_den, den)
+    a, b = common // f_den, common // den
+    lin = [a * x + b * y for x, y in zip(f_lin, lin)]
+    const = a * f_const + b * const
+    g = gcd(common, const, *lin, a * gcd(*(x for row in f_quad for x in row)))
+    return (common // g, [[a * x // g for x in row] for row in f_quad],
+            [x // g for x in lin], const // g)
+
+
 @dataclass(frozen=True)
 class ThetaSpec:
     """Admissible data (tau, D, k, xi) for one theta series.
@@ -377,6 +477,14 @@ class ThetaSpec:
     :func:`toruslift.brane.admissible_d`, raising InadmissibleSpec; the
     pairing form A it returns is kept as ``a_form``, with the decay Gram
     ``q_form`` = Im(tau) D and the center ``p_vec`` = D^{-1} k.
+    :meth:`with_char` and :meth:`bar` derive specs from a checked one
+    without checking D again.
+
+    A spec computes once, when it is built or derived, the parts of the
+    series data that do not depend on z: the integer decay and turns forms
+    at z = 0 and the center shift max |p_i| of the certificate.  Per z,
+    :meth:`forms` and the certificate add only the pairings of z with D and
+    k, in integers.
     """
 
     tau_re: RatMat
@@ -393,15 +501,39 @@ class ThetaSpec:
     def __post_init__(self):
         object.__setattr__(self, "a_form", admissible_d(
             self.tau_re, self.tau_im, self.d_mat, error=InadmissibleSpec))
-        n = self.d_mat.nrows
-        char = tuple(int(c) for c in self.char) or (0,) * n
+        self._set_char(self.char)
+        object.__setattr__(self, "xi_lin",
+                           xi_bits(self.xi_lin, self.n, InadmissibleSpec))
+        object.__setattr__(self, "q_form", self.tau_im @ self.d_mat)
+        self._set_z_free()
+
+    def _set_char(self, char) -> None:
+        n = self.n
+        char = tuple(int(c) for c in char) or (0,) * n
         if len(char) != n:
             raise InadmissibleSpec(f"characteristic must have length {n}")
         object.__setattr__(self, "char", char)
-        object.__setattr__(self, "xi_lin",
-                           xi_bits(self.xi_lin, n, InadmissibleSpec))
-        object.__setattr__(self, "q_form", self.tau_im @ self.d_mat)
-        object.__setattr__(self, "p_vec", self.d_mat.solve(ratvec(char)))
+        object.__setattr__(self, "p_vec", self.d_mat.solve(char))
+
+    def _set_z_free(self) -> None:
+        """``_z_free`` = (decay, turns, shift): the :meth:`forms` at z = 0
+        as :func:`_centred` numerators, and max |p_i|."""
+        p, p_den = _int_vec(self.p_vec)
+        decay = _centred(self.q_form.num, self.q_form.den, p, p_den)
+        # turns = [<Re(tau) D w, w> + sum_{i<j} A_ij m_i m_j + xi . m
+        #          + <A^T p, m>] / 2, over twice the denominator
+        rd = [[sum(map(mul, row, col)) for col in zip(*self.d_mat.num)]
+              for row in self.tau_re.num]
+        den, quad, lin, const = _centred(rd, self.tau_re.den, p, p_den)
+        a_rows = self.a_form.num
+        for i, row in enumerate(quad):
+            for j in range(i + 1, len(row)):
+                row[j] += a_rows[i][j] * den
+        lin = [x + (b * p_den + sum(map(mul, col, p))) * (den // p_den)
+               for x, b, col in zip(lin, self.xi_lin, zip(*a_rows))]
+        shift = Fraction(max(map(abs, p), default=0), p_den)
+        object.__setattr__(self, "_z_free",
+                           (decay, (2 * den, quad, lin, const), shift))
 
     @property
     def n(self) -> int:
@@ -411,32 +543,41 @@ class ThetaSpec:
         # integer numerators: admissible_d checked that A is integral
         return _xi_of(self.a_form.num, self.xi_lin, [int(c) for c in m])
 
+    def _pairings(self, part) -> tuple:
+        """(D^T v, <k, v>, den) in integers, for the vector v = ``part``
+        as integer numerators over one denominator den."""
+        v, den = _int_vec(part)
+        return ([sum(map(mul, col, v)) for col in zip(*self.d_mat.num)],
+                sum(map(mul, self.char, v)), den)
+
     def forms(self, z) -> tuple:
         """Integer decay and turns forms of the series terms at an exact z
         (a sequence of (Re, Im) rational pairs), in m, with w = m - p:
         decay = <Im(tau) D w, w> + 2 <D w, Im z> and turns = xi(m)/2 +
-        <p, A m>/2 + <Re(tau) D w, w>/2 + <D w, Re z>."""
-        half, p = Fraction(1, 2), self.p_vec
-        a = self.a_form
-        re_mat, re_lin, re_const = centered_form(self.tau_re @ self.d_mat, p)
-        t_mat = [[half * (x + (a[i, j] if j > i else 0))
-                  for j, x in enumerate(row)] for i, row in enumerate(re_mat)]
-        z_re, z_im = ratvec(re for re, _ in z), ratvec(im for _, im in z)
-        t_lin = tuple(half * (x + b + y) + w for x, b, y, w in zip(
-            re_lin, self.xi_lin, a.T @ p, self.d_mat.T @ z_re))
-        t_const = half * re_const - vec_dot(self.char, z_re)
-        q_mat, q_lin, q_const = centered_form(self.q_form, p)
-        q_lin = vec_add(q_lin, self.d_mat.T @ tuple(2 * x for x in z_im))
-        q_const -= 2 * vec_dot(self.char, z_im)
-        return (int_form(q_mat, q_lin, q_const),
-                int_form(t_mat, t_lin, t_const))
+        <p, A m>/2 + <Re(tau) D w, w>/2 + <D w, Re z>, as :func:`int_form`
+        would give them.  <D w, v> = <D^T v, m> - <k, v> since D p = k."""
+        decay, turns, _ = self._z_free
+        d_re, k_re, re_den = self._pairings(re for re, _ in z)
+        d_im, k_im, im_den = self._pairings(im for _, im in z)
+        return (_add_linear(decay, [2 * x for x in d_im], -2 * k_im, im_den),
+                _add_linear(turns, d_re, -k_re, re_den))
 
     def with_char(self, char) -> "ThetaSpec":
-        return replace(self, char=tuple(char))
+        """The spec of characteristic ``char``: D, A and the decay Gram are
+        kept; the characteristic is checked and the center solved again."""
+        spec = copy.copy(self)
+        spec._set_char(char)
+        spec._set_z_free()
+        return spec
 
     def bar(self) -> "ThetaSpec":
-        """Spec of the conjugate series (modulus -conj(tau); same D, k, xi)."""
-        return replace(self, tau_re=-self.tau_re)
+        """Spec of the conjugate series (modulus -conj(tau); same D, k, xi):
+        A changes sign, the decay Gram and the center stay."""
+        spec = copy.copy(self)
+        object.__setattr__(spec, "tau_re", -self.tau_re)
+        object.__setattr__(spec, "a_form", -self.a_form)
+        spec._set_z_free()
+        return spec
 
 
 def spec_n1(tau: complex, d: int = 1, k: int = 0, xi: int = 0,
@@ -491,17 +632,14 @@ def _exact_z(z, n: int):
 
 
 def _theta_certificate(spec: ThetaSpec, z, tol: float) -> TruncationCertificate:
-    im_z = ratvec(im for _, im in z)
     # |e^{2 pi i <Dm - k, z>}| = e^{pi(-2<m, D^T Im z> + 2<k, Im z>)}
-    lin = 2 * sum(abs(c) for c in (spec.d_mat.T @ im_z))
-    const = 2 * vec_dot(ratvec(spec.char), im_z)
-    shift = max((abs(c) for c in spec.p_vec), default=Fraction(0))
+    d_im, k_im, den = spec._pairings(im for _, im in z)
     return truncation_radius(
         spec.q_form,
-        linear_bound=lin,
+        linear_bound=Fraction(2 * sum(map(abs, d_im)), den),
         tol=tol,
-        center_shift=shift,
-        constant_exponent=const,
+        center_shift=spec._z_free[2],
+        constant_exponent=Fraction(2 * k_im, den),
         max_radius=spec.max_radius,
     )
 
