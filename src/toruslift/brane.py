@@ -18,6 +18,14 @@ with H^T C = [I | 0] kept as ``completion``.  ``coordinates``, the
 validators, ``lift`` and ``floer.u_part_self`` all read C; none of them
 runs a Smith form, an integer solve or a rank test against the support.
 
+Past the two Hermite forms, the constructor and ``lift`` work on integer
+numerators over one known denominator: the offset and the flat part are
+canonicalised in one pass (one Fraction per output entry), the connection
+is transported as V^T N V over N's denominator, and the lift's tangent
+basis, connection and dual offset are assembled from the completion's
+integer rows.  Sign bits must be exact integers 0 or 1 (an int, or a
+Fraction or float of that value); anything else raises InvalidXi.
+
 The curvature Gram F = N^T - N must have integer entries.  The sign
 function on the whole support lattice is
 
@@ -45,9 +53,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from math import lcm
+from operator import mul
 
 from .errors import InadmissibleD, InvalidBrane, InvalidXi
-from .exact import RatMat, hstack, ratvec, vec_add, vec_dot, vec_sub, vstack
+from .exact import (RatMat, _int_vec, exact_int, int_matmul, ratvec, vec_add,
+                    vec_dot, vstack)
 from .lattice import column_hnf, row_hnf
 from .torus import DoubledTorus, Torus, double_torus
 
@@ -94,7 +106,7 @@ def xi_bits(xi_lin, n: int, error=InvalidXi,
             where: str = "of length n") -> tuple:
     """Sign bits as n zeros and ones, all zeros for None or (); else raises
     ``error``, chosen by the caller as for :func:`admissible_d`."""
-    bits = tuple(int(b) for b in xi_lin or ()) or (0,) * n
+    bits = tuple(map(exact_int, xi_lin or ())) or (0,) * n
     if len(bits) != n or any(b not in (0, 1) for b in bits):
         raise error(f"xi_lin must be a 0/1 vector {where}")
     return bits
@@ -105,6 +117,25 @@ def _as_frac_vec(v, length, what):
     if len(vec) != length:
         raise ValueError(f"{what} must have length {length}, got {len(vec)}")
     return vec
+
+
+def _as_int_vec(v, length, what):
+    """:func:`_as_frac_vec` as (integer numerators, common denominator)."""
+    vec, den = _int_vec(v)
+    if len(vec) != length:
+        raise ValueError(f"{what} must have length {length}, got {len(vec)}")
+    return vec, den
+
+
+def _curvature(nn, nd):
+    """Integer rows of F = N^T - N for N = nn / nd, or None when F is not
+    integral."""
+    f = [[y - x for x, y in zip(r, c)] for r, c in zip(nn, zip(*nn))]
+    if nd == 1:
+        return f
+    if any(x % nd for x in chain.from_iterable(f)):
+        return None
+    return [[x // nd for x in r] for r in f]
 
 
 def _mod1(x: Fraction) -> Fraction:
@@ -146,42 +177,51 @@ class Brane:
         if any(x != 1 for x in diag):
             raise InvalidBrane("support basis does not generate a saturated lattice")
 
-        offset = _as_frac_vec(offset if offset is not None else [0] * dim2,
-                              dim2, "offset")
+        xn, xden = _as_int_vec(offset if offset is not None else [0] * dim2,
+                               dim2, "offset")
         n_mat = conn_quad if conn_quad is not None else RatMat.zeros(d, d)
         if n_mat.shape != (d, d):
             raise ValueError(f"conn_quad must be {d}x{d}, got {n_mat.shape}")
-        phi = _as_frac_vec(conn_flat if conn_flat is not None else [0] * d,
-                           d, "conn_flat")
+        pn, pden = _as_int_vec(conn_flat if conn_flat is not None else [0] * d,
+                               d, "conn_flat")
         bits = xi_bits(xi_lin, d, where="on the support generators")
 
-        f_old = n_mat.T - n_mat
-        if not f_old.is_integer():
+        # N = nn / nd; the curvature F = N^T - N must be integral
+        nn, nd = n_mat.num, n_mat.den
+        f_rows = _curvature(nn, nd)
+        if f_rows is None:
             raise InvalidBrane("curvature N^T - N is not integral on the lattice")
 
-        # connection data transported to the canonical basis
-        n_new = v.T @ n_mat @ v
-        phi_new = v.T @ phi
-        f_rows = f_old.to_int_rows()
-        bits_new = tuple(_xi_of(f_rows, bits, col) for col in v.T.num)
-        f_new = n_new.T - n_new
+        # connection data transported to the canonical basis, on integer
+        # numerators: N' = V^T N V over nd, F' = N'^T - N', phi' = V^T phi
+        # over pden
+        vt = tuple(zip(*v.num))
+        n_new = int_matmul(vt, int_matmul(nn, v.num))
+        f_new = _curvature(n_new, nd)
+        bits_new = tuple(_xi_of(f_rows, bits, col) for col in vt)
 
         # canonical offset: reduce x mod 1 and slide by shift = C[:, :d]^T x
         # to C^T x = (0, C[:, d:]^T x), complete invariants mod 1.  Moving
         # the chart origin by -H @ shift re-bases phi -> phi - F @ shift
         # (forced by invariance of the holonomy of every lattice loop).
-        off = tuple(_mod1(x) for x in offset)
-        shift = u_rows.submatrix(range(d), range(dim2)) @ off
-        off = tuple(_mod1(x - m) for x, m in zip(off, hnf @ shift))
-        phi_new = vec_sub(phi_new, f_new @ shift)
+        # x = xn / xden, so shift = sn / xden; one Fraction per output entry.
+        xn = [x % xden for x in xn]
+        sn = [sum(map(mul, r, xn)) for r in u_rows.num[:d]]
+        self.offset = tuple(Fraction((x - sum(map(mul, h, sn))) % xden, xden)
+                            for x, h in zip(xn, hnf.num))
+        # phi' - F' shift over lcm(pden, xden), reduced mod 1
+        den = lcm(pden, xden)
+        fp, fx = den // pden, den // xden
+        self.conn_flat = tuple(
+            Fraction((fp * sum(map(mul, c, pn)) - fx * sum(map(mul, f, sn)))
+                     % den, den)
+            for c, f in zip(vt, f_new))
 
         self.torus = torus
         self.support = hnf
-        self.offset = off
-        self.conn_quad = n_new
-        self.conn_flat = tuple(_mod1(x) for x in phi_new)
+        self.conn_quad = RatMat._make(n_new, nd)
         self.xi_lin = bits_new
-        self.f_gram = f_new
+        self.f_gram = RatMat._raw(tuple(map(tuple, f_new)), 1)
         self.completion = u_rows.T
 
     # -- basic structure ---------------------------------------------------
@@ -195,9 +235,14 @@ class Brane:
         column of x leaves the rational span of the support.  The first d
         columns of the completion, transposed, are a left inverse of the
         support, so this runs no elimination."""
-        c = self.completion
-        m = c.submatrix(range(c.nrows), range(self.dim)).T @ x
-        return m if self.support @ m == x else None
+        m = self._int_coordinates(x.num)
+        return None if m is None else RatMat._make(m, x.den)
+
+    def _int_coordinates(self, x):
+        """:meth:`coordinates` on the integer numerators ``x`` of X: the
+        numerators of M over X's denominator, or None."""
+        m = int_matmul(tuple(zip(*self.completion.num))[:self.dim], x)
+        return m if int_matmul(self.support.num, m) == x else None
 
     def __eq__(self, other):
         if not isinstance(other, Brane):
@@ -262,13 +307,13 @@ class Brane:
 
 def _xi_of(f_rows, bits, m) -> int:
     """xi(m) for the integer curvature rows ``f_rows`` and sign bits."""
-    d = len(m)
+    nz = [i for i, x in enumerate(m) if x]
     quad = 0
-    for i in range(d):
-        fi = f_rows[i]
-        for j in range(i + 1, d):
-            quad += fi[j] * m[i] * m[j]
-    lin = sum(b * mi for b, mi in zip(bits, m))
+    for a, i in enumerate(nz):
+        fi, mi = f_rows[i], m[i]
+        for j in nz[a + 1:]:
+            quad += fi[j] * mi * m[j]
+    lin = sum(bits[i] * m[i] for i in nz)
     return (quad + lin) % 2
 
 
@@ -297,8 +342,9 @@ def graph_brane(torus: Torus, d_mat: RatMat, xi_lin=None, phi=None) -> Brane:
     """Brane supported on {theta = -D r} with the curvature matching the
     restricted background 2-form; requires an admissible slope matrix."""
     a = admissible_d(*torus.period(), d_mat)
-    n = d_mat.nrows
-    support = vstack(RatMat.identity(n), -d_mat)
+    # support [I; -D] on the integer rows of D (admissible_d checked them)
+    support = RatMat._raw(RatMat.identity(d_mat.nrows).num
+                          + tuple(tuple(-x for x in r) for r in d_mat.num), 1)
     conn_quad = Fraction(-1, 2) * a
     return Brane(torus, support, conn_quad=conn_quad, conn_flat=phi, xi_lin=xi_lin)
 
@@ -350,6 +396,12 @@ def _report(failures) -> BraneReport:
     return BraneReport(not failures, tuple(failures))
 
 
+def _restricted(u: RatMat, g: RatMat):
+    """Numerators of the restriction U^T G U of a form G to the integer
+    support U, over G's denominator."""
+    return int_matmul(int_matmul(tuple(zip(*u.num)), g.num), u.num)
+
+
 def validate_lagrangian(brane: Brane) -> BraneReport:
     """Exact check: middle dimension, vanishing restricted symplectic form,
     curvature opposite to the restricted background 2-form."""
@@ -360,10 +412,13 @@ def validate_lagrangian(brane: Brane) -> BraneReport:
         failures.append(
             f"dimension {brane.dim} is not half the torus dimension {torus.dim}"
         )
-    if not (u.T @ torus.omega @ u).is_zero():
+    if any(map(any, _restricted(u, torus.omega))):
         failures.append("symplectic form does not vanish on the support")
-    b_res = u.T @ torus.b_field @ u
-    if brane.f_gram != -b_res:
+    # -U^T B U = F with F integral: the numerators over B's denominator
+    # are -den F
+    b = torus.b_field
+    if any(x != -b.den * y for r, fr in zip(_restricted(u, b), brane.f_gram.num)
+           for x, y in zip(r, fr)):
         failures.append(
             "curvature does not equal the negated restriction of the B-field"
         )
@@ -431,47 +486,58 @@ def lift(brane: Brane) -> Brane:
                 + "; ".join(coi.failures)
             )
     doubled = double_torus(torus)
-    u = brane.support
+    u = brane.support.num
     dim2 = torus.dim
     d = brane.dim
-    f = brane.f_gram
+    f = brane.f_gram.num
 
     # Tangent lattice of the lift: {(U m, b) : U^T b = F^T m} plus the dual
     # directions annihilating the support U.  The brane's completion C has
     # U^T C = [I | 0], so C[:, :d] gives integral particular solutions and
     # C[:, d:] is a basis of the annihilator: the block basis generates the
-    # full lattice.
-    c = brane.completion
-    c_left = c.submatrix(range(dim2), range(d))
-    kernel = c.submatrix(range(dim2), range(d, dim2))
-    bmat = c_left @ f.T
-    if u.T @ bmat != f.T:
+    # full lattice.  U, C and F are integer matrices: W = [[U, 0], [B, C[:, d:]]]
+    # is built on their numerators, with B = C[:, :d] F^T.
+    c = brane.completion.num
+    c_left = [r[:d] for r in c]
+    f_t = tuple(zip(*f))
+    bmat = int_matmul(c_left, f_t)
+    u_t = tuple(zip(*u))
+    if int_matmul(u_t, bmat) != f_t:
         raise InvalidBrane("lifted tangent block B does not solve U^T B = F^T")
-    w = vstack(
-        hstack(u, RatMat.zeros(dim2, kernel.ncols)),
-        hstack(bmat, kernel),
-    )
+    k = dim2 - d
+    zero_k = (0,) * k
+    w = RatMat._raw(tuple(r + zero_k for r in u)
+                    + tuple(b + r[d:] for b, r in zip(bmat, c)), 1)
 
-    rho = tuple(
-        Fraction(bit, 2) - ph for bit, ph in zip(brane.xi_lin, brane.conn_flat)
-    )
-    xhat = c_left @ rho
-    if u.T @ xhat != rho:
+    # dual offset x_hat = C[:, :d] rho, rho = xi/2 - phi = rn / rden
+    pn, pden = _int_vec(brane.conn_flat)
+    rden = lcm(2, pden)
+    rn = [bit * (rden // 2) - x * (rden // pden)
+          for bit, x in zip(brane.xi_lin, pn)]
+    xhat = [sum(map(mul, r, rn)) for r in c_left]
+    if [sum(map(mul, col, xhat)) for col in u_t] != rn:
         raise InvalidBrane("dual offset does not solve U^T x_hat = rho")
-    offset = brane.offset + tuple(xhat)
+    offset = brane.offset + tuple(Fraction(x, rden) for x in xhat)
 
     # the projection of the lift tangent onto the brane support is [I | 0]
     # in this basis, so the connection data extends by zero on the kernel.
-    k = kernel.ncols
-    n_lift = hstack(brane.conn_quad, RatMat.zeros(d, k))
-    if k:
-        n_lift = vstack(n_lift, RatMat.zeros(k, d + k))
+    nq = brane.conn_quad
+    n_lift = RatMat._raw(tuple(r + zero_k for r in nq.num)
+                         + ((0,) * dim2,) * k, nq.den)
     phi_lift = brane.conn_flat + (Fraction(0),) * k
     xi_lift = brane.xi_lin + (0,) * k
     lifted = Brane(doubled, w, offset=offset, conn_quad=n_lift,
                    conn_flat=phi_lift, xi_lin=xi_lift)
-    # pulled-back curvature must agree with the brane condition in the double
-    if lifted.f_gram != -(lifted.support.T @ doubled.b_field @ lifted.support):
+    # pulled-back curvature must agree with the brane condition in the
+    # double: the background form is s sigma0 with sigma0 = 1/2 [[0, I],
+    # [-I, 0]], so W^T sigma0 W = 1/2 (M - M^T) with M = W_x^T W_xhat, and
+    # F = -s W^T sigma0 W reads 2 F = s (M^T - M) on integers
+    ws = lifted.support.num
+    m = int_matmul(tuple(zip(*ws[:dim2])), ws[dim2:])
+    sign = doubled.sigma_sign
+    if any(2 * x != sign * (b - a)
+           for fr, r, mc in zip(lifted.f_gram.num, m, zip(*m))
+           for x, a, b in zip(fr, r, mc)):
         raise InvalidBrane(
             "lifted curvature does not match the doubled background form")
     return lifted
@@ -485,8 +551,7 @@ def verify_lift_lagrangian(lifted: Brane) -> bool:
         raise TypeError("expected a brane on a doubled torus")
     if 2 * lifted.dim != torus.dim:
         return False
-    w = lifted.support
-    return (w.T @ torus.omega @ w).is_zero()
+    return not any(map(any, _restricted(lifted.support, torus.omega)))
 
 
 def verify_lift_complex(lifted: Brane) -> bool:
@@ -495,7 +560,9 @@ def verify_lift_complex(lifted: Brane) -> bool:
     torus = lifted.torus
     if not isinstance(torus, DoubledTorus):
         raise TypeError("expected a brane on a doubled torus")
-    return lifted.coordinates(torus.j_mat @ lifted.support) is not None
+    # the span test reads only numerators: J W over J's denominator
+    return lifted._int_coordinates(
+        int_matmul(torus.j_mat.num, lifted.support.num)) is not None
 
 
 # -- the B-twist -------------------------------------------------------------

@@ -16,6 +16,11 @@ Arithmetic runs on the integer numerators; ``det``, ``inv``, ``rank``,
 elimination, whose divisions are exact.  Entries read back through
 ``m[i, j]``, ``row``, ``col`` and ``rows`` are Fractions.
 
+Callers that know a result's denominator in advance (the torus forms, the
+doubled torus, brane canonicalisation and lifts) work on the numerators
+directly: :func:`int_matmul` multiplies numerator matrices and
+``RatMat._make`` normalises the result once.
+
 Floats are accepted as inputs and converted *exactly* (every binary float is
 a rational), so positivity tests on float-valued data are still rigorous.
 """
@@ -23,6 +28,7 @@ a rational), so positivity tests on float-valued data are still rigorous.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from operator import add, mul, sub
 from typing import Iterable, Sequence
@@ -73,6 +79,36 @@ def vec_dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     return Fraction(num, den)
 
 
+def exact_int(x) -> int | None:
+    """x as an int when it is an exact integer (an int, or a Fraction or
+    float of integral value), else None: nothing is truncated."""
+    if isinstance(x, int):
+        return int(x)
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else None
+    if isinstance(x, float) and x.is_integer():
+        return int(x)
+    return None
+
+
+def int_matmul(a, b) -> tuple[tuple[int, ...], ...]:
+    """Product of two integer matrices given as tuples of rows.  Each row
+    of the product adds up the rows of ``b`` that the row of ``a`` weights,
+    skipping zero weights: the structural matrices are mostly zeros."""
+    zero = (0,) * len(b[0]) if b else ()
+    out = []
+    for r in a:
+        acc = zero
+        for x, brow in zip(r, b):
+            if x:
+                if acc is zero:
+                    acc = brow if x == 1 else [x * y for y in brow]
+                else:
+                    acc = [s + x * y for s, y in zip(acc, brow)]
+        out.append(tuple(acc))
+    return tuple(out)
+
+
 def _int_vec(xs) -> tuple[tuple[int, ...], int]:
     """(numerators, common denominator) of a vector of exact scalars."""
     v = [x if type(x) is int or type(x) is Fraction else rat(x) for x in xs]
@@ -99,15 +135,17 @@ def _bareiss(a: list[list[int]], ncols: int, full: bool) -> tuple[list[int], int
     for c in range(ncols):
         if row == nr:
             break
-        piv = next((r for r in range(row, nr) if a[r][c]), None)
-        if piv is None:
+        for piv in range(row, nr):
+            if a[piv][c]:
+                break
+        else:
             continue
         if piv != row:
             a[row], a[piv] = a[piv], a[row]
             sign = -sign
         prow = a[row]
         p = prow[c]
-        for r in range(nr) if full else range(row + 1, nr):
+        for r in range(0 if full else row + 1, nr):
             if r == row:
                 continue
             cur = a[r]
@@ -155,11 +193,11 @@ class RatMat:
         """Normalise (num, den), den != 0, and wrap it; ``num`` is a
         rectangular tuple of tuples of integers."""
         if den < 0:
-            num, den = tuple(tuple(-x for x in r) for r in num), -den
+            num, den = tuple([tuple([-x for x in r]) for r in num]), -den
         if den != 1:
-            g = gcd(den, *(x for r in num for x in r))
+            g = gcd(den, *chain.from_iterable(num))
             if g != 1:
-                num = tuple(tuple(x // g for x in r) for r in num)
+                num = tuple([tuple([x // g for x in r]) for r in num])
                 den //= g
         return cls._raw(num, den)
 
@@ -276,11 +314,8 @@ class RatMat:
         if isinstance(other, RatMat):
             if self.ncols != other.nrows:
                 raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-            cols = tuple(zip(*other.num))
-            return RatMat._make(
-                tuple(tuple(sum(map(mul, r, c)) for c in cols) for r in self.num),
-                self.den * other.den,
-            )
+            return RatMat._make(int_matmul(self.num, other.num),
+                                self.den * other.den)
         # vector: sequence of scalars -> tuple of Fractions
         v, vden = _int_vec(other)
         if self.ncols != len(v):
@@ -311,7 +346,8 @@ class RatMat:
         return self.is_square() and self.num == tuple(zip(*self.num))
 
     def is_antisymmetric(self) -> bool:
-        return self.is_square() and self == -self.T
+        return self.is_square() and self.num == tuple(
+            tuple(-x for x in c) for c in zip(*self.num))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, RatMat) and self.den == other.den
@@ -347,14 +383,18 @@ class RatMat:
         if not self.is_square():
             raise ValueError("inverse of non-square matrix")
         n = self.nrows
-        a = [list(r) + [int(i == j) for j in range(n)]
-             for i, r in enumerate(self.num)]
+        a = []
+        for i, r in enumerate(self.num):
+            e = [0] * n
+            e[i] = 1
+            a.append([*r, *e])
         pivots, last, _ = _bareiss(a, n, full=True)
         if len(pivots) < n:
             raise ZeroDivisionError("matrix is singular")
         # N [I | 0] -> [p I | p N^-1] with p the last pivot; M^-1 = den N^-1
         den = self.den
-        return RatMat._make(tuple(tuple(den * x for x in r[n:]) for r in a), last)
+        return RatMat._make(tuple([tuple([den * x for x in r[n:]]) for r in a]),
+                            last)
 
     def solve(self, rhs: Sequence) -> tuple[Fraction, ...]:
         """Solve self @ x = rhs for square invertible self, by one

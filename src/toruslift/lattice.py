@@ -39,53 +39,58 @@ def row_hnf(m: RatMat) -> tuple[RatMat, RatMat]:
     [0, pivot).  Pivot selection is deterministic (smallest |value|, first
     on ties), so the output is a canonical form of the row span.
     """
-    a = m.to_int_rows()
-    nr, nc = len(a), len(a[0]) if a else 0
-    u = [[int(i == j) for j in range(nr)] for i in range(nr)]
-
-    def swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def addmul(dst, src, q):
-        # row_dst += q * row_src
-        a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
-
-    def negate(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
+    nr, nc = m.nrows, m.ncols
+    # rows of [M | I]: one pass over a row updates H and U together
+    a = []
+    for i, r in enumerate(m.to_int_rows()):
+        e = [0] * nr
+        e[i] = 1
+        a.append(r + e)
     row = 0
     for col in range(nc):
         if row == nr:
             break
         # eliminate below (row, col) by repeated division
         while True:
-            nz = [i for i in range(row, nr) if a[i][col] != 0]
+            nz = [i for i in range(row, nr) if a[i][col]]
             if not nz:
                 break
-            piv = min(nz, key=lambda i: (abs(a[i][col]), i))
+            piv = nz[0]
+            if len(nz) > 1:
+                # min keeps the first of equal keys: the lowest row wins ties
+                piv = min(nz, key=lambda i: abs(a[i][col]))
             if piv != row:
-                swap(row, piv)
+                a[row], a[piv] = a[piv], a[row]
+            if len(nz) == 1:
+                break
+            prow = a[row]
+            p = prow[col]
             done = True
-            for i in range(row + 1, nr):
-                if a[i][col] != 0:
-                    q = -(a[i][col] // a[row][col])
-                    addmul(i, row, q)
-                    if a[i][col] != 0:
-                        done = False
+            for i in nz:
+                if i == piv:
+                    continue
+                if i == row:
+                    i = piv  # the row swapped out of the pivot position
+                q = -(a[i][col] // p)
+                a[i] = cur = [y + q * z for y, z in zip(a[i], prow)]
+                if cur[col]:
+                    done = False
             if done:
                 break
-        if row < nr and a[row][col] != 0:
-            if a[row][col] < 0:
-                negate(row)
-            for i in range(row):
-                q = -(a[i][col] // a[row][col])
-                if q:
-                    addmul(i, row, q)
-            row += 1
-    return RatMat(a), RatMat(u)
+        if not nz:
+            continue
+        prow = a[row]
+        if prow[col] < 0:
+            a[row] = prow = [-x for x in prow]
+        p = prow[col]
+        for i in range(row):
+            q = -(a[i][col] // p)
+            if q:
+                a[i] = [y + q * z for y, z in zip(a[i], prow)]
+        row += 1
+    # every row is an integer list: wrap without re-scanning
+    return (RatMat._raw(tuple([tuple(r[:nc]) for r in a]), 1),
+            RatMat._raw(tuple([tuple(r[nc:]) for r in a]), 1))
 
 
 def column_hnf(m: RatMat) -> tuple[RatMat, RatMat]:

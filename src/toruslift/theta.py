@@ -73,7 +73,7 @@ from .errors import (
     NotPositiveDefinite,
     TruncationBudgetExceeded,
 )
-from .exact import RatMat, _int_vec, rat, vec_add, vec_dot
+from .exact import RatMat, _int_vec, exact_int, rat, vec_add, vec_dot
 from .summation import exp_pi, get_context
 
 # -- lattice enumeration ------------------------------------------------------
@@ -509,9 +509,11 @@ class ThetaSpec:
 
     def _set_char(self, char) -> None:
         n = self.n
-        char = tuple(int(c) for c in char) or (0,) * n
+        char = tuple(map(exact_int, char)) or (0,) * n
         if len(char) != n:
             raise InadmissibleSpec(f"characteristic must have length {n}")
+        if None in char:
+            raise InadmissibleSpec("characteristic must have integer entries")
         object.__setattr__(self, "char", char)
         object.__setattr__(self, "p_vec", self.d_mat.solve(char))
 

@@ -26,6 +26,12 @@ Conventions (fixed across the whole library):
                 + (1/a) dr_hat^dtheta_hat,   tau = b + ia.
 
   J^2 = -Id and J^T Omega J = Omega hold exactly (property-tested).
+
+* A torus inverts omega once, in the one elimination that also finds a
+  degenerate omega (SingularModulus), and keeps the inverse for
+  ``omega_inv()``.  ``Torus.from_period`` and ``double_torus`` assemble
+  their block forms on the integer numerators over one denominator, and
+  normalise each result once.
 """
 
 from __future__ import annotations
@@ -33,9 +39,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .errors import DualityAssumptionViolated, NotSplit, SingularModulus, InadmissibleD
-from .exact import RatMat, hstack, ratvec, vstack
+from .exact import RatMat, hstack, int_matmul, ratvec, vstack
 
 
 def _check_two_form(g: RatMat, dim: int, what: str) -> None:
@@ -53,8 +60,12 @@ class Torus:
         if dim % 2:
             raise ValueError("torus dimension must be even")
         _check_two_form(omega, dim, "omega")
-        if omega.det() == 0:
-            raise SingularModulus("omega is degenerate")
+        # the one elimination of omega: it finds omega degenerate or
+        # inverts it, and the inverse is kept for omega_inv()
+        try:
+            self._omega_inv = omega.inv()
+        except ZeroDivisionError:
+            raise SingularModulus("omega is degenerate") from None
         if b_field is None:
             b_field = RatMat.zeros(dim, dim)
         _check_two_form(b_field, dim, "B-field")
@@ -71,10 +82,8 @@ class Torus:
         n = tau_re.nrows
         if tau_re.shape != (n, n) or tau_im.shape != (n, n):
             raise ValueError("period matrix blocks must be square, same size")
-        z = RatMat.zeros(n, n)
-        omega = vstack(hstack(z, tau_im), hstack(-tau_im.T, z))
-        b = vstack(hstack(z, tau_re), hstack(-tau_re.T, z))
-        return cls(omega, b, _period=(tau_re, tau_im))
+        return cls(_split_form(tau_im), _split_form(tau_re),
+                   _period=(tau_re, tau_im))
 
     # -- split accessors -------------------------------------------------
 
@@ -91,7 +100,8 @@ class Torus:
     # -- misc -------------------------------------------------------------
 
     def omega_inv(self) -> RatMat:
-        return self.omega.inv()
+        """omega^{-1}, computed once when the torus is built."""
+        return self._omega_inv
 
     def __repr__(self) -> str:
         return f"Torus(dim={self.dim}, split={self.is_split})"
@@ -105,6 +115,15 @@ class Torus:
 
     def __hash__(self):
         return hash((self.omega, self.b_field))
+
+
+def _split_form(m: RatMat) -> RatMat:
+    """[[0, M], [-M^T, 0]] on the numerators of M: the same denominator,
+    and the same entries up to sign, so the result is in normal form."""
+    z = (0,) * m.nrows
+    return RatMat._raw(
+        tuple(z + r for r in m.num)
+        + tuple(tuple(-x for x in c) + z for c in zip(*m.num)), m.den)
 
 
 def _complex_inv(re: RatMat, im: RatMat) -> tuple[RatMat, RatMat]:
@@ -131,15 +150,16 @@ def dual_torus(t: Torus) -> Torus:
     For a split torus this is the period map tau -> -(tau^T)^{-1}, and the
     result is split again.
     """
-    w, b = t.omega, t.b_field
-    m = w + b @ w.inv() @ b
-    if m.det() == 0:
+    w, b, winv = t.omega, t.b_field, t.omega_inv()
+    m = w + b @ winv @ b
+    try:
+        minv = m.inv()
+    except ZeroDivisionError:
         raise DualityAssumptionViolated(
             "omega + B omega^{-1} B is singular; twisted dual undefined"
-        )
-    minv = m.inv()
+        ) from None
     omega_star = -minv
-    b_star = minv @ b @ w.inv()
+    b_star = minv @ b @ winv
     period = None
     if t.is_split:
         re, im = t.period()
@@ -188,20 +208,29 @@ def double_torus(t: Torus) -> DoubledTorus:
     #   2 Omega = [[omega + Q, -P^T], [P, -omega^{-1}]]
     #   J       = [[-P, omega^{-1}], [-(omega + Q), P^T]]
     # for every torus, split or not (J^2 = -Id and J^T Omega J = Omega are
-    # property-tested, not re-checked).
+    # property-tested, not re-checked).  The blocks are assembled on integer
+    # numerators over one denominator: P = pn / (di db), Q = qn / (di db^2)
+    # for omega^{-1} = wi / di and B = bn / db.  J's block rows are those of
+    # 2 Omega negated and swapped.
     dim = t.dim
-    eye = RatMat.identity(dim)
-    winv = t.omega_inv()
-    p = winv @ t.b_field
-    q = t.b_field @ p
-    half = Fraction(1, 2)
-    omega = half * vstack(
-        hstack(t.omega + q, -p.T), hstack(p, -winv)
-    )
-    j = vstack(hstack(-p, winv), hstack(-(t.omega + q), p.T))
-    sigma0 = half * vstack(
-        hstack(RatMat.zeros(dim, dim), eye), hstack(-eye, RatMat.zeros(dim, dim))
-    )
+    winv, b, w = t.omega_inv(), t.b_field, t.omega
+    di, db = winv.den, b.den
+    pn = int_matmul(winv.num, b.num)
+    qn = int_matmul(b.num, pn)
+    den = lcm(w.den, di * db * db)
+    fw, fq, fp, fi = den // w.den, den // (di * db * db), den // (di * db), den // di
+    top = tuple(tuple(fw * x + fq * y for x, y in zip(r, s))
+                + tuple(-fp * x for x in c)
+                for r, s, c in zip(w.num, qn, zip(*pn)))
+    bottom = tuple(tuple(fp * x for x in r) + tuple(-fi * x for x in s)
+                   for r, s in zip(pn, winv.num))
+    omega = RatMat._make(top + bottom, 2 * den)
+    j = RatMat._make(tuple(tuple(-x for x in r) for r in bottom + top), den)
+    # sigma0 = 1/2 [[0, I], [-I, 0]] is in normal form over 2
+    eye = RatMat.identity(dim).num
+    zero = (0,) * dim
+    sigma0 = RatMat._raw(tuple(zero + r for r in eye)
+                         + tuple(tuple(-x for x in r) + zero for r in eye), 2)
     return DoubledTorus(t, omega, sigma0, j)
 
 

@@ -127,6 +127,25 @@ def test_xi_bits_validated():
         Brane(SQ1, RatMat([[1], [0]]), xi_lin=(2,))
 
 
+@pytest.mark.parametrize("bits", [
+    (Fraction(1, 2), 1.9), (0, 1.9), (Fraction(1, 2), 1), (0.5, 0), ("1", 0),
+    (None, 1), (1, float("nan")), (float("inf"), 0),
+])
+def test_sign_bits_are_exact_integers_not_truncated(bits):
+    # a non-integral sign bit is rejected, not truncated to an int
+    with pytest.raises(InvalidXi,
+                       match="xi_lin must be a 0/1 vector on the support"):
+        zero_section_brane(SQ2, xi_lin=bits)
+
+
+def test_integral_sign_bits_of_any_exact_type():
+    want = zero_section_brane(SQ2, xi_lin=(0, 1))
+    for bits in [(Fraction(0), Fraction(1)), (0.0, 1.0), (False, True)]:
+        got = zero_section_brane(SQ2, xi_lin=bits)
+        assert got == want
+        assert all(type(b) is int for b in got.xi_lin)
+
+
 def test_offset_reduction_along_support():
     # graph support [1; -2]: the r-entry is a pivot and gets slid to zero,
     # dragging the theta-entry along the support direction

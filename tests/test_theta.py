@@ -438,6 +438,39 @@ def test_spec_rejections():
         ThetaSpec(RatMat([[0]]), one, one, (0,), (2,))  # sign bits not 0/1
 
 
+ONE = RatMat([[1]])
+
+
+@pytest.mark.parametrize("entry", ["char", "xi", "with_char"])
+@pytest.mark.parametrize("value", [Fraction(1, 2), 1.9, 0.5, "1", None,
+                                   float("nan")])
+def test_spec_entries_are_exact_integers_not_truncated(entry, value):
+    # a non-integral characteristic or sign bit is rejected, not truncated
+    def build():
+        if entry == "char":
+            return ThetaSpec(RatMat([[0]]), ONE, RatMat([[2]]), (value,))
+        if entry == "xi":
+            return ThetaSpec(RatMat([[0]]), ONE, RatMat([[2]]), (1,), (value,))
+        return ThetaSpec(RatMat([[0]]), ONE, RatMat([[2]]), (1,)).with_char(
+            (value,))
+
+    message = ("xi_lin must be a 0/1 vector" if entry == "xi"
+               else "characteristic must have integer entries")
+    with pytest.raises(InadmissibleSpec, match=message):
+        build()
+
+
+def test_spec_entries_of_any_exact_integral_type():
+    want = ThetaSpec(RatMat([[0]]), ONE, RatMat([[2]]), (1,), (1,))
+    for char, xi in [((Fraction(1),), (Fraction(1),)), ((1.0,), (1.0,)),
+                     ((True,), (True,))]:
+        got = ThetaSpec(RatMat([[0]]), ONE, RatMat([[2]]), char, xi)
+        assert got == want and got.p_vec == want.p_vec
+        assert type(got.char[0]) is int and type(got.xi_lin[0]) is int
+    shifted = want.with_char((Fraction(-3),))
+    assert shifted.char == (-3,) and type(shifted.char[0]) is int
+
+
 def test_spec_defaults_and_derived_data():
     sp = generic_spec()
     assert sp.xi_lin == (0,)
