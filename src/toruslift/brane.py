@@ -58,8 +58,8 @@ from math import lcm
 from operator import mul
 
 from .errors import InadmissibleD, InvalidBrane, InvalidXi
-from .exact import (RatMat, _int_vec, exact_int, int_matmul, ratvec, vec_add,
-                    vec_dot, vstack)
+from .exact import (RatMat, _int_vec, exact_int, int_entries, int_matmul,
+                    ratvec, vec_add, vec_dot, vstack)
 from .lattice import column_hnf, row_hnf
 from .torus import DoubledTorus, Torus, double_torus
 
@@ -275,7 +275,7 @@ class Brane:
 
     def xi_value(self, m) -> int:
         return _xi_of(self.f_gram.to_int_rows(), self.xi_lin,
-                      tuple(int(x) for x in m))
+                      int_entries(m, "lattice vector"))
 
     def transition_turns(self, m, t) -> Fraction:
         """Exact phase (in turns, mod 1) of the transition over lattice shift m

@@ -91,6 +91,15 @@ def exact_int(x) -> int | None:
     return None
 
 
+def int_entries(xs, what: str) -> tuple[int, ...]:
+    """The entries of ``xs`` as ints (:func:`exact_int`); a non-integral
+    entry raises ValueError naming ``what`` instead of being truncated."""
+    out = tuple(map(exact_int, xs))
+    if None in out:
+        raise ValueError(f"{what} must have integer entries")
+    return out
+
+
 def int_matmul(a, b) -> tuple[tuple[int, ...], ...]:
     """Product of two integer matrices given as tuples of rows.  Each row
     of the product adds up the rows of ``b`` that the row of ``a`` weights,

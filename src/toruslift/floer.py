@@ -53,6 +53,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from operator import add, mul
 from typing import Optional, Sequence
 
 from .brane import Brane, _as_frac_vec, pairing_form
@@ -63,15 +65,15 @@ from .errors import (
     NonTransversal,
     UnsupportedTriple,
 )
-from .exact import RatMat, hstack, ratvec, vec_add, vec_dot, vec_sub, vstack
+from .exact import (RatMat, _int_vec, hstack, int_entries, ratvec, vec_add,
+                    vec_dot, vec_sub, vstack)
 from .lattice import coset_reduce, cosets
 from .summation import exp_pi, get_context
 from .theta import (
     CertifiedValue,
     ThetaSpec,
+    _add_linear,
     _resolved_tol,
-    centered_form,
-    int_form,
     lattice_sum,
     theta_bar_dk,
     theta_dk,
@@ -236,12 +238,40 @@ def mu2_base(spec: ThetaSpec, r, phi, *,
 # -- the doubled product sum ---------------------------------------------------
 
 
-def _decay_blocks(spec: ThetaSpec) -> tuple:
-    """X = Im(tau)^{-1} D^T and C = Re(tau) X Re(tau)^T + Im(tau) X Im(tau)^T,
-    the blocks of the doubled decay Gram and of the trivialization factor."""
-    tau_re, tau_im = spec.tau_re, spec.tau_im
-    x_mat = tau_im.inv() @ spec.d_mat.T
-    return x_mat, tau_re @ x_mat @ tau_re.T + tau_im @ x_mat @ tau_im.T
+@lru_cache(maxsize=64)
+def _doubled(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat,
+             a_form: RatMat) -> tuple:
+    """The parts of the doubled product sums that depend on (tau, D) alone,
+    built once: X = Im(tau)^{-1} D^T and C = Re(tau) X Re(tau)^T + Im(tau)
+    X Im(tau)^T (the blocks of the doubled decay Gram and of the
+    trivialization factor), the Gram G of :func:`_double_gram`, the
+    integer decay quad of G over G's denominator, the turns quad over 2
+    (:func:`_double_forms`), the integer rows of D, D^T, A and A^T, and
+    D^{-T} as (integer rows, denominator)."""
+    x_mat = tau_im.inv() @ d_mat.T
+    c_mat = tau_re @ x_mat @ tau_re.T + tau_im @ x_mat @ tau_im.T
+    cross = x_mat @ tau_re.T
+    gram = vstack(hstack(c_mat, cross.T), hstack(cross, x_mat)) * Fraction(1, 2)
+    dim = gram.nrows
+    g = gram.num
+    g_quad = tuple(tuple(g[i][j] * (1 + (i < j)) if i <= j else 0
+                         for j in range(dim)) for i in range(dim))
+    # the turns quad: the sign structure sum_{i<j} A_ij m_i m_j and the
+    # doubled-structure cross term -<D m, n>
+    n, d, a = dim // 2, d_mat.num, a_form.num
+    t_quad = [[0] * dim for _ in range(dim)]
+    for i in range(n):
+        t_quad[i][i + 1:n] = a[i][i + 1:]
+        for j in range(n):
+            t_quad[j][n + i] = -d[i][j]
+    d_inv_t = d_mat.T.inv()
+    return (x_mat, c_mat, gram, g_quad, tuple(map(tuple, t_quad)),
+            (d, tuple(zip(*d)), a, tuple(zip(*a))),
+            (d_inv_t.num, d_inv_t.den))
+
+
+def _blocks(spec: ThetaSpec) -> tuple:
+    return _doubled(spec.tau_re, spec.tau_im, spec.d_mat, spec.a_form)
 
 
 def _root_det(ctx, spec: ThetaSpec):
@@ -261,10 +291,60 @@ def _double_gram(spec: ThetaSpec) -> RatMat:
     The imaginary quadratic parts collapse: the only cross term is
     Im <X tau^T m', n'> = <D m', n'> because X Im(tau)^T = D exactly.
     """
-    x_mat, c_mat = _decay_blocks(spec)
-    cross = x_mat @ spec.tau_re.T
-    gram = vstack(hstack(c_mat, cross.T), hstack(cross, x_mat))
-    return gram * Fraction(1, 2)
+    return _blocks(spec)[2]
+
+
+def _mv(rows, v) -> list:
+    return [sum(map(mul, row, v)) for row in rows]
+
+
+def _double_forms(spec: ThetaSpec, l, pt: DoublePoint) -> tuple:
+    """(gram, shift, decay, turns) of :func:`mu2_double` at the dual
+    characteristic ``l`` (integers) and the point: the doubled Gram, the
+    certificate's center shift max |c_i| and the integer decay and turns
+    forms, as :func:`toruslift.theta.int_form` would give them.
+
+    Only the linear and constant parts depend on the point and on l; they
+    are formed in integers over one denominator E of r, phi, theta-hat,
+    kappa, p and q = D^{-T} (A p + l), and added to the quads of
+    :func:`_doubled` by :func:`toruslift.theta._add_linear`."""
+    _, _, gram, g_quad, t_quad, (d, d_t, a, a_t), (dti, dti_den) = \
+        _blocks(spec)
+    n = spec.n
+    p, p_den = _int_vec(spec.p_vec)
+    q_den = dti_den * p_den  # q = dti (A p + l) / q_den
+    q = _mv(dti, [x + p_den * y for x, y in zip(_mv(a, p), l)])
+    point, pt_den = _int_vec(pt.r + pt.phi + pt.theta_hat + pt.kappa)
+    e = math.lcm(pt_den, q_den)
+    point = [x * (e // pt_den) for x in point]
+    r, phi, that, kappa = (point[i * n:(i + 1) * n] for i in range(4))
+    p = [x * (e // p_den) for x in p]
+    cm = [x - y for x, y in zip(r, p)]
+    cn = [x - y * (e // q_den) for x, y in zip(that, q)]
+
+    # decay(w) = <G (w + c), w + c>, c = (cm, cn) / e
+    c = cm + cn
+    gc = _mv(gram.num, c)
+    decay = _add_linear((gram.den, g_quad, [0] * (2 * n), 0),
+                        [2 * e * x for x in gc], sum(map(mul, c, gc)),
+                        gram.den * e * e)
+    # turns(w) = [xi_raw(m) - <D m, n>] / 2 + lin . w + const; over 2 e the
+    # linear parts are
+    #   m: xi e - D^T cn - A r + A^T p - 2 A^T kappa - 2 D^T phi
+    #   n: 2 D kappa - D cm
+    # and over 2 e^2 the constant is
+    #   -<cn, D cm> + 2 <cn, D kappa> - 2 <cm, A^T kappa + D^T phi> + <p, A r>
+    ar, at_kappa, dt_phi = _mv(a, r), _mv(a_t, kappa), _mv(d_t, phi)
+    d_cm, d_kappa = _mv(d, cm), _mv(d, kappa)
+    lin = [b * e - x - y + z - 2 * (u + v) for b, x, y, z, u, v in zip(
+        spec.xi_lin, _mv(d_t, cn), ar, _mv(a_t, p), at_kappa, dt_phi)]
+    lin += [2 * x - y for x, y in zip(d_kappa, d_cm)]
+    const = (sum(map(mul, cn, [2 * x - y for x, y in zip(d_kappa, d_cm)]))
+             - 2 * sum(map(mul, cm, map(add, at_kappa, dt_phi)))
+             + sum(map(mul, p, ar)))
+    turns = _add_linear((2, t_quad, [0] * (2 * n), 0),
+                        [e * x for x in lin], const, 2 * e * e)
+    return gram, Fraction(max(map(abs, c), default=0), e), decay, turns
 
 
 def mu2_double(spec: ThetaSpec, l, pt: DoublePoint,
@@ -279,49 +359,21 @@ def mu2_double(spec: ThetaSpec, l, pt: DoublePoint,
     kappa> - <D m', phi>, and the sign/transport factors xi(m)/2 -
     <m - p, A r>/2 + <p, A m>/2, with m' = m + (r-p), n' = n + (that-q).
 
-    Decay and phase are integer forms in w = (m, n), summed by
-    :func:`toruslift.theta.lattice_sum`.  ``radius`` can enlarge the summed
-    ball beyond the certified radius, never shrink it.
+    Decay and phase are integer forms in w = (m, n) (:func:`_double_forms`),
+    summed by :func:`toruslift.theta.lattice_sum`.  ``radius`` can enlarge
+    the summed ball beyond the certified radius, never shrink it.
     """
     n = spec.n
     if pt.n != n:
         raise ValueError(f"evaluation point must have n = {n}")
-    l = tuple(int(c) for c in l)
+    l = int_entries(l, "dual characteristic")
     if len(l) != n:
         raise ValueError(f"dual characteristic must have length {n}")
     ctx = get_context(context)
-    d_mat, a_form, p = spec.d_mat, spec.a_form, spec.p_vec
-
-    q = d_mat.T.solve(vec_add(a_form @ p, ratvec(l)))
-    cm = vec_sub(pt.r, p)
-    cn = vec_sub(pt.theta_hat, q)
-
-    gram = _double_gram(spec)
-    shift = max((abs(c) for c in cm + cn), default=Fraction(0))
+    gram, shift, decay, turns = _double_forms(spec, l, pt)
     cert = truncation_radius(gram, tol=_resolved_tol(spec.tol, ctx),
                              center_shift=shift, max_radius=spec.max_radius)
     use = cert.radius if radius is None else max(radius, cert.radius)
-
-    # decay(w) = <G (w + c), w + c>
-    decay = int_form(*centered_form(gram, tuple(-x for x in cm + cn)))
-    # turns(w) = [xi_raw(m) - <D m, n>] / 2 + lin_m . m + lin_n . n + const
-    half = Fraction(1, 2)
-    t_mat = [[0] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):  # A and D are integral: their numerators are entries
-        t_mat[i][i + 1:n] = [half * x for x in a_form.num[i][i + 1:]]
-        t_mat[n + i][:n] = [-half * x for x in d_mat.num[i]]
-    t_lin = tuple(
-        half * (b - x - u + v) - y - z for b, x, y, z, u, v in zip(
-            spec.xi_lin, d_mat.T @ cn, a_form.T @ pt.kappa, d_mat.T @ pt.phi,
-            a_form @ pt.r, a_form.T @ p)
-    ) + tuple(y - half * x for x, y in zip(d_mat @ cm, d_mat @ pt.kappa))
-    t_const = (
-        -half * vec_dot(cn, d_mat @ cm)
-        + vec_dot(cn, d_mat @ pt.kappa)
-        - vec_dot(cm, vec_add(a_form.T @ pt.kappa, d_mat.T @ pt.phi))
-        + half * vec_dot(p, a_form @ pt.r)
-    )
-    turns = int_form(t_mat, t_lin, t_const)
     return CertifiedValue(lattice_sum(ctx, 2 * n, use, decay, turns), cert,
                           context)
 
@@ -336,7 +388,7 @@ def trivialization_factor(spec: ThetaSpec, pt: DoublePoint, *,
         e^{-2 pi i <D r, phi> + 2 pi i <D^T that - A r, kappa>}
     """
     tau_re, tau_im, d_mat = spec.tau_re, spec.tau_im, spec.d_mat
-    x_mat, c_mat = _decay_blocks(spec)
+    x_mat, c_mat = _blocks(spec)[:2]
     that = pt.theta_hat
 
     # u - v = tau^T r + theta_hat - 2 i Im(tau)^T kappa, exactly

@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import product
 
 from .errors import SingularModulus
-from .exact import RatMat
+from .exact import RatMat, int_entries
 
 __all__ = [
     "row_hnf",
@@ -178,7 +178,7 @@ def coset_reduce(m: RatMat, x) -> tuple[int, ...]:
     """Canonical representative of integer vector x in Z^n / (M Z^n)."""
     h, _ = _coset_data(m)
     n = len(h)
-    y = [int(v) for v in x]
+    y = list(int_entries(x, "coset vector"))
     for i in range(n):
         q = y[i] // h[i][i]
         if q:

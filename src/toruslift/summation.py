@@ -68,12 +68,21 @@ class DoubleContext:
         """``add(ts, da, db, ta, tb)`` adds the terms at t in ``ts`` of decay
         (da + t (db + d_cc t)) / d_den and turns (ta + t (tb + t_cc t)) /
         t_den; ``close`` rounds their sum (:func:`_decided`)."""
+        # the parts are appended to lists, which is cheaper than to arrays,
+        # and moved to the arrays in blocks, which hold them compactly
         re, im = array("d"), array("d")
-        push_re, push_im = re.append, im.append
+        new_re, new_im = [], []
+        push_re, push_im = new_re.append, new_im.append
         neg_pi, two_pi = -math.pi, 2 * math.pi
         exp, cos, sin = math.exp, math.cos, math.sin
         large = 708.0  # below log(DBL_MAX / 4), cmath.exp is exp(x) cis(y)
         phases = {}
+
+        def flush():
+            re.extend(new_re)
+            im.extend(new_im)
+            new_re.clear()
+            new_im.clear()
 
         def add(ts, da, db, ta, tb):
             for t in ts:
@@ -91,8 +100,11 @@ class DoubleContext:
                     e = exp(x)
                 push_re(e * c)
                 push_im(e * s)
+            if len(new_re) > 512:
+                flush()
 
         def close(bound=None):
+            flush()
             if bound is None:
                 return complex(math.fsum(re), math.fsum(im))
             b = math.nextafter(4 * bound[0] * to_float(bound[1]), math.inf)

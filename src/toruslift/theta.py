@@ -73,7 +73,7 @@ from .errors import (
     NotPositiveDefinite,
     TruncationBudgetExceeded,
 )
-from .exact import RatMat, _int_vec, exact_int, rat, vec_add, vec_dot
+from .exact import RatMat, _int_vec, exact_int, int_entries, rat, vec_dot
 from .summation import exp_pi, get_context
 
 # -- lattice enumeration ------------------------------------------------------
@@ -113,36 +113,80 @@ def int_form(mat, lin, const) -> tuple:
             [int(x * den) for x in lin], int(const * den))
 
 
-def centered_form(mat: RatMat, center) -> tuple:
-    """The :func:`int_form` arguments (M, lin, const) of <M (w-c), w-c>."""
-    mc = mat @ center
-    lin = tuple(-x for x in vec_add(mc, mat.T @ center))
-    return mat.rows, lin, vec_dot(center, mc)
+def _span(lo: int, hi: int) -> range:
+    """lo, lo + 1, ..., hi: the order in which the walk takes a prefix
+    coordinate.  No value depends on it (every sum is rounded once)."""
+    return range(lo, hi + 1)
 
 
-def _lines(span, k: int, d_quad, t_quad, da, dl, ta, tl):
-    """(da, db, ta, tb) of each line of the last coordinate through the
-    cube span^dim, along which the decay and turns numerators are
-    da + t (db + d_cc t) and ta + t (tb + t_cc t).  Coordinates before k
-    are folded into da, ta and the coefficients dl, tl, never stored."""
+def _lines(radius: int, d_quad, t_quad, da, dl, ta, tl, band=None, k=0):
+    """(da, db, ta, tb) of each line of the last coordinate t through the
+    cube [-radius, radius]^dim (dim >= 2), along which the decay and turns
+    numerators are da + t (db + d_cc t) and ta + t (tb + t_cc t).
+    Coordinates before k are folded into da, ta and the coefficients dl,
+    tl, never stored.
+
+    With ``band`` = (q, c, d_cc), only the lines whose band (the t with
+    q A(t) - c <= 0, A the decay numerator) can hold a point, that is the
+    lines on which that quadratic in t has a real root (Fincke and Pohst's
+    pruning, at the last prefix coordinate u).  Its discriminant is a
+    quadratic in u with leading coefficient -q^2 (4 d_cc d_uu - d_ut^2),
+    negative when the trailing 2 x 2 block of the decay is positive
+    definite, so those lines lie in one u-interval.  For integers
+    |a u - b| <= sqrt(e) holds exactly when |a u - b| <= isqrt(e), so one
+    ``math.isqrt`` finds the interval exactly."""
     dq, tq = d_quad[k], t_quad[k]
-    for x in span:
-        da_x = da + x * (dl[0] + dq[k] * x)
-        ta_x = ta + x * (tl[0] + tq[k] * x)
-        if len(dl) == 2:
-            yield da_x, dl[1] + dq[k + 1] * x, ta_x, tl[1] + tq[k + 1] * x
-        else:
+    lo, hi = -radius, radius
+    if len(dl) > 2:
+        for x in _span(lo, hi):
             yield from _lines(
-                span, k + 1, d_quad, t_quad,
-                da_x, [l + q * x for l, q in zip(dl[1:], dq[k + 1:])],
-                ta_x, [l + q * x for l, q in zip(tl[1:], tq[k + 1:])])
+                radius, d_quad, t_quad,
+                da + x * (dl[0] + dq[k] * x),
+                [l + w * x for l, w in zip(dl[1:], dq[k + 1:])],
+                ta + x * (tl[0] + tq[k] * x),
+                [l + w * x for l, w in zip(tl[1:], tq[k + 1:])], band, k + 1)
+        return
+    (dl0, dl1), (tl0, tl1) = dl, tl
+    duu, dut, tuu, tut = dq[k], dq[k + 1], tq[k], tq[k + 1]
+    if band:
+        q, c, d_cc = band
+        a = q * (4 * d_cc * duu - dut * dut)
+        if a > 0:
+            # a line's discriminant is q (-a u^2 + 2 b u + e0) with
+            # e0 = q dl1^2 - 4 d_cc (q da - c), >= 0 exactly when
+            # (a u - b)^2 <= e = b^2 + a e0
+            b = q * (dl1 * dut - 2 * d_cc * dl0)
+            e = b * b + a * (q * dl1 * dl1 - 4 * d_cc * (q * da - c))
+            if e < 0:
+                return
+            root = math.isqrt(e)
+            lo, hi = max(lo, -((root - b) // a)), min(hi, (b + root) // a)
+    for x in _span(lo, hi):
+        yield (da + x * (dl0 + duu * x), dl1 + dut * x,
+               ta + x * (tl0 + tuu * x), tl1 + tut * x)
+
+
+# B <= 2^-(prec + _BAND_MARGIN), see _decay_band
+_BAND_MARGIN = 10
 
 
 @lru_cache(maxsize=64)
 def _decay_band(prec: int, points: int) -> tuple:
-    """T, a dyadic just above ((prec + 24) ln 2 + ln(4 points)) / pi, and a
-    raw 53-bit upper bound of e^{-pi T}: 4 points e^{-pi T} <= 2^-(prec+24)."""
-    t = Fraction(math.ceil(16 * ((prec + 24) * math.log(2)
+    """T, a dyadic just above ((prec + margin) ln 2 + ln(4 points)) / pi
+    for the margin ``_BAND_MARGIN``, and a raw 53-bit upper bound of
+    e^{-pi T}: the bound B = 4 n e^{-pi T} of :func:`lattice_sum` is then
+    at most 2^-(prec + margin).
+
+    No value depends on the margin, which only trades kept terms against
+    fallbacks: the rounding test fails about when B reaches the distance
+    of a part's sum to a rounding boundary.  The margin is the one that
+    evaluated about the fewest terms (kept plus fallback) on the recorded
+    sums of the three benchmark workloads and of the golden jobs, in double
+    and in dd.  On the 397 recorded ``products`` sums margin 24 evaluated
+    451,904 terms with 4 fallbacks, margin 10 373,139 with 5, margin 8
+    367,485 with 9 and margin 4 614,916 with 82; margin 10 keeps every
+    set's fallback count within one of margin 24's."""
+    t = Fraction(math.ceil(16 * ((prec + _BAND_MARGIN) * math.log(2)
                                  + math.log(4 * points)) / math.pi), 16)
     return t, mpi_exp(mpi_mul(mpi_neg(_PI), _interval(t), _PREC), _PREC)[1]
 
@@ -153,52 +197,55 @@ def lattice_sum(ctx, dim: int, radius: int, decay, turns):
     one kernel of every certified sum.
     ``decay`` (positive definite) and ``turns`` are :func:`int_form` forms.
 
-    Each line first sums its band of decay at most T (:func:`_decay_band`).
-    The n deferred terms add up to at most B = 4 n e^{-pi T} per part, if
-    ``exp`` is within a factor 2 and |cos|, |sin| <= 1.  If the kept sum
-    minus B and plus B round alike, rounding being monotone, that is the
-    sum; else the deferred terms are added (:func:`_add_deferred`)."""
+    Each line first sums its band of decay at most T (:func:`_decay_band`),
+    and lines whose band quadratic has no real root are not walked
+    (:func:`_lines`).  The n deferred terms add up to at most
+    B = 4 n e^{-pi T} per part, if ``exp`` is within a factor 2 and
+    |cos|, |sin| <= 1.  If the kept sum minus B and plus B round alike,
+    rounding being monotone, the whole cube's sum rounds to that value
+    (Ziv's rounding test); else the whole cube is summed afresh.  So the
+    value is the rounded sum of the cube for any T, and T only decides how
+    often the fallback runs."""
     d_den, d_quad, d_lin, d_const = decay
     t_den, t_quad, t_lin, t_const = turns
     d_cc = d_quad[-1][-1]
-    add, close = ctx.line_terms(d_den, d_cc, t_den, t_quad[-1][-1])
-    span = range(-radius, radius + 1)
-    deferred = len(span) ** dim
+    forms = (d_den, d_cc, t_den, t_quad[-1][-1])
+    add, close = ctx.line_terms(*forms)
+    deferred = (2 * radius + 1) ** dim
     limit, e_up = _decay_band(ctx.prec, deferred)
-    p, q = limit.numerator, limit.denominator
+    q, c = limit.denominator, limit.numerator * d_den
     a2 = 2 * q * d_cc
+    a4, isqrt = 2 * a2, math.isqrt
 
-    def bands():
-        # [lo, hi] holds the roots of q (da + t (db + d_cc t)) - p d_den,
-        # widened by math.isqrt; empty within [-radius, radius + 1]
-        lines = [(d_const, d_lin[0], t_const, t_lin[0])] if dim == 1 else \
-            _lines(span, 0, d_quad, t_quad, d_const, d_lin, t_const, t_lin)
-        for da, db, ta, tb in lines:
-            b, c = q * db, q * da - p * d_den
-            disc = b * b - 2 * a2 * c
-            lo, hi = 0, -1
-            if disc >= 0:
-                root = math.isqrt(disc) + 1
-                lo = min(max(-radius, -((b + root) // a2)), radius + 1)
-                hi = max(min(radius, (root - b) // a2), lo - 1)
-            yield da, db, ta, tb, lo, hi
+    def lines(band=None):
+        if dim == 1:
+            return [(d_const, d_lin[0], t_const, t_lin[0])]
+        return _lines(radius, d_quad, t_quad, d_const, d_lin, t_const, t_lin,
+                      band)
 
-    for da, db, ta, tb, lo, hi in bands():
-        add(range(lo, hi + 1), da, db, ta, tb)
-        deferred -= hi + 1 - lo
+    for da, db, ta, tb in lines((q, c, d_cc)):
+        # the band [lo, hi] holds the roots of q (da + t (db + d_cc t)) - c,
+        # widened by math.isqrt
+        b = q * db
+        disc = b * b - a4 * (q * da - c)
+        if disc >= 0:
+            root = isqrt(disc) + 1
+            lo, hi = -((b + root) // a2), (root - b) // a2
+            if lo < -radius:
+                lo = -radius
+            if hi > radius:
+                hi = radius
+            if lo <= hi:
+                add(range(lo, hi + 1), da, db, ta, tb)
+                deferred -= hi + 1 - lo
     if deferred:
         value = close((deferred, e_up))
         if value is not None:
             return value
-        _add_deferred(add, radius, bands())
+        add, close = ctx.line_terms(*forms)
+        for line in lines():
+            add(range(-radius, radius + 1), *line)
     return close()
-
-
-def _add_deferred(add, radius: int, bands) -> None:
-    """The fallback of :func:`lattice_sum`: add each line outside its band."""
-    for da, db, ta, tb, lo, hi in bands:
-        add(range(-radius, lo), da, db, ta, tb)
-        add(range(hi + 1, radius + 1), da, db, ta, tb)
 
 
 # -- certified truncation -----------------------------------------------------
@@ -543,7 +590,8 @@ class ThetaSpec:
 
     def xi_value(self, m) -> int:
         # integer numerators: admissible_d checked that A is integral
-        return _xi_of(self.a_form.num, self.xi_lin, [int(c) for c in m])
+        return _xi_of(self.a_form.num, self.xi_lin,
+                      int_entries(m, "lattice vector"))
 
     def _pairings(self, part) -> tuple:
         """(D^T v, <k, v>, den) in integers, for the vector v = ``part``
@@ -677,7 +725,7 @@ def verify_quasi_periodicity(spec: ThetaSpec, z, h, *,
     e^{-2 pi i <D h, z>} times the value at z."""
     ctx = get_context(context)
     zz = _exact_z(z, spec.n)
-    hh = [int(c) for c in h]
+    hh = int_entries(h, "lattice shift")
     z_shift = [(re + xr, im + xi_) for (re, im), xr, xi_ in
                zip(zz, spec.tau_re.T @ hh, spec.tau_im.T @ hh)]
     lhs = theta_dk(spec, z_shift, context=context).value
@@ -698,7 +746,7 @@ def verify_characteristic_shift(spec: ThetaSpec, z, s, *,
     """Residual of the shift law k -> k + D s against the explicit phase
     (-1)^xi(s) e^{pi i <A s, D^{-1} k>}."""
     ctx = get_context(context)
-    ss = [int(c) for c in s]
+    ss = int_entries(s, "characteristic shift")
     shifted = spec.with_char(
         tuple(k + int(c) for k, c in zip(spec.char, spec.d_mat @ ss))
     )

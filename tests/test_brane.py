@@ -146,6 +146,29 @@ def test_integral_sign_bits_of_any_exact_type():
         assert all(type(b) is int for b in got.xi_lin)
 
 
+@pytest.mark.parametrize("m", [(Fraction(1, 2), 0), (1.9, 0), (0, 0.5),
+                               ("1", 0), (None, 1), (float("nan"), 0)])
+def test_lattice_vectors_are_exact_integers_not_truncated(m):
+    # on the zero section of tau = i I with sign bits (1, 1), (1/2, 0) was
+    # taken as (0, 0) and (1.9, 0) as (1, 0); each is rejected instead
+    b = zero_section_brane(SQ2, xi_lin=(1, 1))
+    message = "lattice vector must have integer entries"
+    with pytest.raises(ValueError, match=message):
+        b.xi_value(m)
+    if m in [(Fraction(1, 2), 0), (1.9, 0), (0, 0.5)]:  # rationals
+        with pytest.raises(ValueError, match=message):
+            b.holonomy_turns(m)
+        with pytest.raises(ValueError, match=message):
+            b.transition_turns(m, (0, 0))
+
+
+def test_integral_lattice_vectors_of_any_exact_type():
+    b = zero_section_brane(SQ2, xi_lin=(1, 1))
+    for m in [(Fraction(1), Fraction(0)), (1.0, 0.0), (True, False)]:
+        assert b.xi_value(m) == b.xi_value((1, 0)) == 1
+        assert b.holonomy_turns(m) == b.holonomy_turns((1, 0))
+
+
 def test_offset_reduction_along_support():
     # graph support [1; -2]: the r-entry is a pivot and gets slid to zero,
     # dragging the theta-entry along the support direction

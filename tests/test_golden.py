@@ -341,15 +341,23 @@ def test_lines_report_matches_stored_digest(name):
 @pytest.mark.parametrize("name", sorted(JOBS))
 def test_lines_report_does_not_depend_on_term_order(name, monkeypatch):
     # every sum is rounded once from its exact value, so walking the cube in
-    # the reverse order must not move a byte: the lines in reverse (each
-    # prefix coordinate runs from +radius down) and each line from its top
-    walked = []
-    lines = theta._lines
+    # the reverse order must not move a byte: every prefix coordinate, the
+    # pruned last one included, runs from its top down, and each line from
+    # its top
+    walked, spans, radii = [], [], []
+    span, lattice_sum = theta._span, theta.lattice_sum
 
-    def reversed_lines(span, *args):
-        return lines(span[::-1], *args)
+    def reversed_span(lo, hi):
+        spans.append((lo, hi, radii[-1]))
+        return span(lo, hi)[::-1]
 
-    monkeypatch.setattr(theta, "_lines", reversed_lines)
+    def recorded_sum(ctx, dim, radius, *forms):
+        radii.append(radius)
+        return lattice_sum(ctx, dim, radius, *forms)
+
+    monkeypatch.setattr(theta, "_span", reversed_span)
+    monkeypatch.setattr(theta, "lattice_sum", recorded_sum)
+    monkeypatch.setattr(floer, "lattice_sum", recorded_sum)
     for ctx in (get_context("double"), get_context("dd")):
         def line_terms(*forms, original=type(ctx).line_terms, ctx=ctx):
             add, close = original(ctx, *forms)
@@ -368,6 +376,13 @@ def test_lines_report_does_not_depend_on_term_order(name, monkeypatch):
         and name not in ("theta-asymmetric", "usub-not-positive",
                          "diagram-not-positive")
     assert any(len(ts) > 1 for ts in walked) == summed
+    # the jobs with a sum over two or more dimensions walk prefixes, and
+    # their last prefix coordinate is pruned to a part of the span, but for
+    # two jobs whose small doubled n = 1 sums have bands over the whole cube
+    prefixed = summed and not name.startswith("theta-n1")
+    assert any(lo < hi for lo, hi, _ in spans) == prefixed
+    pruned = any((lo, hi) != (-r, r) for lo, hi, r in spans)
+    assert pruned == (prefixed and name not in ("determinism", "usub-n1-dd"))
 
 
 @pytest.mark.parametrize("name", sorted(JOBS))

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
@@ -207,6 +208,16 @@ def test_cosets_diag_example():
     reps = cosets(RatMat([[2, 0], [0, 3]]))
     assert len(reps) == 6
     assert reps == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
+
+
+@pytest.mark.parametrize("x", [(Fraction(3, 2),), (1.9,), ("1",), (None,)])
+def test_coset_vectors_are_exact_integers_not_truncated(x):
+    # (3/2,) was taken as (1,), a representative of another coset
+    with pytest.raises(ValueError,
+                       match="coset vector must have integer entries"):
+        coset_reduce(RatMat([[2]]), x)
+    for whole in [(Fraction(3),), (3.0,)]:
+        assert coset_reduce(RatMat([[2]]), whole) == (1,)
 
 
 def test_cosets_singular_raises():

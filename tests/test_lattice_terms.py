@@ -6,18 +6,23 @@ terms of a per-point ``Fraction`` loop that forms each exponent exactly and
 rounds it once.  Those loops are copied here as references, together with
 the filtered-cube shell enumeration they walked.  The kernel's values are
 captured where each site receives them.  The term evaluators of both
-contexts are checked against ``cmath.exp`` and ``mp.exp`` term by term, and
+contexts are checked against ``cmath.exp`` and ``mp.exp`` term by term,
 the decay band's fallback is shown to run where a part of the sum is zero
-or nearly zero.
+or nearly zero, the value is shown not to depend on the band's margin, and
+the pruned walk is shown to keep the terms that a walk of every line keeps.
 """
 
 import cmath
 import math
 import random
+from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toruslift import floer, theta
 from toruslift.brane import _mod1
@@ -435,18 +440,60 @@ def test_lattice_sum_is_the_rounded_sum_of_every_cube_term(context, dim):
 
 # -- the decay band and its fallback ---------------------------------------------
 
+@dataclass
+class SumWalk:
+    """What one ``lattice_sum`` did: its radius, the terms of its first
+    accumulator as (da, db, ta, tb, t), and whether its rounding test
+    failed, so that it summed its whole cube afresh."""
+
+    radius: int
+    kept: list = field(default_factory=list)
+    accumulators: int = 0
+    fell_back: bool = False
+
+
+def record_walks(monkeypatch) -> list:
+    """Record a :class:`SumWalk` per ``lattice_sum`` call, in call order."""
+    walks = []
+    original = theta.lattice_sum
+
+    def recorded(ctx, dim, radius, *forms):
+        walks.append(SumWalk(radius))
+        return original(ctx, dim, radius, *forms)
+
+    for ctx in (get_context("double"), get_context("dd")):
+        def line_terms(*forms, line_terms=type(ctx).line_terms, ctx=ctx):
+            add, close = line_terms(ctx, *forms)
+            current = walks[-1]
+            current.accumulators += 1
+            if current.accumulators > 1:  # the fallback's whole cube
+                return add, close
+
+            def kept(ts, *line):
+                current.kept.extend((*line, t) for t in ts)
+                return add(ts, *line)
+
+            def tested(bound=None):
+                value = close(bound)
+                if bound is not None and value is None:
+                    current.fell_back = True
+                return value
+
+            return kept, tested
+
+        monkeypatch.setattr(ctx, "line_terms", line_terms)
+    monkeypatch.setattr(theta, "lattice_sum", recorded)
+    monkeypatch.setattr(floer, "lattice_sum", recorded)
+    return walks
+
+
 @pytest.fixture
-def fallbacks(monkeypatch):
-    """Calls of the kernel's fallback, which adds the deferred points."""
-    calls = []
-    original = theta._add_deferred
+def walks(monkeypatch):
+    return record_walks(monkeypatch)
 
-    def counted(*args):
-        calls.append(args[1])
-        return original(*args)
 
-    monkeypatch.setattr(theta, "_add_deferred", counted)
-    return calls
+def fell_back(walks) -> list:
+    return [w.radius for w in walks if w.fell_back]
 
 
 REAL_SPECS = [
@@ -461,12 +508,11 @@ REAL_SPECS = [
 
 @pytest.mark.parametrize("context", ["double", "dd"])
 @pytest.mark.parametrize("case", range(len(REAL_SPECS)))
-def test_a_zero_or_nearly_zero_part_runs_the_fallback(fallbacks, case,
-                                                      context):
+def test_a_zero_or_nearly_zero_part_runs_the_fallback(walks, case, context):
     spec, z = REAL_SPECS[case]
     # enlarge the ball so that points beyond the band exist
     value = theta_dk(spec, z, context=context, radius=12).value
-    assert fallbacks == [12]
+    assert fell_back(walks) == [12]
     zz = [(F(0), F(0))]
     ref = old_theta_terms(spec, zz, get_context(context), 12)
     assert exact_bits(value) == ref_sum(ref, context)
@@ -474,47 +520,195 @@ def test_a_zero_or_nearly_zero_part_runs_the_fallback(fallbacks, case,
 
 
 @pytest.mark.parametrize("context", ["double", "dd"])
-def test_the_band_decides_a_complex_sum_without_the_fallback(fallbacks,
+def test_the_band_decides_a_complex_sum_without_the_fallback(walks,
                                                               context):
     spec = spec_n1(0.5 + 1j, d=3, k=1, xi=1, tol=1e-12)
     z = [(F(1, 5), F(3, 10))]
     value = theta_dk(spec, z, context=context, radius=12).value
-    assert fallbacks == []
+    assert fell_back(walks) == []
     ref = old_theta_terms(spec, z, get_context(context), 12)
     assert exact_bits(value) == ref_sum(ref, context)
 
 
+def decay_at(form, line, t):
+    """The numerator of ``form`` at t on a line, from the line's (a, b) and
+    the form's last diagonal coefficient."""
+    a, b = line
+    return a + t * (b + form[1][-1][-1] * t)
+
+
 @pytest.mark.parametrize("context", ["double", "dd"])
-def test_points_outside_the_band_have_decay_above_T(monkeypatch, context):
+def test_points_outside_the_band_have_decay_above_T(walks, context):
     # a zero turns form makes every imaginary part exactly 0, so each sum
-    # falls back and hands its bands to _add_deferred: every point left out
-    # of a band must have decay above T, or B would not bound it
+    # falls back and sums its whole cube: every cube point the band left out
+    # must have decay above T, or B would not bound it
     rng = random.Random(7)
     ctx = get_context(context)
-    seen = []
-    original = theta._add_deferred
-
-    def check(add, radius, bands):
-        bands = list(bands)
-        seen.append(len(bands))
-        p, q = t_band.numerator, t_band.denominator
-        for da, db, _, _, lo, hi in bands:
-            assert -radius <= lo <= radius + 1 and lo - 1 <= hi <= radius
-            for t in range(-radius, radius + 1):
-                if not lo <= t <= hi:
-                    assert q * (da + t * (db + d_cc * t)) > p * d_den
-        return original(add, radius, bands)
-
-    monkeypatch.setattr(theta, "_add_deferred", check)
-    for dim, radius in [(1, 30), (2, 9), (3, 4)] * (3 if context == "double"
-                                                    else 1):
+    cases = [(1, 30), (2, 9), (3, 4)] * (3 if context == "double" else 1)
+    for dim, radius in cases:
         decay, _ = random_forms(rng, dim)
         # shrink the Gram so that bands hold many points, yet not the cube
-        d_den, d_cc = decay[0] * 4, decay[1][-1][-1]
-        decay = (d_den,) + decay[1:]
+        decay = (decay[0] * 4,) + decay[1:]
         t_band, _ = theta._decay_band(ctx.prec, (2 * radius + 1) ** dim)
+        p, q = t_band.numerator, t_band.denominator
         turns = int_form([[0] * dim for _ in range(dim)], [0] * dim, 0)
-        got = lattice_sum(ctx, dim, radius, decay, turns)
+        got = theta.lattice_sum(ctx, dim, radius, decay, turns)
         ref = per_point_terms(ctx, dim, radius, decay, turns)
         assert exact_bits(got) == ref_sum(ref, context)
-    assert len(seen) == (9 if context == "double" else 3)
+        band = [decay_at(decay, (da, db), t)
+                for da, db, _, _, t in walks[-1].kept]
+        assert len(band) < len(ref)
+        inside = sorted(form_value(decay, w)[0]
+                        for w in product(range(-radius, radius + 1),
+                                         repeat=dim)
+                        if q * form_value(decay, w)[0] <= p * decay[0])
+        assert not Counter(inside) - Counter(band)
+    assert fell_back(walks) == [radius for _, radius in cases]
+
+
+def bounded_forms(rng, dim, radius):
+    """:func:`random_forms` whose decay stays above -100 on the cube, so
+    that no term overflows a double."""
+    while True:
+        decay, turns = random_forms(rng, dim)
+        low = min(F(*form_value(decay, w))
+                  for w in product(range(-radius, radius + 1), repeat=dim))
+        if low > -100:
+            return decay, turns
+
+
+# a margin whose band holds every cube point of these forms: T ~ 1,300
+WHOLE_CUBE_MARGIN = 6000
+MARGIN_CASES = {"double": [(1, 12), (1, 5), (2, 6), (2, 3), (3, 3), (4, 2),
+                           (4, 1)],
+                "dd": [(1, 10), (2, 4), (3, 2), (4, 1)]}
+
+
+@pytest.mark.parametrize("context", ["double", "dd"])
+@pytest.mark.parametrize("margin", [0, theta._BAND_MARGIN, WHOLE_CUBE_MARGIN])
+def test_the_value_does_not_depend_on_the_band_margin(walks, monkeypatch,
+                                                      margin, context):
+    # the value is the rounded sum of the whole cube for any band edge T:
+    # margin 0 fails the rounding test often and falls back, and a band
+    # over the whole cube defers nothing.  Every other case has a zero
+    # turns form, whose sums are real: they fall back whenever a term is
+    # deferred
+    monkeypatch.setattr(theta, "_BAND_MARGIN", margin)
+    monkeypatch.setattr(theta, "_decay_band", theta._decay_band.__wrapped__)
+    rng = random.Random(len(context))
+    ctx = get_context(context)
+    cases = MARGIN_CASES[context] * 2
+    for i, (dim, radius) in enumerate(cases):
+        decay, turns = bounded_forms(rng, dim, radius)
+        if i % 2:
+            turns = int_form([[0] * dim for _ in range(dim)], [0] * dim, 0)
+        got = theta.lattice_sum(ctx, dim, radius, decay, turns)
+        ref = per_point_terms(ctx, dim, radius, decay, turns)
+        assert exact_bits(got) == ref_sum(ref, context), (dim, radius)
+    assert len(walks) == len(cases)
+    real = [w.fell_back for w in walks[1::2]]
+    if margin == WHOLE_CUBE_MARGIN:
+        assert fell_back(walks) == []
+        assert [len(w.kept) for w in walks] == \
+            [(2 * radius + 1) ** dim for dim, radius in cases]
+    else:
+        assert all(real)
+    if margin == 0 and context == "double":
+        # with B near half an ulp, complex sums fail the test too
+        assert any(w.fell_back for w in walks[::2])
+
+
+def unpruned_walk(ctx, radius, decay, turns) -> tuple:
+    """(kept, rooted): the (da, db, ta, tb, t) terms that the walk without
+    pruning keeps, and its (da, db, ta, tb) lines on which q (da + t (db +
+    d_cc t)) - p d_den has a real root, for T = p / q.  Every line of the
+    last coordinate through the cube is walked, and its band [lo, hi] is
+    the widened roots of that quadratic."""
+    d_den, d_quad, d_lin, d_const = decay
+    t_den, t_quad, t_lin, t_const = turns
+    dim = len(d_lin)
+    limit, _ = theta._decay_band(ctx.prec, (2 * radius + 1) ** dim)
+    p, q = limit.numerator, limit.denominator
+    d_cc = d_quad[-1][-1]
+    a2 = 2 * q * d_cc
+
+    def at_zero(quad, lin, const, w):
+        return const + sum(lin[i] * w[i] for i in range(dim - 1)) + sum(
+            quad[i][j] * w[i] * w[j]
+            for i in range(dim - 1) for j in range(i, dim - 1))
+
+    def slope(quad, lin, w):
+        return lin[-1] + sum(quad[i][-1] * w[i] for i in range(dim - 1))
+
+    kept, rooted = Counter(), Counter()
+    for w in product(range(-radius, radius + 1), repeat=dim - 1):
+        da, db = at_zero(d_quad, d_lin, d_const, w), slope(d_quad, d_lin, w)
+        ta, tb = at_zero(t_quad, t_lin, t_const, w), slope(t_quad, t_lin, w)
+        b = q * db
+        disc = b * b - 2 * a2 * (q * da - p * d_den)
+        if disc >= 0:
+            rooted[da, db, ta, tb] += 1
+            root = math.isqrt(disc) + 1
+            lo = max(-radius, -((b + root) // a2))
+            hi = min(radius, (root - b) // a2)
+            kept.update((da, db, ta, tb, t) for t in range(lo, hi + 1))
+    return kept, rooted
+
+
+def skewed_gram(dim, shears, scale):
+    """M^T M + scale I for the unimodular M = I + (shears below the
+    diagonal): integer, positive definite and, for large shears, skewed."""
+    m = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    it = iter(shears)
+    for i in range(dim):
+        for j in range(i):
+            m[i][j] = next(it)
+    return [[sum(m[k][i] * m[k][j] for k in range(dim)) + scale * (i == j)
+             for j in range(dim)] for i in range(dim)]
+
+
+@st.composite
+def centred_forms(draw):
+    """(dim, radius, decay, turns): decay = <G (c_den w - c), c_den w - c>
+    / d_den >= 0 for a skewed integer Gram G, and a random turns form."""
+    dim = draw(st.integers(2, 4))
+    radius = draw(st.integers(1, {2: 8, 3: 5, 4: 3}[dim]))
+    shears = draw(st.lists(st.integers(-4, 4), min_size=dim * (dim - 1) // 2,
+                           max_size=dim * (dim - 1) // 2))
+    gram = skewed_gram(dim, shears, draw(st.integers(0, 3)))
+    c_den = draw(st.integers(1, 5))
+    c = draw(st.lists(st.integers(-3 * c_den, 3 * c_den), min_size=dim,
+                      max_size=dim))
+    d_den = draw(st.integers(1, 12))
+    quad = [[gram[i][j] * c_den * c_den * (1 + (i < j)) if i <= j else 0
+             for j in range(dim)] for i in range(dim)]
+    gc = [sum(g * x for g, x in zip(row, c)) for row in gram]
+    decay = (d_den, quad, [-2 * c_den * x for x in gc],
+             sum(x * y for x, y in zip(c, gc)))
+    ints = st.integers(-7, 7)
+    t_quad = [[draw(ints) if i <= j else 0 for j in range(dim)]
+              for i in range(dim)]
+    turns = (draw(st.integers(1, 12)), t_quad,
+             draw(st.lists(ints, min_size=dim, max_size=dim)), draw(ints))
+    return dim, radius, decay, turns
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=centred_forms())
+def test_the_pruned_walk_keeps_what_the_unpruned_walk_keeps(case):
+    dim, radius, decay, turns = case
+    ctx = get_context("double")
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        walks = record_walks(monkeypatch)
+        theta.lattice_sum(ctx, dim, radius, decay, turns)
+    got = Counter(walks[-1].kept)
+    want, rooted = unpruned_walk(ctx, radius, decay, turns)
+    assert got == want
+    # no line with a non-empty band is skipped
+    assert {k[:4] for k in want} <= {k[:4] for k in got}
+    # and the pruned walk visits exactly the lines with a real root
+    limit, _ = theta._decay_band(ctx.prec, (2 * radius + 1) ** dim)
+    band = (limit.denominator, limit.numerator * decay[0], decay[1][-1][-1])
+    walked = theta._lines(radius, decay[1], turns[1], decay[3], decay[2],
+                          turns[3], turns[2], band)
+    assert Counter(walked) == rooted

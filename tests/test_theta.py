@@ -471,6 +471,35 @@ def test_spec_entries_of_any_exact_integral_type():
     assert shifted.char == (-3,) and type(shifted.char[0]) is int
 
 
+@pytest.mark.parametrize("m", [(Fraction(1, 2), 0), (1.9, 0), (0, "1")])
+def test_spec_lattice_vectors_are_exact_integers_not_truncated(m):
+    sp = re_spec2()
+    with pytest.raises(ValueError,
+                       match="lattice vector must have integer entries"):
+        sp.xi_value(m)
+    assert sp.xi_value((Fraction(1), 1.0)) == sp.xi_value((1, 1))
+
+
+@pytest.mark.parametrize("shift", [(Fraction(1, 2),), (1.9,), ("1",)])
+def test_transformation_shifts_are_exact_integers_not_truncated(shift):
+    sp = generic_spec()
+    with pytest.raises(ValueError,
+                       match="lattice shift must have integer entries"):
+        verify_quasi_periodicity(sp, [0.3 + 0.4j], shift)
+    with pytest.raises(ValueError,
+                       match="characteristic shift must have integer entries"):
+        verify_characteristic_shift(sp, [0.13 - 0.07j], shift)
+
+
+def test_integral_transformation_shifts_of_any_exact_type():
+    sp = generic_spec()
+    for shift in [(Fraction(1),), (1.0,), (True,)]:
+        assert verify_quasi_periodicity(sp, [0.3 + 0.4j], shift) == \
+            verify_quasi_periodicity(sp, [0.3 + 0.4j], (1,))
+        assert verify_characteristic_shift(sp, [0.13 - 0.07j], shift) == \
+            verify_characteristic_shift(sp, [0.13 - 0.07j], (1,))
+
+
 def test_spec_defaults_and_derived_data():
     sp = generic_spec()
     assert sp.xi_lin == (0,)
