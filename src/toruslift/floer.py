@@ -44,8 +44,9 @@ evaluated by :func:`toruslift.summation.exp_pi`.
 Both product sums are the one integer kernel of the package,
 :func:`toruslift.theta.lattice_sum`: ``mu2_base`` is the theta series at
 z = tau^T r - phi (:func:`toruslift.theta.theta_dk`) times a prefactor, and
-``mu2_double`` builds its own forms, with the phase in exact "turns"
-(fractions of a full circle).
+``mu2_double`` builds its forms with the builders of the theta series,
+:func:`toruslift.theta._centred` and :func:`toruslift.theta._add_linear`,
+with the phase in exact "turns" (fractions of a full circle).
 """
 
 from __future__ import annotations
@@ -73,6 +74,7 @@ from .theta import (
     CertifiedValue,
     ThetaSpec,
     _add_linear,
+    _centred,
     _resolved_tol,
     lattice_sum,
     theta_bar_dk,
@@ -242,30 +244,27 @@ def mu2_base(spec: ThetaSpec, r, phi, *,
 def _doubled(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat,
              a_form: RatMat) -> tuple:
     """The parts of the doubled product sums that depend on (tau, D) alone,
-    built once: X = Im(tau)^{-1} D^T and C = Re(tau) X Re(tau)^T + Im(tau)
-    X Im(tau)^T (the blocks of the doubled decay Gram and of the
-    trivialization factor), the Gram G of :func:`_double_gram`, the
-    integer decay quad of G over G's denominator, the turns quad over 2
-    (:func:`_double_forms`), the integer rows of D, D^T, A and A^T, and
-    D^{-T} as (integer rows, denominator)."""
+    built once: X = Im(tau)^{-1} D^T (symmetric positive definite), C =
+    Re(tau) X Re(tau)^T + Im(tau) X Im(tau)^T, the decay Gram G = 1/2
+    [[C, Re(tau) X], [X Re(tau)^T, X]], the turns quad over 2, the integer
+    rows of D, D^T, A and A^T, and D^{-T} as (integer rows, denominator).
+    The real decay part of the exponent is -pi <G (w+c), w+c> on w = (m,
+    n); the imaginary quadratic parts collapse, as the only cross term is
+    Im <X tau^T m', n'> = <D m', n'> because X Im(tau)^T = D exactly."""
     x_mat = tau_im.inv() @ d_mat.T
     c_mat = tau_re @ x_mat @ tau_re.T + tau_im @ x_mat @ tau_im.T
     cross = x_mat @ tau_re.T
     gram = vstack(hstack(c_mat, cross.T), hstack(cross, x_mat)) * Fraction(1, 2)
-    dim = gram.nrows
-    g = gram.num
-    g_quad = tuple(tuple(g[i][j] * (1 + (i < j)) if i <= j else 0
-                         for j in range(dim)) for i in range(dim))
     # the turns quad: the sign structure sum_{i<j} A_ij m_i m_j and the
     # doubled-structure cross term -<D m, n>
-    n, d, a = dim // 2, d_mat.num, a_form.num
-    t_quad = [[0] * dim for _ in range(dim)]
+    n, d, a = d_mat.nrows, d_mat.num, a_form.num
+    t_quad = [[0] * (2 * n) for _ in range(2 * n)]
     for i in range(n):
         t_quad[i][i + 1:n] = a[i][i + 1:]
         for j in range(n):
             t_quad[j][n + i] = -d[i][j]
     d_inv_t = d_mat.T.inv()
-    return (x_mat, c_mat, gram, g_quad, tuple(map(tuple, t_quad)),
+    return (x_mat, c_mat, gram, tuple(map(tuple, t_quad)),
             (d, tuple(zip(*d)), a, tuple(zip(*a))),
             (d_inv_t.num, d_inv_t.den))
 
@@ -279,37 +278,20 @@ def _root_det(ctx, spec: ThetaSpec):
     return ctx.sqrt(ctx.real(abs((2 * spec.q_form).det())))
 
 
-def _double_gram(spec: ThetaSpec) -> RatMat:
-    """Decay Gram of the doubled sum.
-
-    With X = Im(tau)^{-1} D^T (symmetric positive definite), the real decay
-    part of the exponent is -pi (w+c)^T G (w+c) on w = (m, n), where
-
-        G = 1/2 [[Re(tau) X Re(tau)^T + Im(tau) X Im(tau)^T,  Re(tau) X],
-                 [X Re(tau)^T,                                X        ]].
-
-    The imaginary quadratic parts collapse: the only cross term is
-    Im <X tau^T m', n'> = <D m', n'> because X Im(tau)^T = D exactly.
-    """
-    return _blocks(spec)[2]
-
-
 def _mv(rows, v) -> list:
     return [sum(map(mul, row, v)) for row in rows]
 
 
 def _double_forms(spec: ThetaSpec, l, pt: DoublePoint) -> tuple:
     """(gram, shift, decay, turns) of :func:`mu2_double` at the dual
-    characteristic ``l`` (integers) and the point: the doubled Gram, the
-    certificate's center shift max |c_i| and the integer decay and turns
-    forms, as :func:`toruslift.theta.int_form` would give them.
-
-    Only the linear and constant parts depend on the point and on l; they
-    are formed in integers over one denominator E of r, phi, theta-hat,
-    kappa, p and q = D^{-T} (A p + l), and added to the quads of
-    :func:`_doubled` by :func:`toruslift.theta._add_linear`."""
-    _, _, gram, g_quad, t_quad, (d, d_t, a, a_t), (dti, dti_den) = \
-        _blocks(spec)
+    characteristic ``l`` (integers) and the point: the Gram G of
+    :func:`_doubled`, the certificate's center shift max |c_i| and the
+    forms of :func:`toruslift.theta.lattice_sum`, formed in integers over
+    one denominator E of r, phi, theta-hat, kappa, p and q = D^{-T} (A p +
+    l).  The decay is G centred at -c (:func:`toruslift.theta._centred`),
+    the turns the quad of :func:`_doubled` plus the linear and constant
+    parts; :func:`toruslift.theta._add_linear` reduces each."""
+    _, _, gram, t_quad, (d, d_t, a, a_t), (dti, dti_den) = _blocks(spec)
     n = spec.n
     p, p_den = _int_vec(spec.p_vec)
     q_den = dti_den * p_den  # q = dti (A p + l) / q_den
@@ -324,10 +306,8 @@ def _double_forms(spec: ThetaSpec, l, pt: DoublePoint) -> tuple:
 
     # decay(w) = <G (w + c), w + c>, c = (cm, cn) / e
     c = cm + cn
-    gc = _mv(gram.num, c)
-    decay = _add_linear((gram.den, g_quad, [0] * (2 * n), 0),
-                        [2 * e * x for x in gc], sum(map(mul, c, gc)),
-                        gram.den * e * e)
+    decay = _add_linear(_centred(gram.num, gram.den, [-x for x in c], e),
+                        [0] * (2 * n), 0, 1)
     # turns(w) = [xi_raw(m) - <D m, n>] / 2 + lin . w + const; over 2 e the
     # linear parts are
     #   m: xi e - D^T cn - A r + A^T p - 2 A^T kappa - 2 D^T phi
@@ -347,8 +327,7 @@ def _double_forms(spec: ThetaSpec, l, pt: DoublePoint) -> tuple:
     return gram, Fraction(max(map(abs, c), default=0), e), decay, turns
 
 
-def mu2_double(spec: ThetaSpec, l, pt: DoublePoint,
-               radius: Optional[int] = None, *,
+def mu2_double(spec: ThetaSpec, l, pt: DoublePoint, *,
                context: str = "double") -> CertifiedValue:
     """One doubled product coefficient: the certified (m, n) lattice sum
     attached to the coset pair (k, l), k = ``spec.char``, and the
@@ -360,8 +339,7 @@ def mu2_double(spec: ThetaSpec, l, pt: DoublePoint,
     <m - p, A r>/2 + <p, A m>/2, with m' = m + (r-p), n' = n + (that-q).
 
     Decay and phase are integer forms in w = (m, n) (:func:`_double_forms`),
-    summed by :func:`toruslift.theta.lattice_sum`.  ``radius`` can enlarge
-    the summed ball beyond the certified radius, never shrink it.
+    summed by :func:`toruslift.theta.lattice_sum`.
     """
     n = spec.n
     if pt.n != n:
@@ -373,9 +351,8 @@ def mu2_double(spec: ThetaSpec, l, pt: DoublePoint,
     gram, shift, decay, turns = _double_forms(spec, l, pt)
     cert = truncation_radius(gram, tol=_resolved_tol(spec.tol, ctx),
                              center_shift=shift, max_radius=spec.max_radius)
-    use = cert.radius if radius is None else max(radius, cert.radius)
-    return CertifiedValue(lattice_sum(ctx, 2 * n, use, decay, turns), cert,
-                          context)
+    return CertifiedValue(lattice_sum(ctx, 2 * n, cert.radius, decay, turns),
+                          cert, context)
 
 
 def trivialization_factor(spec: ThetaSpec, pt: DoublePoint, *,

@@ -97,22 +97,6 @@ def iter_ball(dim: int, radius: int) -> Iterator[tuple]:
 
 # -- the affine-quadratic lattice-sum kernel ----------------------------------
 
-def int_form(mat, lin, const) -> tuple:
-    """The polynomial m -> m^T M m + lin . m + const with rational
-    coefficients (M square, not necessarily symmetric) as integer
-    numerators over one positive denominator: (den, quad, lin, const), with
-    quad[i][j] (i <= j) the coefficient of m_i m_j."""
-    dim = len(lin)
-    quad = [[Fraction(0)] * dim for _ in range(dim)]
-    for i, row in enumerate(mat):
-        for j, x in enumerate(row):
-            quad[min(i, j)][max(i, j)] += x
-    const = Fraction(const)
-    den = math.lcm(*(x.denominator for x in [*sum(quad, []), *lin, const]))
-    return (den, [[int(x * den) for x in row] for row in quad],
-            [int(x * den) for x in lin], int(const * den))
-
-
 def _span(lo: int, hi: int) -> range:
     """lo, lo + 1, ..., hi: the order in which the walk takes a prefix
     coordinate.  No value depends on it (every sum is rounded once)."""
@@ -195,7 +179,11 @@ def lattice_sum(ctx, dim: int, radius: int, decay, turns):
     """``ctx.sum`` of the terms ``exp_pi(ctx, -decay(w), turns(w))`` over
     the cube [-radius, radius]^dim (shells 0..radius), bit for bit: the
     one kernel of every certified sum.
-    ``decay`` (positive definite) and ``turns`` are :func:`int_form` forms.
+    ``decay`` (positive definite) and ``turns`` are affine-quadratic forms
+    in w, (den, quad, lin, const): integer numerators over one denominator,
+    quad upper-triangular (quad[i][j], i <= j, the coefficient of w_i w_j),
+    in the normal form den > 0 and gcd(den, all numerators) = 1 that
+    :func:`_add_linear` returns.
 
     Each line first sums its band of decay at most T (:func:`_decay_band`),
     and lines whose band quadratic has no real root are not walked
@@ -485,9 +473,9 @@ def _radius_search(lam: Fraction, dim: int, c1: Fraction, c0: Fraction,
 
 def _centred(rows, den: int, p, p_den: int) -> tuple:
     """<M (m - c), m - c> for M = ``rows`` / ``den`` and c = ``p`` /
-    ``p_den`` (integer numerators), as integer numerators over the
-    denominator den p_den^2, not reduced: (den, quad, lin, const) with
-    quad[i][j] (i <= j) the coefficient of m_i m_j, as in :func:`int_form`."""
+    ``p_den`` (integer numerators), as a form of :func:`lattice_sum` over
+    the denominator den p_den^2, not yet reduced; :func:`_add_linear`
+    reduces it.  With these two every lattice-sum form is built."""
     dim, sq = len(p), p_den * p_den
     quad = [[0] * dim for _ in range(dim)]
     for i in range(dim):
@@ -501,10 +489,10 @@ def _centred(rows, den: int, p, p_den: int) -> tuple:
 
 
 def _add_linear(form: tuple, lin, const: int, den: int) -> tuple:
-    """``form`` (numerators over one denominator, as :func:`_centred`
-    gives) plus lin . m + const with ``lin`` and ``const`` integer
-    numerators over ``den``: the :func:`int_form` of the sum, scaled once to
-    the least common denominator."""
+    """``form`` (as :func:`_centred` gives it) plus lin . m + const, with
+    ``lin`` and ``const`` integer numerators over ``den``, scaled once to
+    the least common denominator and reduced to the normal form of
+    :func:`lattice_sum`: the one set of integers of that polynomial."""
     f_den, f_quad, f_lin, f_const = form
     common = lcm(f_den, den)
     a, b = common // f_den, common // den
@@ -604,11 +592,16 @@ class ThetaSpec:
         """Integer decay and turns forms of the series terms at an exact z
         (a sequence of (Re, Im) rational pairs), in m, with w = m - p:
         decay = <Im(tau) D w, w> + 2 <D w, Im z> and turns = xi(m)/2 +
-        <p, A m>/2 + <Re(tau) D w, w>/2 + <D w, Re z>, as :func:`int_form`
-        would give them.  <D w, v> = <D^T v, m> - <k, v> since D p = k."""
+        <p, A m>/2 + <Re(tau) D w, w>/2 + <D w, Re z>, each reduced once
+        by :func:`_add_linear`.  <D w, v> = <D^T v, m> - <k, v> since
+        D p = k."""
+        return self._forms(z, self._pairings(im for _, im in z))
+
+    def _forms(self, z, im) -> tuple:
+        """:meth:`forms`, given the :meth:`_pairings` ``im`` of Im z."""
         decay, turns, _ = self._z_free
         d_re, k_re, re_den = self._pairings(re for re, _ in z)
-        d_im, k_im, im_den = self._pairings(im for _, im in z)
+        d_im, k_im, im_den = im
         return (_add_linear(decay, [2 * x for x in d_im], -2 * k_im, im_den),
                 _add_linear(turns, d_re, -k_re, re_den))
 
@@ -664,26 +657,30 @@ def _resolved_tol(tol, ctx) -> float:
 def _exact_z(z, n: int):
     """Evaluation points as exact (Re, Im) rational pairs.
 
-    Accepts complex/real entries or explicit (re, im) pairs; the latter keep
-    lattice-exact shifts like z + tau^T h representable without a rounding
-    step through machine doubles.
+    Accepts explicit (re, im) pairs, int and Fraction entries (both taken
+    exactly) and other numbers through ``complex`` (a float exactly).
+    Pairs keep lattice-exact shifts like z + tau^T h representable without
+    a rounding step through machine doubles.
     """
     out = []
     for w in z:
         if isinstance(w, tuple):
             re, im = w
-            out.append((rat(re), rat(im)))
+        elif isinstance(w, (int, Fraction)):
+            re, im = w, 0
         else:
-            ww = complex(w)
-            out.append((rat(ww.real), rat(ww.imag)))
+            w = complex(w)
+            re, im = w.real, w.imag
+        out.append((rat(re), rat(im)))
     if len(out) != n:
         raise InadmissibleSpec(f"z must have length {n}")
     return out
 
 
-def _theta_certificate(spec: ThetaSpec, z, tol: float) -> TruncationCertificate:
-    # |e^{2 pi i <Dm - k, z>}| = e^{pi(-2<m, D^T Im z> + 2<k, Im z>)}
-    d_im, k_im, den = spec._pairings(im for _, im in z)
+def _theta_certificate(spec: ThetaSpec, im, tol: float) -> TruncationCertificate:
+    # |e^{2 pi i <Dm - k, z>}| = e^{pi(-2<m, D^T Im z> + 2<k, Im z>)}, with
+    # im = (D^T Im z, <k, Im z>, den) from ThetaSpec._pairings
+    d_im, k_im, den = im
     return truncation_radius(
         spec.q_form,
         linear_bound=Fraction(2 * sum(map(abs, d_im)), den),
@@ -694,20 +691,19 @@ def _theta_certificate(spec: ThetaSpec, z, tol: float) -> TruncationCertificate:
     )
 
 
-def theta_dk(spec: ThetaSpec, z: Sequence[complex], *, context: str = "double",
-             radius: Optional[int] = None) -> CertifiedValue:
+def theta_dk(spec: ThetaSpec, z: Sequence[complex], *,
+             context: str = "double") -> CertifiedValue:
     """Certified evaluation of the theta series at a complex n-vector z,
     taken exactly (:func:`_exact_z`) into the forms of
     :meth:`ThetaSpec.forms`.  The truncation error is below the
-    certificate's tail bound (rounding is not part of it).  ``radius`` can
-    enlarge the summed ball beyond the certified radius, never shrink it.
+    certificate's tail bound (rounding is not part of it).  The forms and
+    the certificate share one pairing of Im z with D and k.
     """
     ctx = get_context(context)
     zz = _exact_z(z, spec.n)
-    tol = _resolved_tol(spec.tol, ctx)
-    cert = _theta_certificate(spec, zz, tol)
-    use = cert.radius if radius is None else max(radius, cert.radius)
-    value = lattice_sum(ctx, spec.n, use, *spec.forms(zz))
+    im = spec._pairings(im for _, im in zz)
+    cert = _theta_certificate(spec, im, _resolved_tol(spec.tol, ctx))
+    value = lattice_sum(ctx, spec.n, cert.radius, *spec._forms(zz, im))
     return CertifiedValue(value, cert, context)
 
 
@@ -816,13 +812,20 @@ def gaussian_theta_lhs(tau: complex, u: complex, v: complex,
     pref_coeff = -(dr * dr - di * di) / (2 * a)
     tol_eff = tol * math.exp(
         -max(to_float(_interval(pref_coeff)[1]), 0.0) * math.pi)
+
+    def form(rows, den, *coeffs):
+        # rows / den, plus the exact linear and constant coefficients
+        num, num_den = _int_vec(coeffs)
+        return _add_linear(_centred(rows, den, (0, 0), 1), num[:2], num[2],
+                           num_den)
+
     # the Gram part, the sign (-1)^{mn} as the turn mn/2, and
     # -(1/a) (m + n conj(tau)) u + (1/a) (m + n tau) v - (u - v)^2 / (2a)
-    forms = (int_form(_pair_gram(tau).rows, (dr / a, b * dr / a + ui + vi),
-                      -pref_coeff),
-             int_form([[0, Fraction(1, 2)], [0, 0]],
-                      (-di / (2 * a), (a * (ur + vr) - b * di) / (2 * a)),
-                      -dr * di / (2 * a)))
+    gram = _pair_gram(tau)
+    forms = (form(gram.num, gram.den, dr / a, b * dr / a + ui + vi,
+                  -pref_coeff),
+             form(((0, 1), (0, 0)), 2, -di / (2 * a),
+                  (a * (ur + vr) - b * di) / (2 * a), -dr * di / (2 * a)))
     value, cert = _double_sum(forms, tau, lin, tol_eff, max_radius, ctx)
     return CertifiedValue(value, cert, context)
 

@@ -42,7 +42,8 @@ from toruslift.floer import (
 )
 from toruslift.lattice import coset_reduce
 from toruslift.summation import get_context
-from toruslift.theta import ThetaSpec, gaussian_theta_lhs, theta_bar_dk, theta_dk
+from toruslift.theta import (ThetaSpec, gaussian_theta_lhs, lattice_sum,
+                             theta_bar_dk, theta_dk)
 from toruslift.torus import MirrorCoords, Torus, double_torus
 
 Z1 = RatMat([[0]])
@@ -293,9 +294,13 @@ def test_doubled_sum_matches_the_periodized_gaussian():
 
 
 def test_doubled_sum_radius_enlargement_stays_in_budget():
-    base = doubled_value("n1_halfmod", tol=1e-10)
-    wide = doubled_value("n1_halfmod", tol=1e-10,
-                         radius=base.certificate.radius + 2)
+    c = DOUBLED_CASES["n1_halfmod"]
+    spec = ThetaSpec(c["tau_re"], c["tau_im"], c["d_mat"], c["k"], c["xi"],
+                     1e-10)
+    base = mu2_double(spec, c["l"], c["pt"])
+    _, _, decay, turns = floer._double_forms(spec, c["l"], c["pt"])
+    wide = lattice_sum(get_context("double"), 2, base.certificate.radius + 2,
+                       decay, turns)
     assert abs(complex(base) - complex(wide)) < base.certificate.tail_bound
 
 

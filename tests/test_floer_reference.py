@@ -4,20 +4,20 @@ replaced.
 ``floer._double_forms`` builds the decay and turns forms of ``mu2_double``
 from integer parts kept once per (tau, D) and integer linear and constant
 parts per call.  :func:`fraction_double_forms` is the computation it
-replaced: the doubled Gram from ``RatMat`` blocks, ``int_form`` of
-``centered_form`` for the decay, and Fraction vectors for the turns.  Both
-must give the same integers, the same Gram and the same center shift.
+replaced: the doubled Gram from ``RatMat`` blocks, the Fraction
+references of ``fractionforms`` for the decay, and Fraction vectors for the
+turns.  Both must give the same integers, the same Gram and the same center
+shift.
 """
 
-import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from fractionforms import ref_centered_form, ref_double_gram, ref_int_form
 from toruslift import floer
-from toruslift.exact import (RatMat, hstack, ratvec, vec_add, vec_dot,
-                             vec_sub, vstack)
+from toruslift.exact import RatMat, ratvec, vec_add, vec_dot, vec_sub
 from toruslift.floer import DoublePoint, mu2_double
 from toruslift.lattice import cosets
 from toruslift.theta import ThetaSpec
@@ -25,36 +25,9 @@ from toruslift.theta import ThetaSpec
 F = Fraction
 
 
-def ref_int_form(mat, lin, const):
-    dim = len(lin)
-    quad = [[Fraction(0)] * dim for _ in range(dim)]
-    for i, row in enumerate(mat):
-        for j, x in enumerate(row):
-            quad[min(i, j)][max(i, j)] += x
-    const = Fraction(const)
-    den = math.lcm(*(x.denominator for x in [*sum(quad, []), *lin, const]))
-    return (den, [[int(x * den) for x in row] for row in quad],
-            [int(x * den) for x in lin], int(const * den))
-
-
-def ref_centered_form(mat, center):
-    mc = mat @ center
-    lin = tuple(-x for x in vec_add(mc, mat.T @ center))
-    return mat.rows, lin, vec_dot(center, mc)
-
-
-def ref_double_gram(spec):
-    tau_re, tau_im = spec.tau_re, spec.tau_im
-    x_mat = tau_im.inv() @ spec.d_mat.T
-    c_mat = tau_re @ x_mat @ tau_re.T + tau_im @ x_mat @ tau_im.T
-    cross = x_mat @ spec.tau_re.T
-    gram = vstack(hstack(c_mat, cross.T), hstack(cross, x_mat))
-    return gram * Fraction(1, 2)
-
-
 def fraction_double_forms(spec, l, pt):
     """(gram, shift, decay, turns) as mu2_double computed them through
-    RatMat blocks, centered_form, int_form and Fraction vectors."""
+    RatMat blocks, the Fraction form references and Fraction vectors."""
     n = spec.n
     d_mat, a_form, p = spec.d_mat, spec.a_form, spec.p_vec
     q = d_mat.T.solve(vec_add(a_form @ p, ratvec(l)))

@@ -24,15 +24,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fractionforms import ref_double_gram, ref_int_form
 from toruslift import floer, theta
 from toruslift.brane import _mod1
 from toruslift.exact import RatMat, ratvec, vec_add, vec_dot, vec_sub
-from toruslift.floer import DoublePoint, _double_gram, mu2_base, mu2_double
+from toruslift.floer import DoublePoint, mu2_base, mu2_double
 from toruslift.lattice import cosets
 from toruslift.summation import get_context
 from toruslift.theta import (
     ThetaSpec,
-    int_form,
+    _exact_z,
     iter_shell,
     lattice_sum,
     spec_n1,
@@ -131,7 +132,7 @@ def old_double_terms(tau_re, tau_im, d_mat, k, l, pt, bits, ctx, radius):
     q = d_mat.T.solve(vec_add(a_form @ p, ratvec(l)))
     cm = vec_sub(pt.r, p)
     cn = vec_sub(pt.theta_hat, q)
-    gram = _double_gram(ThetaSpec(tau_re, tau_im, d_mat))
+    gram = ref_double_gram(ThetaSpec(tau_re, tau_im, d_mat))
     center = tuple(cm) + tuple(cn)
     g_den, g_int = gram.den, gram.num
     d_lin = tuple(2 * x for x in (gram @ center))
@@ -297,7 +298,8 @@ def test_doubled_product_terms_match_on_an_enlarged_ball(captured):
             DoublePoint(vec(), vec(), vec(), vec()))
     spec = ThetaSpec(*args[:4], bits, tol=1e-3)
     radius = mu2_double(spec, *args[4:]).certificate.radius + 2
-    mu2_double(spec, *args[4:], radius=radius)
+    _, _, decay, turns = floer._double_forms(spec, *args[4:])
+    theta.lattice_sum(get_context("double"), 4, radius, decay, turns)
     ref = old_double_terms(*args, bits, get_context("double"), radius)
     assert len(ref) == (2 * radius + 1) ** 4
     assert captured[-1] == ref_sum(ref, "double")
@@ -397,11 +399,13 @@ def random_forms(rng, dim):
         if gram.is_positive_definite():
             break
     lin = [F(rng.randint(-30, 30), rng.randint(1, 9)) for _ in range(dim)]
-    decay = int_form(gram.rows, lin, F(rng.randint(-20, 20), rng.randint(1, 7)))
+    decay = ref_int_form(gram.rows, lin,
+                         F(rng.randint(-20, 20), rng.randint(1, 7)))
     t_mat = [[F(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(dim)]
              for _ in range(dim)]
     t_lin = [F(rng.randint(-9, 9), rng.randint(1, 13)) for _ in range(dim)]
-    turns = int_form(t_mat, t_lin, F(rng.randint(-9, 9), rng.randint(1, 5)))
+    turns = ref_int_form(t_mat, t_lin,
+                         F(rng.randint(-9, 9), rng.randint(1, 5)))
     return decay, turns
 
 
@@ -511,7 +515,8 @@ REAL_SPECS = [
 def test_a_zero_or_nearly_zero_part_runs_the_fallback(walks, case, context):
     spec, z = REAL_SPECS[case]
     # enlarge the ball so that points beyond the band exist
-    value = theta_dk(spec, z, context=context, radius=12).value
+    value = theta.lattice_sum(get_context(context), 1, 12,
+                              *spec.forms(_exact_z(z, 1)))
     assert fell_back(walks) == [12]
     zz = [(F(0), F(0))]
     ref = old_theta_terms(spec, zz, get_context(context), 12)
@@ -524,7 +529,7 @@ def test_the_band_decides_a_complex_sum_without_the_fallback(walks,
                                                               context):
     spec = spec_n1(0.5 + 1j, d=3, k=1, xi=1, tol=1e-12)
     z = [(F(1, 5), F(3, 10))]
-    value = theta_dk(spec, z, context=context, radius=12).value
+    value = theta.lattice_sum(get_context(context), 1, 12, *spec.forms(z))
     assert fell_back(walks) == []
     ref = old_theta_terms(spec, z, get_context(context), 12)
     assert exact_bits(value) == ref_sum(ref, context)
@@ -551,7 +556,7 @@ def test_points_outside_the_band_have_decay_above_T(walks, context):
         decay = (decay[0] * 4,) + decay[1:]
         t_band, _ = theta._decay_band(ctx.prec, (2 * radius + 1) ** dim)
         p, q = t_band.numerator, t_band.denominator
-        turns = int_form([[0] * dim for _ in range(dim)], [0] * dim, 0)
+        turns = ref_int_form([[0] * dim for _ in range(dim)], [0] * dim, 0)
         got = theta.lattice_sum(ctx, dim, radius, decay, turns)
         ref = per_point_terms(ctx, dim, radius, decay, turns)
         assert exact_bits(got) == ref_sum(ref, context)
@@ -601,7 +606,7 @@ def test_the_value_does_not_depend_on_the_band_margin(walks, monkeypatch,
     for i, (dim, radius) in enumerate(cases):
         decay, turns = bounded_forms(rng, dim, radius)
         if i % 2:
-            turns = int_form([[0] * dim for _ in range(dim)], [0] * dim, 0)
+            turns = ref_int_form([[0] * dim for _ in range(dim)], [0] * dim, 0)
         got = theta.lattice_sum(ctx, dim, radius, decay, turns)
         ref = per_point_terms(ctx, dim, radius, decay, turns)
         assert exact_bits(got) == ref_sum(ref, context), (dim, radius)

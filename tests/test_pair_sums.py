@@ -6,15 +6,19 @@ references here evaluate the same terms as complex-float closures over
 ``iter_ball``, with the same certificates; the two must agree to rounding
 on the runner's default grids.  Identity 1's shifted-Gaussian form is the
 same sum written differently, so it is checked against the periodized
-Gaussian at v = 0.
+Gaussian at v = 0.  The forms themselves are pinned, bit for bit, to a
+Fraction reference.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from mpmath.libmp import to_float
 
+from fractionforms import ref_int_form
+from toruslift import theta
 from toruslift.exact import rat
 from toruslift.runner import _TAU_DEFAULT, _UV_DEFAULT, _Z_DEFAULT
 from toruslift.summation import get_context
@@ -24,6 +28,7 @@ from toruslift.theta import (
     _pair_linear_coeff,
     gaussian_theta_lhs,
     iter_ball,
+    lattice_sum,
     truncation_radius,
 )
 
@@ -125,3 +130,44 @@ def test_identity1_forms_match_the_float_closures(tau, context):
         first = gaussian_theta_lhs(tau, z, 0j, context=context).value
         assert_close(first, closure_first(tau, z, ctx), context)
         assert_close(first, closure_middle(tau, z, ctx), context)
+
+
+def fraction_pair_forms(tau, u, v):
+    """The decay and turns forms of the pair sum at (tau, u, v), through
+    Fraction coefficients: the Gram of (m + n tau)(m + n conj(tau)) / (2a),
+    the sign (-1)^{mn} as the turn mn/2, and the real and imaginary parts
+    of -(1/a) (m + n conj(tau)) u + (1/a) (m + n tau) v - (u - v)^2 / (2a)
+    over -pi and 2 pi."""
+    b, a = rat(tau.real), rat(tau.imag)
+    ur, ui, vr, vi = map(rat, (u.real, u.imag, v.real, v.imag))
+    dr, di = ur - vr, ui - vi
+    half = Fraction(1, 2)
+    gram = [[half / a, half * b / a],
+            [half * b / a, half * (b * b + a * a) / a]]
+    decay = ref_int_form(gram, (dr / a, b * dr / a + ui + vi),
+                         (dr * dr - di * di) / (2 * a))
+    turns = ref_int_form([[0, half], [0, 0]],
+                         (-di / (2 * a), (a * (ur + vr) - b * di) / (2 * a)),
+                         -dr * di / (2 * a))
+    return decay, turns
+
+
+def test_pair_sum_forms_are_the_fraction_forms(monkeypatch):
+    # the forms the kernel receives are the reference's integers, on seeded
+    # tau (a quarter with Re tau = 0), u and v
+    seen = []
+
+    def record(ctx, dim, radius, decay, turns):
+        seen.append((decay, turns))
+        return lattice_sum(ctx, dim, radius, decay, turns)
+
+    monkeypatch.setattr(theta, "lattice_sum", record)
+    rng = random.Random(20)
+    for i in range(80):
+        tau = complex(0.0 if i % 4 == 0 else rng.uniform(-0.6, 0.6),
+                      rng.uniform(0.8, 1.5))
+        u, v = (complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                for _ in range(2))
+        gaussian_theta_lhs(tau, u, v, 1e-8)
+        assert seen == [fraction_pair_forms(tau, u, v)], (tau, u, v)
+        seen.clear()

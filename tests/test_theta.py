@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fractionforms import ref_double_gram
 from toruslift.errors import (
     InadmissibleSpec,
     NotPositiveDefinite,
@@ -14,12 +15,14 @@ from toruslift.errors import (
 )
 import toruslift.theta as theta_module
 from toruslift.exact import RatMat
-from toruslift.floer import _double_gram
+from toruslift.summation import get_context
 from toruslift.theta import (
     ThetaSpec,
+    _exact_z,
     gaussian_theta_lhs,
     iter_ball,
     iter_shell,
+    lattice_sum,
     min_eigenvalue_bound,
     spec_n1,
     theta_bar_dk,
@@ -215,8 +218,9 @@ def test_min_eigenvalue_bound_matches_bisection(dim):
 
 
 def edge_grams():
-    doubled = _double_gram(ThetaSpec(RatMat([[0, 1], [0, 0]]),
-                                     RatMat.identity(2), RatMat([[2, 0], [0, 1]])))
+    doubled = ref_double_gram(ThetaSpec(RatMat([[0, 1], [0, 0]]),
+                                        RatMat.identity(2),
+                                        RatMat([[2, 0], [0, 1]])))
     return {
         "diag(1,5)": RatMat.diag([1, 5]),  # lambda is the least diagonal entry
         "[[2,1],[1,2]]": RatMat([[2, 1], [1, 2]]),  # lambda = 2^79 u exactly
@@ -352,8 +356,9 @@ def test_radius_search_matches_the_iv_walk():
 def test_certificates_of_every_caller_match_the_iv_walk():
     # theta series, doubled products and pair sums pass their own c1, c0
     # and shift; the public call must give the walk's certificate
-    gram = _double_gram(ThetaSpec(RatMat([[0, 1], [0, 0]]), RatMat.identity(2),
-                                  RatMat([[2, 0], [0, 1]])))
+    gram = ref_double_gram(ThetaSpec(RatMat([[0, 1], [0, 0]]),
+                                     RatMat.identity(2),
+                                     RatMat([[2, 0], [0, 1]])))
     cases = [
         (RatMat([[2, 1], [1, 1]]), Fraction(0), Fraction(0), Fraction(1, 3)),
         (gram, Fraction(0), Fraction(0), Fraction(7, 10)),
@@ -500,6 +505,25 @@ def test_integral_transformation_shifts_of_any_exact_type():
             verify_characteristic_shift(sp, [0.13 - 0.07j], (1,))
 
 
+def value_bits(value):
+    if hasattr(value, "_mpc_"):
+        return value._mpc_
+    return value.real.hex(), value.imag.hex()
+
+
+@pytest.mark.parametrize("context", ["double", "dd"])
+def test_int_and_fraction_entries_of_z_are_taken_exactly(context):
+    # an int or Fraction entry x is the point (x, 0) itself, not x rounded
+    # to a double first
+    sp = spec_n1(0.5 + 1j, tol=1e-25)
+    for x in (Fraction(1, 3), Fraction(-7, 10), 2 ** 60 + 1):
+        entry = theta_dk(sp, [x], context=context)
+        pair = theta_dk(sp, [(x, 0)], context=context)
+        assert value_bits(entry.value) == value_bits(pair.value), x
+        assert verify_quasi_periodicity(sp, [x], (1,), context=context) == \
+            verify_quasi_periodicity(sp, [(x, 0)], (1,), context=context)
+
+
 def test_spec_defaults_and_derived_data():
     sp = generic_spec()
     assert sp.xi_lin == (0,)
@@ -558,7 +582,9 @@ def test_enlarged_radius_stays_within_tail_bound():
     sp = generic_spec()
     z = [0.13 - 0.07j]
     base = theta_dk(sp, z)
-    wide = theta_dk(sp, z, radius=2 * base.certificate.radius + 3)
+    wide = lattice_sum(get_context("double"), sp.n,
+                       2 * base.certificate.radius + 3,
+                       *sp.forms(_exact_z(z, sp.n)))
     assert abs(complex(base) - complex(wide)) < base.certificate.tail_bound
 
 

@@ -24,6 +24,7 @@ from mpmath.libmp import (
     mpi_add, mpi_div, mpi_exp, mpi_mul, mpi_neg, mpi_pow, mpi_sub, to_float,
 )
 
+from fractionforms import ref_centered_form, ref_int_form
 import toruslift.runner as runner_module
 import toruslift.theta as theta_module
 from toruslift.brane import admissible_d, xi_bits
@@ -245,12 +246,12 @@ def workload_like_misses():
                 RatMat([[rng.choice((0, Fraction(1, 2), Fraction(-1, 3)))]]),
                 RatMat([[rng.choice((1, Fraction(3, 4)))]]), RatMat([[d]]),
                 (rng.randrange(d),), (rng.randint(0, 1),))
-            _theta_certificate(spec, point(1), rng.choice((1e-12, 1e-20)))
+            certificate(spec, point(1), rng.choice((1e-12, 1e-20)))
             c = rng.choice((0, Fraction(1, 2), Fraction(-1, 2)))
             spec2 = ThetaSpec(RatMat([[c, 0], [0, c]]), RatMat.identity(2),
                               RatMat(rng.choice(slopes)),
                               (rng.randint(0, 1), rng.randint(0, 1)))
-            _theta_certificate(spec2, point(2), rng.choice((1e-12, 1e-20)))
+            certificate(spec2, point(2), rng.choice((1e-12, 1e-20)))
             tau = complex(rng.choice((0, 0.5)), rng.choice((1, 0.75)))
             theta_module.gaussian_theta_lhs(
                 tau, complex(*map(float, point(1)[0])),
@@ -278,24 +279,6 @@ def test_intervals_run_at_one_shell_on_workload_like_misses(monkeypatch):
 # --- the spec's forms --------------------------------------------------------
 
 
-def ref_int_form(mat, lin, const):
-    dim = len(lin)
-    quad = [[Fraction(0)] * dim for _ in range(dim)]
-    for i, row in enumerate(mat):
-        for j, x in enumerate(row):
-            quad[min(i, j)][max(i, j)] += x
-    const = Fraction(const)
-    den = math.lcm(*(x.denominator for x in [*sum(quad, []), *lin, const]))
-    return (den, [[int(x * den) for x in row] for row in quad],
-            [int(x * den) for x in lin], int(const * den))
-
-
-def ref_centered_form(mat, center):
-    mc = mat @ center
-    lin = tuple(-x for x in vec_add(mc, mat.T @ center))
-    return mat.rows, lin, vec_dot(center, mc)
-
-
 def fraction_spec_data(tau_re, tau_im, d_mat, char=(), xi_lin=()):
     """The derived data of a spec as it was computed by Fraction algebra:
     (a_form, char, xi_lin, q_form, p_vec), or the error it raised."""
@@ -311,7 +294,7 @@ def fraction_spec_data(tau_re, tau_im, d_mat, char=(), xi_lin=()):
 
 def fraction_forms(spec, z):
     """The decay and turns forms as they were computed through Fraction
-    vectors, centered_form and int_form."""
+    vectors and the Fraction form references."""
     half, p = Fraction(1, 2), spec.p_vec
     a = spec.a_form
     re_mat, re_lin, re_const = ref_centered_form(spec.tau_re @ spec.d_mat, p)
@@ -326,6 +309,12 @@ def fraction_forms(spec, z):
     q_const -= 2 * vec_dot(spec.char, z_im)
     return (ref_int_form(q_mat, q_lin, q_const),
             ref_int_form(t_mat, t_lin, t_const))
+
+
+def certificate(spec, z, tol):
+    """The certificate of ``theta_dk`` at z, from the pairing of Im z that
+    it shares with the forms."""
+    return _theta_certificate(spec, spec._pairings(im for _, im in z), tol)
 
 
 def fraction_certificate(spec, z, tol):
@@ -399,7 +388,7 @@ def test_forms_are_the_fraction_forms(n):
         for z in seeded_points(rng, n, 3):
             for s in (spec, shifted, conjugate):
                 assert s.forms(z) == fraction_forms(s, z)
-                assert outcome(_theta_certificate, (s, z, 1e-12)) == \
+                assert outcome(certificate, (s, z, 1e-12)) == \
                     outcome(fraction_certificate, (s, z, 1e-12))
 
 
@@ -535,7 +524,8 @@ def test_theta_values_are_unchanged_on_fraction_forms(monkeypatch):
                   Fraction(rng.randint(-1, 1), rng.choice(DENS)))
                  for _ in range(n)]
             got = theta_dk(spec, z)
-            monkeypatch.setattr(ThetaSpec, "forms", fraction_forms)
+            monkeypatch.setattr(ThetaSpec, "_forms",
+                                lambda s, z, im: fraction_forms(s, z))
             want = theta_dk(spec, z)
             monkeypatch.undo()
             assert (got.value, got.certificate) == (want.value,
