@@ -65,9 +65,12 @@ from .torus import DoubledTorus, Torus, double_torus
 
 
 def admissible_d(tau_re: RatMat, tau_im: RatMat, d: RatMat, *,
-                 error=InadmissibleD, require_positive: bool = True) -> RatMat:
+                 error=InadmissibleD, require_positive: bool = True,
+                 with_products: bool = False):
     """Check a slope matrix against the modulus tau = tau_re + i tau_im and
-    return the pairing form A = Re(tau)D - D^T Re(tau)^T.
+    return the pairing form A = Re(tau)D - D^T Re(tau)^T; with
+    ``with_products``, return (A, Im(tau) D, Re(tau) D), the products the
+    check forms.
 
     Requirements: D integer and nonsingular, Im(tau) D symmetric (equal to
     D^T Im(tau)^T) and, unless ``require_positive`` is disabled, positive
@@ -89,13 +92,18 @@ def admissible_d(tau_re: RatMat, tau_im: RatMat, d: RatMat, *,
         raise error("Im(tau) D is not symmetric")
     if require_positive and not prod.is_positive_definite():
         raise error("Im(tau) D is not positive definite")
-    return pairing_form(tau_re, d, error=error)
+    rd = tau_re @ d
+    a = _pairing(rd, error)
+    return (a, prod, rd) if with_products else a
 
 
 def pairing_form(tau_re: RatMat, d: RatMat, *, error=InadmissibleD) -> RatMat:
     """The pairing form A = Re(tau)D - D^T Re(tau)^T, checked integral:
     the last condition of :func:`admissible_d`, with its message."""
-    rd = tau_re @ d
+    return _pairing(tau_re @ d, error)
+
+
+def _pairing(rd: RatMat, error) -> RatMat:
     a = rd - rd.T  # D^T Re(tau)^T is (Re(tau) D)^T
     if not a.is_integer():
         raise error("Re(tau) D - D^T Re(tau)^T is not an integer matrix")

@@ -118,9 +118,14 @@ def _theta_spec(config: JobConfig, spec: TaskSpec, char: str = "k"):
     max_radius."""
     tau_re, tau_im = _period(config)
     n = config.torus.n
-    return ThetaSpec(tau_re, tau_im, spec.get("d", RatMat.identity(n)),
+    return ThetaSpec(tau_re, tau_im, _slope(config, spec),
                      spec.get(char, (0,) * n), spec.get("xi", (0,) * n),
                      config.numeric.tol, config.numeric.max_radius)
+
+
+def _slope(config: JobConfig, spec: TaskSpec) -> RatMat:
+    d = spec.get("d")
+    return RatMat.identity(config.torus.n) if d is None else d
 
 
 def _slope_spec(config: JobConfig, spec: TaskSpec, char: str = "k"):
@@ -130,8 +135,7 @@ def _slope_spec(config: JobConfig, spec: TaskSpec, char: str = "k"):
     try:
         return _theta_spec(config, spec, char)
     except InadmissibleSpec:
-        n = config.torus.n
-        admissible_d(*_period(config), spec.get("d", RatMat.identity(n)))
+        admissible_d(*_period(config), _slope(config, spec))
         raise
 
 

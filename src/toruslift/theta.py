@@ -35,7 +35,8 @@ pairing form A, the decay Gram, the center p = D^{-1} k, the integer
 decay and turns forms at z = 0 (from the integer numerators of the
 matrices) and the center shift of the certificate.  Per evaluation point
 z only the integer pairings of z with D and k are added, and each form is
-reduced once.
+reduced once.  A spec built again from an equal datum in the same process
+takes these parts from the bounded memo :func:`_spec_parts`.
 
 Every certified sum of the package -- the theta series, the periodized
 Gaussian pair sums below and the product sums of :mod:`toruslift.floer` --
@@ -360,9 +361,18 @@ def truncation_radius(
     shell bounds decay by a factor of at least two.
     """
     return _radius_search(
-        min_eigenvalue_bound(q_form), q_form.nrows, Fraction(linear_bound),
-        Fraction(constant_exponent), Fraction(center_shift), float(tol),
+        min_eigenvalue_bound(q_form), len(q_form.num), _exact(linear_bound),
+        _exact(constant_exponent), _exact(center_shift), float(tol),
         int(max_radius))
+
+
+def _exact(x) -> Fraction:
+    # a Fraction is passed on as it is: a memo hit wraps nothing
+    return x if type(x) is Fraction else Fraction(x)
+
+
+def _quotient(num: int, den: int) -> Fraction:
+    return Fraction(num) if den == 1 else Fraction(num, den)
 
 
 # The float screen of the radius walk.  An estimate is computed in doubles
@@ -519,7 +529,10 @@ class ThetaSpec:
     series data that do not depend on z: the integer decay and turns forms
     at z = 0 and the center shift max |p_i| of the certificate.  Per z,
     :meth:`forms` and the certificate add only the pairings of z with D and
-    k, in integers.
+    k, in integers.  A spec built again from an equal (tau, D, k, xi) in
+    the same process takes these parts from the bounded memo
+    :func:`_spec_parts`, which shares them between specs: they are
+    immutable (tuples, RatMats and ints).
     """
 
     tau_re: RatMat
@@ -534,43 +547,13 @@ class ThetaSpec:
     p_vec: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "a_form", admissible_d(
-            self.tau_re, self.tau_im, self.d_mat, error=InadmissibleSpec))
-        self._set_char(self.char)
-        object.__setattr__(self, "xi_lin",
-                           xi_bits(self.xi_lin, self.n, InadmissibleSpec))
-        object.__setattr__(self, "q_form", self.tau_im @ self.d_mat)
-        self._set_z_free()
+        self._set_parts(_spec_parts(
+            self.tau_re, self.tau_im, self.d_mat, _entries(self.char),
+            _entries(self.xi_lin or ())))
 
-    def _set_char(self, char) -> None:
-        n = self.n
-        char = tuple(map(exact_int, char)) or (0,) * n
-        if len(char) != n:
-            raise InadmissibleSpec(f"characteristic must have length {n}")
-        if None in char:
-            raise InadmissibleSpec("characteristic must have integer entries")
-        object.__setattr__(self, "char", char)
-        object.__setattr__(self, "p_vec", self.d_mat.solve(char))
-
-    def _set_z_free(self) -> None:
-        """``_z_free`` = (decay, turns, shift): the :meth:`forms` at z = 0
-        as :func:`_centred` numerators, and max |p_i|."""
-        p, p_den = _int_vec(self.p_vec)
-        decay = _centred(self.q_form.num, self.q_form.den, p, p_den)
-        # turns = [<Re(tau) D w, w> + sum_{i<j} A_ij m_i m_j + xi . m
-        #          + <A^T p, m>] / 2, over twice the denominator
-        rd = [[sum(map(mul, row, col)) for col in zip(*self.d_mat.num)]
-              for row in self.tau_re.num]
-        den, quad, lin, const = _centred(rd, self.tau_re.den, p, p_den)
-        a_rows = self.a_form.num
-        for i, row in enumerate(quad):
-            for j in range(i + 1, len(row)):
-                row[j] += a_rows[i][j] * den
-        lin = [x + (b * p_den + sum(map(mul, col, p))) * (den // p_den)
-               for x, b, col in zip(lin, self.xi_lin, zip(*a_rows))]
-        shift = Fraction(max(map(abs, p), default=0), p_den)
-        object.__setattr__(self, "_z_free",
-                           (decay, (2 * den, quad, lin, const), shift))
+    def _set_parts(self, parts) -> None:
+        for name, value in zip(_SPEC_PARTS, parts):
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
@@ -609,18 +592,82 @@ class ThetaSpec:
         """The spec of characteristic ``char``: D, A and the decay Gram are
         kept; the characteristic is checked and the center solved again."""
         spec = copy.copy(self)
-        spec._set_char(char)
-        spec._set_z_free()
+        spec._set_parts(_derive(self.d_mat, self.a_form, self.q_form,
+                                self.tau_re @ self.d_mat, _entries(char),
+                                self.xi_lin))
         return spec
 
     def bar(self) -> "ThetaSpec":
         """Spec of the conjugate series (modulus -conj(tau); same D, k, xi):
         A changes sign, the decay Gram and the center stay."""
         spec = copy.copy(self)
-        object.__setattr__(spec, "tau_re", -self.tau_re)
-        object.__setattr__(spec, "a_form", -self.a_form)
-        spec._set_z_free()
+        tau_re = -self.tau_re
+        object.__setattr__(spec, "tau_re", tau_re)
+        spec._set_parts(_derive(self.d_mat, -self.a_form, self.q_form,
+                                tau_re @ self.d_mat, self.char, self.xi_lin))
         return spec
+
+
+# the fields of a ThetaSpec that _derive sets, in its order
+_SPEC_PARTS = ("char", "xi_lin", "a_form", "q_form", "p_vec", "_z_free")
+
+
+def _entries(xs) -> tuple:
+    """A characteristic or sign vector as a memo key: its entries as ints
+    where they are exact integers, else None (which the checks reject)."""
+    return tuple(map(exact_int, xs))
+
+
+@lru_cache(maxsize=512)
+def _spec_parts(tau_re: RatMat, tau_im: RatMat, d_mat: RatMat, char: tuple,
+                xi_lin: tuple) -> tuple:
+    """The derived fields of a ThetaSpec built from the series datum (tau,
+    D, k, xi), with k and xi as :func:`_entries` gives them: D is checked
+    by :func:`toruslift.brane.admissible_d`, which hands over the products
+    Im(tau) D and Re(tau) D it forms, then :func:`_derive` checks k and xi.
+    Memoised on the datum; errors are not cached."""
+    a_form, q_form, rd = admissible_d(tau_re, tau_im, d_mat,
+                                      error=InadmissibleSpec,
+                                      with_products=True)
+    return _derive(d_mat, a_form, q_form, rd, char, xi_lin)
+
+
+def _derive(d_mat: RatMat, a_form: RatMat, q_form: RatMat, rd: RatMat, char,
+            xi_lin) -> tuple:
+    """The fields :data:`_SPEC_PARTS` of the spec of an admissible D with
+    pairing form A = ``a_form``, Im(tau) D = ``q_form`` and Re(tau) D =
+    ``rd``: k and xi checked, the center p = D^{-1} k and ``_z_free`` =
+    (decay, turns, shift), the forms of :meth:`ThetaSpec.forms` at z = 0
+    as :func:`_centred` numerators and max |p_i|."""
+    n = d_mat.nrows
+    char = char or (0,) * n
+    if len(char) != n:
+        raise InadmissibleSpec(f"characteristic must have length {n}")
+    if None in char:
+        raise InadmissibleSpec("characteristic must have integer entries")
+    xi_lin = xi_bits(xi_lin, n, InadmissibleSpec)
+    p_vec = d_mat.solve(char)
+    p, p_den = _int_vec(p_vec)
+    decay = _centred(q_form.num, q_form.den, p, p_den)
+    # turns = [<Re(tau) D w, w> + sum_{i<j} A_ij m_i m_j + xi . m
+    #          + <A^T p, m>] / 2, over twice the denominator
+    den, quad, lin, const = _centred(rd.num, rd.den, p, p_den)
+    a_rows = a_form.num
+    for i, row in enumerate(quad):
+        for j in range(i + 1, len(row)):
+            row[j] += a_rows[i][j] * den
+    lin = [x + (b * p_den + sum(map(mul, col, p))) * (den // p_den)
+           for x, b, col in zip(lin, xi_lin, zip(*a_rows))]
+    shift = Fraction(max(map(abs, p), default=0), p_den)
+    z_free = (_frozen(decay), _frozen((2 * den, quad, lin, const)), shift)
+    return char, xi_lin, a_form, q_form, p_vec, z_free
+
+
+def _frozen(form: tuple) -> tuple:
+    """A :func:`_centred` form with its rows and vector as tuples, so
+    that specs can share it."""
+    den, quad, lin, const = form
+    return den, tuple(map(tuple, quad)), tuple(lin), const
 
 
 def spec_n1(tau: complex, d: int = 1, k: int = 0, xi: int = 0,
@@ -682,11 +729,9 @@ def _theta_certificate(spec: ThetaSpec, im, tol: float) -> TruncationCertificate
     # im = (D^T Im z, <k, Im z>, den) from ThetaSpec._pairings
     d_im, k_im, den = im
     return truncation_radius(
-        spec.q_form,
-        linear_bound=Fraction(2 * sum(map(abs, d_im)), den),
-        tol=tol,
+        spec.q_form, _quotient(2 * sum(map(abs, d_im)), den), tol,
         center_shift=spec._z_free[2],
-        constant_exponent=Fraction(2 * k_im, den),
+        constant_exponent=_quotient(2 * k_im, den),
         max_radius=spec.max_radius,
     )
 

@@ -454,6 +454,9 @@ def test_with_char_rejections_keep_their_class_and_message(char):
 
 
 def count_checks(monkeypatch):
+    # a spec built earlier in the process is memoised and checks nothing:
+    # start from an empty memo, as a new process does
+    theta_module._spec_parts.cache_clear()
     calls = []
 
     def counted(*args, **kwargs):
