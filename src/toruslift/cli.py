@@ -7,6 +7,7 @@ Exit codes: 0 when every task passes, 1 when any task fails or errors,
 import argparse
 import dataclasses
 import sys
+from functools import lru_cache
 
 from .config import PRECISIONS, parse_config
 from .errors import ParseError, ValidationError
@@ -33,8 +34,16 @@ _PARSER.add_argument("--format", choices=tuple(FORMATS),
                      default="lines", help="report format")
 
 
+@lru_cache(maxsize=64)
+def _options(argv: tuple) -> dict:
+    """The parsed options of one argv, memoised for batches that repeat
+    it.  Usage errors and --help exit in argparse, uncached, every call."""
+    return vars(_PARSER.parse_args(argv))
+
+
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    argv = tuple(sys.argv[1:] if argv is None else argv)
+    args = argparse.Namespace(**_options(argv))  # a fresh namespace per call
     try:
         with open(args.config, encoding="utf-8") as handle:
             config = parse_config(handle.read())

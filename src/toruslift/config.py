@@ -45,6 +45,7 @@ numerators.  A token outside the grammar is reported at its own column.
 """
 
 import re
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from fractions import Fraction
@@ -172,8 +173,11 @@ class JobConfig:
 # rational is an optional sign, then ASCII digits, ``p/q`` or a decimal
 # (``d.d``, ``d.`` or ``.d``) with an optional exponent ``e[+-]d`` or
 # ``E[+-]d``; a complex token is ``a``, ``bi`` or ``a+bi`` with rational
-# parts.  A token parser returns None outside the grammar; only then is
-# the error, with the column of the offending text, worked out.
+# parts.  A rational's digits plus the size of its exponent may not exceed
+# the digit limit of ``int()`` (``sys.get_int_max_str_digits()``, 4300 by
+# default), so that no token builds a huge power of ten.  A token parser
+# returns None outside the grammar; only then is the error, with the
+# column of the offending text, worked out.
 
 _SIGNS = ("+", "-")
 
@@ -181,6 +185,10 @@ _SIGNS = ("+", "-")
 class _BadValue(Exception):
     """A value outside the grammar: (message, offset of the offending text
     in the value); the parser adds the line and the column."""
+
+
+# int() has no digit limit before Python 3.11, or when it is switched off
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
 
 
 def _fail(message, line, raw=None, token=None):
@@ -217,6 +225,8 @@ def _ratio(tok):
                 if not (exp[1:] if exp[:1] in _SIGNS else exp).isdigit():
                     return None
                 scale += int(exp)
+                if len(whole + frac) + abs(scale) > _DIGIT_LIMIT:
+                    return None
             p, q = int(whole + frac), 1
             if scale >= 0:
                 p *= 10 ** scale
@@ -550,30 +560,35 @@ def _check_task_shape(kind, key, value, n, line, raw):
 
 def _header(line, lineno, rawline, seen) -> tuple:
     """The (kind, name) of a section header line, added to ``seen``, the
-    torus and numeric kinds and the brane names declared before it."""
+    torus and numeric kinds and the brane names declared before it.  A
+    fault is reported at the column of the header's own kind or name."""
     m = _HEADER.match(line)
     if not m:
         _fail(f"malformed section header {line!r}", lineno, rawline, line)
     kind, name = m.group(1), m.group(2)
+    lead = len(rawline) - len(rawline.lstrip())
+
+    def fail(message, group):  # group 1 is the kind, 2 the name
+        raise ParseError(message, lineno, lead + m.start(group) + 1)
+
     if kind in ("torus", "numeric"):
         if name is not None:
-            _fail(f"section [{kind}] takes no name", lineno, rawline, name)
+            fail(f"section [{kind}] takes no name", 2)
         if kind in seen:
-            _fail(f"duplicate [{kind}] section", lineno, rawline, kind)
+            fail(f"duplicate [{kind}] section", 1)
         seen.add(kind)
     elif kind == "brane":
         if name is None:
-            _fail("brane sections need a name: [brane NAME]", lineno,
-                  rawline, kind)
+            fail("brane sections need a name: [brane NAME]", 1)
         if ("brane", name) in seen:
-            _fail(f"brane {name!r} is declared twice", lineno, rawline, name)
+            fail(f"brane {name!r} is declared twice", 2)
         seen.add(("brane", name))
     elif kind == "task":
         if name is None or name not in TASK_KINDS:
-            _fail(f"task sections need a kind out of {', '.join(TASK_KINDS)}",
-                  lineno, rawline, kind)
+            fail(f"task sections need a kind out of {', '.join(TASK_KINDS)}",
+                 1)
     else:
-        _fail(f"unknown section kind {kind!r}", lineno, rawline, kind)
+        fail(f"unknown section kind {kind!r}", 1)
     return kind, name
 
 

@@ -11,7 +11,8 @@ The products take their series datum (tau, D, k, xi) as one
 :class:`toruslift.theta.ThetaSpec`, checked once when it is built (raising
 InadmissibleSpec), with A, Im(tau) D and p = D^{-1} k kept on it: the
 characteristic k is ``spec.char``, and the sums read their tolerance and
-radius cap from ``spec.tol`` and ``spec.max_radius``.
+the cap on the radius of their enumerated box from ``spec.tol`` and
+``spec.max_radius``.
 
 Key quantities:
 
@@ -46,7 +47,9 @@ Both product sums are the one integer kernel of the package,
 z = tau^T r - phi (:func:`toruslift.theta.theta_dk`) times a prefactor, and
 ``mu2_double`` builds its forms with the builders of the theta series,
 :func:`toruslift.theta._centred` and :func:`toruslift.theta._add_linear`,
-with the phase in exact "turns" (fractions of a full circle).
+with the phase in exact "turns" (fractions of a full circle).  The
+doubled decay is a centred Gram, minimum 0, so every point and coset of
+one (tau, D) shares one memoised certificate search.
 """
 
 from __future__ import annotations
@@ -283,12 +286,11 @@ def _mv(rows, v) -> list:
 
 
 def _double_forms(spec: ThetaSpec, l, pt: DoublePoint) -> tuple:
-    """(gram, shift, decay, turns) of :func:`mu2_double` at the dual
+    """(gram, decay, turns) of :func:`mu2_double` at the dual
     characteristic ``l`` (integers) and the point: the Gram G of
-    :func:`_doubled`, the certificate's center shift max |c_i| and the
-    forms of :func:`toruslift.theta.lattice_sum`, formed in integers over
-    one denominator E of r, phi, theta-hat, kappa, p and q = D^{-T} (A p +
-    l).  The decay is G centred at -c (:func:`toruslift.theta._centred`),
+    :func:`_doubled` and the forms of :func:`toruslift.theta.lattice_sum`,
+    formed in integers over one denominator E of r, phi, theta-hat, kappa,
+    p and q = D^{-T} (A p + l).  The decay is G centred at -c (:func:`toruslift.theta._centred`),
     the turns the quad of :func:`_doubled` plus the linear and constant
     parts; :func:`toruslift.theta._add_linear` reduces each."""
     _, _, gram, t_quad, (d, d_t, a, a_t), (dti, dti_den) = _blocks(spec)
@@ -324,7 +326,7 @@ def _double_forms(spec: ThetaSpec, l, pt: DoublePoint) -> tuple:
              + sum(map(mul, p, ar)))
     turns = _add_linear((2, t_quad, [0] * (2 * n), 0),
                         [e * x for x in lin], const, 2 * e * e)
-    return gram, Fraction(max(map(abs, c), default=0), e), decay, turns
+    return gram, decay, turns
 
 
 def mu2_double(spec: ThetaSpec, l, pt: DoublePoint, *,
@@ -339,7 +341,8 @@ def mu2_double(spec: ThetaSpec, l, pt: DoublePoint, *,
     <m - p, A r>/2 + <p, A m>/2, with m' = m + (r-p), n' = n + (that-q).
 
     Decay and phase are integer forms in w = (m, n) (:func:`_double_forms`),
-    summed by :func:`toruslift.theta.lattice_sum`.
+    summed by :func:`toruslift.theta.lattice_sum` over the ellipsoid that
+    the certificate of the decay form keeps.
     """
     n = spec.n
     if pt.n != n:
@@ -348,11 +351,11 @@ def mu2_double(spec: ThetaSpec, l, pt: DoublePoint, *,
     if len(l) != n:
         raise ValueError(f"dual characteristic must have length {n}")
     ctx = get_context(context)
-    gram, shift, decay, turns = _double_forms(spec, l, pt)
-    cert = truncation_radius(gram, tol=_resolved_tol(spec.tol, ctx),
-                             center_shift=shift, max_radius=spec.max_radius)
-    return CertifiedValue(lattice_sum(ctx, 2 * n, cert.radius, decay, turns),
-                          cert, context)
+    gram, decay, turns = _double_forms(spec, l, pt)
+    cert = truncation_radius(gram, _resolved_tol(spec.tol, ctx), decay=decay,
+                             max_radius=spec.max_radius)
+    return CertifiedValue(
+        lattice_sum(ctx, cert.box, cert.limit, decay, turns), cert, context)
 
 
 def trivialization_factor(spec: ThetaSpec, pt: DoublePoint, *,

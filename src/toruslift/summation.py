@@ -25,13 +25,13 @@ import math
 import operator
 from array import array
 from fractions import Fraction
-from functools import partial, reduce
+from functools import reduce
 from typing import Sequence
 
 import mpmath
 from mpmath.libmp import (
     fzero, from_man_exp, from_rational, mpf_add, mpf_cos_sin, mpf_exp,
-    mpf_mul, mpf_neg, round_nearest, to_float,
+    mpf_mul, round_nearest,
 )
 
 _REAL = operator.attrgetter("real")
@@ -67,7 +67,7 @@ class DoubleContext:
     def line_terms(self, d_den: int, d_cc: int, t_den: int, t_cc: int):
         """``add(ts, da, db, ta, tb)`` adds the terms at t in ``ts`` of decay
         (da + t (db + d_cc t)) / d_den and turns (ta + t (tb + t_cc t)) /
-        t_den; ``close`` rounds their sum (:func:`_decided`)."""
+        t_den; ``close()`` rounds their sum, one ``math.fsum`` per part."""
         # the parts are appended to lists, which is cheaper than to arrays,
         # and moved to the arrays in blocks, which hold them compactly
         re, im = array("d"), array("d")
@@ -103,37 +103,11 @@ class DoubleContext:
             if len(new_re) > 512:
                 flush()
 
-        def close(bound=None):
+        def close():
             flush()
-            if bound is None:
-                return complex(math.fsum(re), math.fsum(im))
-            b = math.nextafter(4 * bound[0] * to_float(bound[1]), math.inf)
-            try:
-                parts = _decided((re, im), -b, b, math.fsum)
-            except (ValueError, OverflowError):
-                return None
-            if parts and all(map(math.isfinite, parts)):
-                return complex(*parts)
-            return None
+            return complex(math.fsum(re), math.fsum(im))
 
         return add, close
-
-
-def _decided(accs, low, high, rounded):
-    """The rounded sums of ``accs`` if adding any value in [low, high] to
-    each leaves them unchanged (rounding is monotone, so it suffices that
-    acc + low and acc + high round alike), else None."""
-    parts = []
-    for acc in accs:
-        acc.append(low)
-        lo = rounded(acc)
-        acc[-1] = high
-        hi = rounded(acc)
-        acc.pop()
-        if lo != hi:
-            return None
-        parts.append(lo)
-    return parts
 
 
 def _rounded_sum(parts: list, prec: int) -> tuple:
@@ -210,16 +184,8 @@ class DDContext:
                 push_re(c)
                 push_im(s)
 
-        rounded = partial(_rounded_sum, prec=prec)
-
-        def close(bound=None):
-            if bound is None:
-                return self.make(rounded(re), rounded(im))
-            _, man, exp, _ = bound[1]
-            b = from_man_exp(4 * bound[0] * man, exp)
-            parts = _decided((re, im), mpf_neg(b), b, rounded)
-            # no term is inf or nan: mpf_exp does not overflow
-            return parts and self.make(*parts)
+        def close():
+            return self.make(_rounded_sum(re, prec), _rounded_sum(im, prec))
 
         return add, close
 

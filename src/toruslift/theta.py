@@ -8,35 +8,35 @@ D, an integer characteristic k and a sign structure xi:
         e^{2 pi i <D m - k, z>}
 
 with A = Re(tau) D - D^T Re(tau)^T (an integer matrix by admissibility) and
-p = D^{-1} k.  Every evaluation carries a :class:`TruncationCertificate`:
-terms are enumerated over sup-norm shells, and the discarded tail is
-dominated shell by shell by
+p = D^{-1} k.  Every evaluation carries a :class:`TruncationCertificate`
+that reads the decay form it sums: it keeps exactly the lattice points of
+pi (decay(w) - mu) <= R^2, mu the decay's exact minimum over R^n, and the
+terms left out add up to at most
 
-    (shell count) * e^{pi (-lambda_min (s - s0)^2 + c1 s + c0)},
+    e^{-pi mu} (g/2) (2/rho)^g Gamma(g/2, (R - rho/2)^2)
 
-where lambda_min is an exact rational lower bound for the least eigenvalue
-of the Gaussian Gram form and c1, c0 are exact rational bounds on the linear
-and constant exponent parts.  lambda_min is the largest multiple of
-(least diagonal entry) / 2^80 below the least eigenvalue: a 140-bit
-eigenvalue estimate proposes it and exact Sylvester tests over Q confirm it,
-so it is exactly what an 80-step bisection would return.  It is memoised
-per Gram matrix.  The shell series is itself bounded by a geometric series,
-and the comparison arithmetic runs on outward-rounded 53-bit mpmath.libmp
-interval tuples, so the reported tail bound is rigorous, if deliberately
-crude.  A double-precision screen skips the shells that must fail the
-interval test, by more than its own rounding error; the intervals decide
-every other shell, so the certificate is that of the all-interval walk.
-The radius search is memoised on its exact inputs in a bounded cache;
-errors are not cached.  The tail bound covers truncation only: the
-floating-point rounding of the summed terms is not included.
+for R >= sqrt(g/2) + rho/2 (Theorem 2 of Deconinck, Heil, Bobenko, van
+Hoeij and Schmies, "Computing Riemann theta functions", Math. Comp. 73,
+2004), in dimension g.  rho = sqrt(pi lambda_min) bounds the shortest
+vector of the lattice from below; lambda_min is an exact rational lower
+bound for the least eigenvalue of the Gram, the largest multiple of (least
+diagonal entry) / 2^80 below it: a 140-bit eigenvalue estimate proposes it
+and exact Sylvester tests over Q confirm it.  It is memoised per Gram.  R
+is the least one on a grid of R^2 / pi whose bound, evaluated in
+outward-rounded 53-bit mpmath.libmp intervals, is at most TAIL_SHARE * tol;
+a double-precision screen skips the steps that must fail.  The bound
+depends only on the Gram, tol and max(0, -mu), so the search is memoised
+on the Gram, tol and max(0, -mu) rounded up to a sixteenth.  The tail bound
+covers truncation only: the floating-point rounding of the summed terms is
+not included.
 
 A :class:`ThetaSpec` is checked and prepared once, when it is built: the
-pairing form A, the decay Gram, the center p = D^{-1} k, the integer
+pairing form A, the decay Gram, the center p = D^{-1} k and the integer
 decay and turns forms at z = 0 (from the integer numerators of the
-matrices) and the center shift of the certificate.  Per evaluation point
-z only the integer pairings of z with D and k are added, and each form is
-reduced once.  A spec built again from an equal datum in the same process
-takes these parts from the bounded memo :func:`_spec_parts`.
+matrices).  Per evaluation point z only the integer pairings of z with D
+and k are added, and each form is reduced once.  A spec built again from
+an equal datum in the same process takes these parts from the bounded memo
+:func:`_spec_parts`.
 
 Every certified sum of the package -- the theta series, the periodized
 Gaussian pair sums below and the product sums of :mod:`toruslift.floer` --
@@ -44,15 +44,14 @@ is one call of the integer kernel :func:`lattice_sum`.  The decay exponent
 and the phase (sign structure, characteristic coupling, Re(tau) quadratic
 part, evaluation point z taken exactly) are integer forms in the lattice
 vector over one denominator each; the phase is reduced mod 1 exactly and
-each is rounded once.  The sum is the exact sum of the terms rounded once,
-so it does not depend on the order of the walk.
+each is rounded once.  The sum is the exact sum of the kept terms rounded
+once, so it does not depend on the order of the walk.
 """
 
 from __future__ import annotations
 
 import copy
 import math
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -63,8 +62,8 @@ from typing import Iterator, Optional, Sequence
 
 import mpmath
 from mpmath.libmp import (
-    from_int, mpf_pi, mpi_add, mpi_div, mpi_exp, mpi_mul, mpi_neg, mpi_pow,
-    mpi_sub, round_ceiling, round_floor, to_float,
+    from_int, mpf_lt, mpf_pi, mpi_add, mpi_div, mpi_exp, mpi_mul, mpi_neg,
+    mpi_pow, mpi_sqrt, mpi_sub, round_ceiling, round_floor, to_float,
 )
 
 from .brane import _xi_of, admissible_d, xi_bits
@@ -104,9 +103,9 @@ def _span(lo: int, hi: int) -> range:
     return range(lo, hi + 1)
 
 
-def _lines(radius: int, d_quad, t_quad, da, dl, ta, tl, band=None, k=0):
+def _lines(box, d_quad, t_quad, da, dl, ta, tl, band, k=0):
     """(da, db, ta, tb) of each line of the last coordinate t through the
-    cube [-radius, radius]^dim (dim >= 2), along which the decay and turns
+    box |w_i| <= box[i] (dim >= 2), along which the decay and turns
     numerators are da + t (db + d_cc t) and ta + t (tb + t_cc t).
     Coordinates before k are folded into da, ta and the coefficients dl,
     tl, never stored.
@@ -121,11 +120,11 @@ def _lines(radius: int, d_quad, t_quad, da, dl, ta, tl, band=None, k=0):
     |a u - b| <= sqrt(e) holds exactly when |a u - b| <= isqrt(e), so one
     ``math.isqrt`` finds the interval exactly."""
     dq, tq = d_quad[k], t_quad[k]
-    lo, hi = -radius, radius
+    lo, hi = -box[k], box[k]
     if len(dl) > 2:
         for x in _span(lo, hi):
             yield from _lines(
-                radius, d_quad, t_quad,
+                box, d_quad, t_quad,
                 da + x * (dl[0] + dq[k] * x),
                 [l + w * x for l, w in zip(dl[1:], dq[k + 1:])],
                 ta + x * (tl[0] + tq[k] * x),
@@ -133,107 +132,64 @@ def _lines(radius: int, d_quad, t_quad, da, dl, ta, tl, band=None, k=0):
         return
     (dl0, dl1), (tl0, tl1) = dl, tl
     duu, dut, tuu, tut = dq[k], dq[k + 1], tq[k], tq[k + 1]
-    if band:
-        q, c, d_cc = band
-        a = q * (4 * d_cc * duu - dut * dut)
-        if a > 0:
-            # a line's discriminant is q (-a u^2 + 2 b u + e0) with
-            # e0 = q dl1^2 - 4 d_cc (q da - c), >= 0 exactly when
-            # (a u - b)^2 <= e = b^2 + a e0
-            b = q * (dl1 * dut - 2 * d_cc * dl0)
-            e = b * b + a * (q * dl1 * dl1 - 4 * d_cc * (q * da - c))
-            if e < 0:
-                return
-            root = math.isqrt(e)
-            lo, hi = max(lo, -((root - b) // a)), min(hi, (b + root) // a)
+    q, c, d_cc = band
+    a = q * (4 * d_cc * duu - dut * dut)
+    if a > 0:
+        # a line's discriminant is q (-a u^2 + 2 b u + e0) with
+        # e0 = q dl1^2 - 4 d_cc (q da - c), >= 0 exactly when
+        # (a u - b)^2 <= e = b^2 + a e0
+        b = q * (dl1 * dut - 2 * d_cc * dl0)
+        e = b * b + a * (q * dl1 * dl1 - 4 * d_cc * (q * da - c))
+        if e < 0:
+            return
+        root = math.isqrt(e)
+        lo, hi = max(lo, -((root - b) // a)), min(hi, (b + root) // a)
     for x in _span(lo, hi):
         yield (da + x * (dl0 + duu * x), dl1 + dut * x,
                ta + x * (tl0 + tuu * x), tl1 + tut * x)
 
 
-# B <= 2^-(prec + _BAND_MARGIN), see _decay_band
-_BAND_MARGIN = 10
-
-
-@lru_cache(maxsize=64)
-def _decay_band(prec: int, points: int) -> tuple:
-    """T, a dyadic just above ((prec + margin) ln 2 + ln(4 points)) / pi
-    for the margin ``_BAND_MARGIN``, and a raw 53-bit upper bound of
-    e^{-pi T}: the bound B = 4 n e^{-pi T} of :func:`lattice_sum` is then
-    at most 2^-(prec + margin).
-
-    No value depends on the margin, which only trades kept terms against
-    fallbacks: the rounding test fails about when B reaches the distance
-    of a part's sum to a rounding boundary.  The margin is the one that
-    evaluated about the fewest terms (kept plus fallback) on the recorded
-    sums of the three benchmark workloads and of the golden jobs, in double
-    and in dd.  On the 397 recorded ``products`` sums margin 24 evaluated
-    451,904 terms with 4 fallbacks, margin 10 373,139 with 5, margin 8
-    367,485 with 9 and margin 4 614,916 with 82; margin 10 keeps every
-    set's fallback count within one of margin 24's."""
-    t = Fraction(math.ceil(16 * ((prec + _BAND_MARGIN) * math.log(2)
-                                 + math.log(4 * points)) / math.pi), 16)
-    return t, mpi_exp(mpi_mul(mpi_neg(_PI), _interval(t), _PREC), _PREC)[1]
-
-
-def lattice_sum(ctx, dim: int, radius: int, decay, turns):
+def lattice_sum(ctx, box, limit: Fraction, decay, turns):
     """``ctx.sum`` of the terms ``exp_pi(ctx, -decay(w), turns(w))`` over
-    the cube [-radius, radius]^dim (shells 0..radius), bit for bit: the
-    one kernel of every certified sum.
+    the lattice points w of the box |w_i| <= box[i] with decay(w) <=
+    ``limit``, bit for bit: the one kernel of every certified sum.
     ``decay`` (positive definite) and ``turns`` are affine-quadratic forms
     in w, (den, quad, lin, const): integer numerators over one denominator,
     quad upper-triangular (quad[i][j], i <= j, the coefficient of w_i w_j),
     in the normal form den > 0 and gcd(den, all numerators) = 1 that
     :func:`_add_linear` returns.
 
-    Each line first sums its band of decay at most T (:func:`_decay_band`),
-    and lines whose band quadratic has no real root are not walked
-    (:func:`_lines`).  The n deferred terms add up to at most
-    B = 4 n e^{-pi T} per part, if ``exp`` is within a factor 2 and
-    |cos|, |sin| <= 1.  If the kept sum minus B and plus B round alike,
-    rounding being monotone, the whole cube's sum rounds to that value
-    (Ziv's rounding test); else the whole cube is summed afresh.  So the
-    value is the rounded sum of the cube for any T, and T only decides how
-    often the fallback runs."""
+    Each line of the last coordinate t keeps its band, the t with
+    q A(t) <= c for A the decay numerator and ``limit`` = c / (q den):
+    |2 q d_cc t + q db| <= isqrt(disc) decides it exactly.  Lines whose
+    band quadratic has no real root are not walked (:func:`_lines`).  The
+    sum is the exact sum of the kept terms rounded once, so it does not
+    depend on the order of the walk."""
     d_den, d_quad, d_lin, d_const = decay
     t_den, t_quad, t_lin, t_const = turns
     d_cc = d_quad[-1][-1]
-    forms = (d_den, d_cc, t_den, t_quad[-1][-1])
-    add, close = ctx.line_terms(*forms)
-    deferred = (2 * radius + 1) ** dim
-    limit, e_up = _decay_band(ctx.prec, deferred)
+    add, close = ctx.line_terms(d_den, d_cc, t_den, t_quad[-1][-1])
     q, c = limit.denominator, limit.numerator * d_den
     a2 = 2 * q * d_cc
-    a4, isqrt = 2 * a2, math.isqrt
-
-    def lines(band=None):
-        if dim == 1:
-            return [(d_const, d_lin[0], t_const, t_lin[0])]
-        return _lines(radius, d_quad, t_quad, d_const, d_lin, t_const, t_lin,
-                      band)
-
-    for da, db, ta, tb in lines((q, c, d_cc)):
-        # the band [lo, hi] holds the roots of q (da + t (db + d_cc t)) - c,
-        # widened by math.isqrt
+    a4, isqrt, top = 2 * a2, math.isqrt, box[-1]
+    if len(box) == 1:
+        lines = [(d_const, d_lin[0], t_const, t_lin[0])]
+    else:
+        lines = _lines(box, d_quad, t_quad, d_const, d_lin, t_const, t_lin,
+                       (q, c, d_cc))
+    for da, db, ta, tb in lines:
+        # the band [lo, hi]: the integer t with |a2 t + b| <= sqrt(disc)
         b = q * db
         disc = b * b - a4 * (q * da - c)
         if disc >= 0:
-            root = isqrt(disc) + 1
+            root = isqrt(disc)
             lo, hi = -((b + root) // a2), (root - b) // a2
-            if lo < -radius:
-                lo = -radius
-            if hi > radius:
-                hi = radius
+            if lo < -top:
+                lo = -top
+            if hi > top:
+                hi = top
             if lo <= hi:
                 add(range(lo, hi + 1), da, db, ta, tb)
-                deferred -= hi + 1 - lo
-    if deferred:
-        value = close((deferred, e_up))
-        if value is not None:
-            return value
-        add, close = ctx.line_terms(*forms)
-        for line in lines():
-            add(range(-radius, radius + 1), *line)
     return close()
 
 
@@ -318,16 +274,30 @@ def min_eigenvalue_bound(s_mat: RatMat) -> Fraction:
 
 @dataclass(frozen=True)
 class TruncationCertificate:
-    """Certified shell radius: summing sup-norm shells 0..radius leaves a
-    tail of absolute value at most ``tail_bound`` (below the working tol)."""
+    """The set a certified sum keeps: the lattice points w of the box |w_i|
+    <= ``box[i]`` with decay(w) <= ``limit`` = mu + T, the ellipsoid
+    pi (decay(w) - mu) <= R^2 = pi T around the decay's minimum mu over
+    R^n, which the box contains.  The terms left out add up to at most
+    ``tail_bound`` (rounding is not part of it).  ``radius`` is max box[i];
+    ``lambda_min`` gave the shortest-vector bound."""
 
     radius: int
     tail_bound: float
     lambda_min: Fraction
+    limit: Fraction
+    box: tuple
 
 
 _PREC = 53  # interval endpoint precision in bits, as in mpmath.iv
 _PI = (mpf_pi(_PREC, round_floor), mpf_pi(_PREC, round_ceiling))
+
+# the share of tol spent on truncation; a power of two, so share * tol is
+# exact
+TAIL_SHARE = 0.25
+# T = R^2 / pi runs over multiples of 1 / _STEPS, and max(0, -mu) is
+# rounded up to a multiple of 1 / _EXCESS_STEPS for the memo key
+_STEPS = 64
+_EXCESS_STEPS = 16
 
 
 def _int_interval(n: int) -> tuple:
@@ -342,141 +312,207 @@ def _interval(x: Fraction) -> tuple:
                    _PREC)
 
 
-def truncation_radius(
-    q_form: RatMat,
-    linear_bound=Fraction(0),
-    tol: float = 1e-10,
-    *,
-    center_shift=Fraction(0),
-    constant_exponent=Fraction(0),
-    max_radius: int = DEFAULT_MAX_RADIUS,
-) -> TruncationCertificate:
-    """Smallest certified shell radius for a Gaussian-type lattice series.
-
-    Terms are assumed bounded by ``e^{pi(-Q(m-p) + c1 |m|_inf + c0)}`` with
-    ``linear_bound`` = c1, ``constant_exponent`` = c0 (both exact rational
-    coefficients of pi) and ``|p|_inf <= center_shift``.  Returns the least
-    M <= max_radius whose tail over shells s > M is at most ``tol``; the
-    tail is bounded by twice the first omitted shell bound once consecutive
-    shell bounds decay by a factor of at least two.
-    """
-    return _radius_search(
-        min_eigenvalue_bound(q_form), len(q_form.num), _exact(linear_bound),
-        _exact(constant_exponent), _exact(center_shift), float(tol),
-        int(max_radius))
+_TWO = _int_interval(2)
+_FOUR_OVER_PI = mpi_div(_int_interval(4), _PI, _PREC)
 
 
-def _exact(x) -> Fraction:
-    # a Fraction is passed on as it is: a memo hit wraps nothing
-    return x if type(x) is Fraction else Fraction(x)
+def _upper_gamma(g: int, x: tuple) -> tuple:
+    """Gamma(g/2, x) for an interval x > 0, in libmp intervals: e^{-x} G
+    with G(1) = 1, G(s + 1) = s G(s) + x^s, and G(1/2) between 2 / (sqrt x
+    + sqrt(x + 2)) and 2 / (sqrt x + sqrt(x + 4/pi)) (Abramowitz and Stegun
+    7.1.13, as Gamma(1/2, x) = sqrt(pi) erfc(sqrt x))."""
+    root = mpi_sqrt(x, _PREC)
+    if g % 2:
+        low = mpi_div(_TWO, mpi_add(root, mpi_sqrt(mpi_add(x, _TWO, _PREC),
+                                                   _PREC), _PREC), _PREC)
+        high = mpi_div(_TWO, mpi_add(root, mpi_sqrt(
+            mpi_add(x, _FOUR_OVER_PI, _PREC), _PREC), _PREC), _PREC)
+        acc, power = (low[0], high[1]), root
+    else:
+        acc, power = _int_interval(1), x
+    for j in range(2 - g % 2, g - 1, 2):  # s = j/2 = 1/2 or 1, ..., g/2 - 1
+        acc = mpi_add(mpi_mul(acc, _interval(Fraction(j, 2)), _PREC), power,
+                      _PREC)
+        power = mpi_mul(power, x, _PREC)
+    return mpi_mul(acc, mpi_exp(mpi_neg(x, _PREC), _PREC), _PREC)
 
 
-def _quotient(num: int, den: int) -> Fraction:
-    return Fraction(num) if den == 1 else Fraction(num, den)
+def _theorem2(g: int, rho, excess: Fraction):
+    """bound(k): Theorem 2's tail bound e^{pi excess} (g/2) (2/rho)^g
+    Gamma(g/2, (R - rho/2)^2) at R^2 = pi k / _STEPS, the upper endpoint of
+    its libmp interval rounded up to a double, or None where R >= sqrt(g/2)
+    + rho/2 is not shown.  ``rho`` is an mpf at most the shortest vector
+    length."""
+    point = (rho, rho)
+    half_rho = mpi_div(point, _TWO, _PREC)
+    factor = mpi_mul(mpi_exp(mpi_mul(_PI, _interval(excess), _PREC), _PREC),
+                     _interval(Fraction(g, 2)), _PREC)
+    factor = mpi_mul(factor, mpi_pow(mpi_div(_TWO, point, _PREC),
+                                     _int_interval(g), _PREC), _PREC)
+    floor = mpi_sqrt(_interval(Fraction(g, 2)), _PREC)[1]
+
+    def bound(k: int):
+        r = mpi_sqrt(mpi_mul(_PI, _interval(Fraction(k, _STEPS)), _PREC),
+                     _PREC)
+        y = mpi_sub(r, half_rho, _PREC)
+        if mpf_lt(y[0], floor):
+            return None
+        tail = mpi_mul(factor, _upper_gamma(g, mpi_mul(y, y, _PREC)), _PREC)
+        return to_float(tail[1], rnd=round_ceiling)
+
+    return bound
 
 
-# The float screen of the radius walk.  An estimate is computed in doubles
-# in the log domain, with at most about 12 roundings of relative error
-# 2^-53 on any path and the platform log taken as faithful, so it is within
-# 2^-48 of the exact value times the sum of the magnitudes of its terms
-# (the same expression with every term taken positive); the screen charges
-# 2^-40 of that sum, and a shell is skipped only when the estimate clears
-# the interval test by _SCREEN_MARGIN more than that.
+# The float screen's log of the Theorem 2 bound takes about 20 + g
+# roundings of relative error 2^-53 on any path, with exp, log and sqrt
+# faithful, so it is within 2^-48 of the exact value times the sum of its
+# terms' magnitudes; a step fails only by _SCREEN_MARGIN plus 2^-40 of it.
 _SCREEN_MARGIN = 2.0 ** -20
 _SCREEN_ERROR = 2.0 ** -40
+_TINY = 2.0 ** -1022  # the least normal double
 
 
-def _float_screen(lam: Fraction, dim: int, c1: Fraction, c0: Fraction,
-                  shift: Fraction, tol: float):
-    """fails(s): True only if shell s must fail the interval test of
-    :func:`_radius_search`, because double estimates show its tail bound
-    (twice the shell bound) above ``tol`` or its shell ratio above 1/2 by
-    more than their own rounding error.  False decides nothing: the
-    intervals test the shell.  Inputs out of double range screen nothing;
-    an overflow inside makes an estimate or its error bound inf or NaN,
-    which screens nothing either."""
+def _screen(g: int, rho: float, excess: Fraction, target: float):
+    """fails(k): True only if step k must fail in :func:`_theorem2`'s
+    intervals, as its double estimates miss sqrt(g/2) or log(target) by
+    more than their rounding error.  False decides nothing, and so do
+    inputs out of double range and overflows."""
+    if not (rho >= _TINY and target >= _TINY):  # zero, subnormal, NaN
+        return lambda k: False
     try:
-        lam_f, c1_f, c0_f, shift_f = map(float, (lam, c1, c0, shift))
+        log_factor = (math.pi * float(excess) + math.log(g / 2)
+                      + g * math.log(2 / rho))
+        log_target = math.log(target)
     except OverflowError:
-        return lambda s: False
-    if dim < 1 or not tol >= sys.float_info.min:  # zero, subnormal, NaN tol
-        return lambda s: False
-    pi, log_count0 = math.pi, math.log(4 * dim)
-    log_tol, log_half = math.log(tol), math.log(0.5)
+        return lambda k: False
+    size0 = (math.pi * float(excess) + abs(math.log(g / 2))
+             + g * abs(math.log(2 / rho)) + abs(log_target))
+    floor = math.sqrt(g / 2)
 
-    def fails(s: int) -> bool:
-        # the estimates below with every term positive (gap as s + |shift|)
-        # bound their magnitude sums
-        gap, gap_abs = s - shift_f, s + abs(shift_f)
-        # log of 2 * 2 dim (2s+1)^(dim-1) e^{pi (-lambda gap^2 + c1 s + c0)}
-        log_count = log_count0 + (dim - 1) * math.log(2 * s + 1)
-        est = log_count + pi * (c1_f * s + c0_f - lam_f * gap * gap)
-        size = log_count + abs(log_tol) + pi * (
-            abs(lam_f) * gap_abs * gap_abs + abs(c1_f) * s + abs(c0_f))
-        if est - log_tol > _SCREEN_MARGIN + _SCREEN_ERROR * size:
+    def fails(k: int) -> bool:
+        r = math.sqrt(math.pi * k / _STEPS)
+        y = r - rho / 2
+        if floor - y > _SCREEN_MARGIN * (floor + r + rho):
             return True
-        # log of ((2s+3)/(2s+1))^(dim-1) e^{pi (-lambda (2 gap + 1) + c1)}
-        log_ratio = (dim - 1) * math.log1p(2 / (2 * s + 1))
-        est = log_ratio + pi * (c1_f - lam_f * (2 * gap + 1))
-        size = log_ratio - log_half + pi * (
-            abs(lam_f) * (2 * gap_abs + 1) + abs(c1_f))
-        return est - log_half > _SCREEN_MARGIN + _SCREEN_ERROR * size
+        if y < floor:
+            return False
+        x = y * y
+        try:
+            if g % 2:
+                acc, power = 2 / (y + math.sqrt(x + 4 / math.pi)), y
+            else:
+                acc, power = 1.0, x
+            for j in range(2 - g % 2, g - 1, 2):
+                acc = acc * j / 2 + power
+                power *= x
+            log_g = math.log(acc)
+        except (OverflowError, ValueError):
+            return False
+        est = log_factor - x + log_g - log_target
+        size = size0 + x + abs(log_g)
+        return est > _SCREEN_MARGIN + _SCREEN_ERROR * size
 
     return fails
 
 
 @lru_cache(maxsize=1024)
-def _radius_search(lam: Fraction, dim: int, c1: Fraction, c0: Fraction,
-                   shift: Fraction, tol: float,
-                   max_radius: int) -> TruncationCertificate:
-    """The shell walk of :func:`truncation_radius`, memoised on its exact
-    inputs; errors are not cached.  :func:`_float_screen` skips the shells
-    that must fail; every other shell is tested in outward-rounded libmp
-    intervals, and the certificate is the interval bound of the shell the
-    walk stops on, as if every shell had been tested in intervals."""
-    neg_lam = mpi_neg(_interval(lam), _PREC)
-    c1_iv, c0_iv, shift_iv = _interval(c1), _interval(c0), _interval(shift)
-    one, two = _int_interval(1), _int_interval(2)
-    count0, power = _int_interval(2 * dim), _int_interval(dim - 1)
-    screen = _float_screen(lam, dim, c1, c0, shift, tol)
+def _ellipsoid(q_form: RatMat, tol: float, excess: Fraction,
+               max_radius: int) -> tuple:
+    """(T, tail bound, lambda_min) for the Gram ``q_form`` and a decay
+    minimum mu >= -``excess``: T = k / _STEPS for the least k whose
+    :func:`_theorem2` bound is at most TAIL_SHARE * tol, with rho =
+    sqrt(pi lambda_min) rounded down.  :func:`_last_true` finds the last
+    step that :func:`_screen` rules out (step 0, R = 0, always fails), and
+    from there the last that fails in intervals: the result of the
+    all-interval search.  No T above (max_radius + 1)^2 times the least
+    diagonal entry is tried, as every box would exceed the cap there.
+    Memoised on its inputs; errors are not cached."""
+    lam = min_eigenvalue_bound(q_form)
+    g = q_form.nrows
+    rho = mpi_sqrt(mpi_mul(_PI, _interval(lam), _PREC), _PREC)[0]
+    top = math.floor(_STEPS * (max_radius + 1) ** 2
+                     * min(q_form[i, i] for i in range(g)))
+    target = tol * TAIL_SHARE
+    bound = lru_cache(maxsize=None)(_theorem2(g, rho, excess))
 
-    def shell_bound(s: int):
-        # the walk calls this at s >= ceil(shift) + 1, where gap >= 1
-        s_iv = _int_interval(s)
-        gap = mpi_sub(s_iv, shift_iv, _PREC)
-        # pi (-lambda gap^2 + c1 s + c0); shell count 2 dim (2s+1)^(dim-1)
-        quad = mpi_mul(mpi_mul(neg_lam, gap, _PREC), gap, _PREC)
-        expo = mpi_add(quad, mpi_mul(c1_iv, s_iv, _PREC), _PREC)
-        expo = mpi_mul(_PI, mpi_add(expo, c0_iv, _PREC), _PREC)
-        count = mpi_pow(_int_interval(2 * s + 1), power, _PREC)
-        count = mpi_mul(count0, count, _PREC)
-        return mpi_mul(count, mpi_exp(expo, _PREC), _PREC)
+    def fails(k: int) -> bool:
+        tail = bound(k)
+        return tail is None or not tail <= target
 
-    def ratio_bound(s: int):
-        # shell_bound(s+1)/shell_bound(s) without division: ((2s+3)/(2s+1))
-        # ^(dim-1) e^{pi (-lambda (2 gap + 1) + c1)}, valid and monotone
-        # decreasing for s >= center_shift
-        gap = mpi_sub(_int_interval(s), shift_iv, _PREC)
-        count_ratio = mpi_div(_int_interval(2 * s + 3),
-                              _int_interval(2 * s + 1), _PREC)
-        count_ratio = mpi_pow(count_ratio, power, _PREC)
-        slope = mpi_add(mpi_mul(two, gap, _PREC), one, _PREC)
-        expo = mpi_add(mpi_mul(neg_lam, slope, _PREC), c1_iv, _PREC)
-        expo = mpi_mul(_PI, expo, _PREC)
-        return mpi_mul(count_ratio, mpi_exp(expo, _PREC), _PREC)
-
-    for m_try in range(max(0, math.ceil(to_float(shift_iv[1]))),
-                       max_radius + 1):
-        s1 = m_try + 1
-        if screen(s1) or to_float(ratio_bound(s1)[1]) > 0.5:
-            continue
-        tail = to_float(mpi_mul(two, shell_bound(s1), _PREC)[1])
-        if tail <= tol:
-            return TruncationCertificate(
-                radius=m_try, tail_bound=tail, lambda_min=lam)
+    last = _last_true(_screen(g, to_float(rho), excess, target), 0, top + 1)
+    k = last + 1 + _last_true(lambda j: fails(last + j), 0, top + 1 - last)
+    if k <= top and not fails(k):
+        return Fraction(k, _STEPS), bound(k), lam
     raise TruncationBudgetExceeded(
-        f"no certified radius <= {max_radius} reaches tail {tol:g}"
-    )
+        f"no certified radius <= {max_radius} reaches tail {tol:g}")
+
+
+@lru_cache(maxsize=256)
+def _inverse(gram: tuple) -> tuple:
+    """The inverse of a primitive symmetric integer matrix as (integer
+    rows, denominator), memoised per Gram."""
+    inv = RatMat(gram).inv()
+    return inv.num, inv.den
+
+
+def _centre(decay) -> tuple:
+    """(mu, v, s, diag) of a :func:`lattice_sum` decay form (den, quad,
+    lin, const): with P the symmetric integer matrix of 2 x its quadratic
+    part, decay(w) = mu + (w - w0)^T P (w - w0) / (2 den) for the centre
+    w0 = -P^{-1} lin = -v / s, and diag / s is the diagonal of P^{-1}.
+    mu = (const - lin^T P^{-1} lin / 2) / den is exact."""
+    den, quad, lin, const = decay
+    n = len(lin)
+    p = [[quad[min(i, j)][max(i, j)] * (1 + (i == j)) for j in range(n)]
+         for i in range(n)]
+    g = gcd(*(x for row in p for x in row))
+    inv, e = _inverse(tuple(tuple(x // g for x in row) for row in p))
+    v = [sum(map(mul, row, lin)) for row in inv]
+    s = e * g
+    mu = Fraction(2 * s * const - sum(map(mul, lin, v)), 2 * s * den)
+    return mu, v, s, [inv[i][i] for i in range(n)]
+
+
+def _box(v, s: int, diag, den: int, offset: Fraction) -> tuple:
+    """floor(|w0_i| + sqrt(offset (Q^{-1})_ii)) per coordinate, exactly, for
+    w0 = -v / s and Q^{-1} = 2 den diag / s: the box of the ellipsoid
+    decay - mu <= offset."""
+    box = []
+    for a, d in zip(map(abs, v), diag):
+        # h^2 = num / dnm, and r is the largest integer with r s - a <= s h
+        num, dnm = 2 * den * d * offset.numerator, s * offset.denominator
+        r = (a + math.isqrt(num * s * s // dnm) + 1) // s
+        while r * s > a and (r * s - a) ** 2 * dnm > num * s * s:
+            r -= 1
+        box.append(r)
+    return tuple(box)
+
+
+def truncation_radius(q_form: RatMat, tol: float = 1e-10, *, decay,
+                      max_radius: int = DEFAULT_MAX_RADIUS
+                      ) -> TruncationCertificate:
+    """The certified kept set of a Gaussian-type lattice sum.
+
+    ``decay`` is the sum's decay form as :func:`lattice_sum` takes it,
+    whose quadratic part is that of the Gram ``q_form``.  Its exact minimum mu over R^n and centre come
+    from :func:`_centre`, and T = R^2 / pi from the memo
+    :func:`_ellipsoid`, keyed on the Gram, tol and mu rounded down to a
+    multiple of 1/16 (as max(0, -mu) rounded up).  The terms of decay(w) >
+    mu + T add up to at most the returned tail bound, which is at most
+    TAIL_SHARE * tol.  Raises TruncationBudgetExceeded when the box of the
+    kept set has a radius above ``max_radius``."""
+    max_radius = int(max_radius)
+    min_eigenvalue_bound(q_form)  # rejects a Gram that is not definite
+    mu, v, s, diag = _centre(decay)
+    excess = Fraction(max(0, math.ceil(-mu * _EXCESS_STEPS)), _EXCESS_STEPS)
+    offset, tail, lam = _ellipsoid(q_form, float(tol), excess, max_radius)
+    box = _box(v, s, diag, decay[0], offset)
+    radius = max(box)
+    if radius > max_radius:
+        raise TruncationBudgetExceeded(
+            f"the certified box has radius {radius} > {max_radius} at tail "
+            f"{tol:g}")
+    return TruncationCertificate(radius, tail, lam, mu + offset, box)
 
 
 # -- the theta spec -----------------------------------------------------------
@@ -527,8 +563,7 @@ class ThetaSpec:
 
     A spec computes once, when it is built or derived, the parts of the
     series data that do not depend on z: the integer decay and turns forms
-    at z = 0 and the center shift max |p_i| of the certificate.  Per z,
-    :meth:`forms` and the certificate add only the pairings of z with D and
+    at z = 0.  Per z, :meth:`forms` adds only the pairings of z with D and
     k, in integers.  A spec built again from an equal (tau, D, k, xi) in
     the same process takes these parts from the bounded memo
     :func:`_spec_parts`, which shares them between specs: they are
@@ -578,13 +613,9 @@ class ThetaSpec:
         <p, A m>/2 + <Re(tau) D w, w>/2 + <D w, Re z>, each reduced once
         by :func:`_add_linear`.  <D w, v> = <D^T v, m> - <k, v> since
         D p = k."""
-        return self._forms(z, self._pairings(im for _, im in z))
-
-    def _forms(self, z, im) -> tuple:
-        """:meth:`forms`, given the :meth:`_pairings` ``im`` of Im z."""
-        decay, turns, _ = self._z_free
+        decay, turns = self._z_free
         d_re, k_re, re_den = self._pairings(re for re, _ in z)
-        d_im, k_im, im_den = im
+        d_im, k_im, im_den = self._pairings(im for _, im in z)
         return (_add_linear(decay, [2 * x for x in d_im], -2 * k_im, im_den),
                 _add_linear(turns, d_re, -k_re, re_den))
 
@@ -637,8 +668,8 @@ def _derive(d_mat: RatMat, a_form: RatMat, q_form: RatMat, rd: RatMat, char,
     """The fields :data:`_SPEC_PARTS` of the spec of an admissible D with
     pairing form A = ``a_form``, Im(tau) D = ``q_form`` and Re(tau) D =
     ``rd``: k and xi checked, the center p = D^{-1} k and ``_z_free`` =
-    (decay, turns, shift), the forms of :meth:`ThetaSpec.forms` at z = 0
-    as :func:`_centred` numerators and max |p_i|."""
+    (decay, turns), the forms of :meth:`ThetaSpec.forms` at z = 0 as
+    :func:`_centred` numerators."""
     n = d_mat.nrows
     char = char or (0,) * n
     if len(char) != n:
@@ -658,8 +689,7 @@ def _derive(d_mat: RatMat, a_form: RatMat, q_form: RatMat, rd: RatMat, char,
             row[j] += a_rows[i][j] * den
     lin = [x + (b * p_den + sum(map(mul, col, p))) * (den // p_den)
            for x, b, col in zip(lin, xi_lin, zip(*a_rows))]
-    shift = Fraction(max(map(abs, p), default=0), p_den)
-    z_free = (_frozen(decay), _frozen((2 * den, quad, lin, const)), shift)
+    z_free = (_frozen(decay), _frozen((2 * den, quad, lin, const)))
     return char, xi_lin, a_form, q_form, p_vec, z_free
 
 
@@ -724,31 +754,19 @@ def _exact_z(z, n: int):
     return out
 
 
-def _theta_certificate(spec: ThetaSpec, im, tol: float) -> TruncationCertificate:
-    # |e^{2 pi i <Dm - k, z>}| = e^{pi(-2<m, D^T Im z> + 2<k, Im z>)}, with
-    # im = (D^T Im z, <k, Im z>, den) from ThetaSpec._pairings
-    d_im, k_im, den = im
-    return truncation_radius(
-        spec.q_form, _quotient(2 * sum(map(abs, d_im)), den), tol,
-        center_shift=spec._z_free[2],
-        constant_exponent=_quotient(2 * k_im, den),
-        max_radius=spec.max_radius,
-    )
-
-
 def theta_dk(spec: ThetaSpec, z: Sequence[complex], *,
              context: str = "double") -> CertifiedValue:
     """Certified evaluation of the theta series at a complex n-vector z,
     taken exactly (:func:`_exact_z`) into the forms of
-    :meth:`ThetaSpec.forms`.  The truncation error is below the
-    certificate's tail bound (rounding is not part of it).  The forms and
-    the certificate share one pairing of Im z with D and k.
+    :meth:`ThetaSpec.forms`.  The certificate reads the decay form it sums:
+    the truncation error is below its tail bound (rounding is not part of
+    it).
     """
     ctx = get_context(context)
-    zz = _exact_z(z, spec.n)
-    im = spec._pairings(im for _, im in zz)
-    cert = _theta_certificate(spec, im, _resolved_tol(spec.tol, ctx))
-    value = lattice_sum(ctx, spec.n, cert.radius, *spec._forms(zz, im))
+    decay, turns = spec.forms(_exact_z(z, spec.n))
+    cert = truncation_radius(spec.q_form, _resolved_tol(spec.tol, ctx),
+                             decay=decay, max_radius=spec.max_radius)
+    value = lattice_sum(ctx, cert.box, cert.limit, decay, turns)
     return CertifiedValue(value, cert, context)
 
 
@@ -815,21 +833,11 @@ def _pair_gram(tau: complex) -> RatMat:
     return RatMat([[half / a, half * b / a], [half * b / a, half * mod2 / a]])
 
 
-def _pair_linear_coeff(tau: complex, points) -> Fraction:
-    """Rational c1 with |linear exponent| <= pi c1 s for the double sums:
-    uses |m + n tau| <= s (1 + |tau|) and |tau| <= (1 + |tau|^2)/2."""
-    b, a = _tau_parts(tau)
-    tau_up = 1 + (1 + b * b + a * a) / 2
-    tot = sum(abs(rat(p.real)) + abs(rat(p.imag)) for p in points)
-    return tot * tau_up / a
-
-
-def _double_sum(forms, tau: complex, lin_coeff, tol: float, max_radius: int,
-                ctx):
-    """A pair sum's forms summed over the certified (m, n) shells."""
-    cert = truncation_radius(_pair_gram(tau), linear_bound=lin_coeff,
-                             tol=tol, max_radius=max_radius)
-    return lattice_sum(ctx, 2, cert.radius, *forms), cert
+def _double_sum(forms, tau: complex, tol: float, max_radius: int, ctx):
+    """A pair sum's forms summed over their certified ellipsoid."""
+    cert = truncation_radius(_pair_gram(tau), tol, decay=forms[0],
+                             max_radius=max_radius)
+    return lattice_sum(ctx, cert.box, cert.limit, *forms), cert
 
 
 def gaussian_theta_lhs(tau: complex, u: complex, v: complex,
@@ -842,21 +850,17 @@ def gaussian_theta_lhs(tau: complex, u: complex, v: complex,
                   e^{-pi/a (m + n conj(tau)) u} e^{pi/a (m + n tau) v}
         * e^{-pi/(2a) u^2} e^{pi/a u v} e^{-pi/(2a) v^2}.
 
-    The prefactor is folded into each term's exact forms.  The certificate
-    is that of the sum without it, at tol e^{-pi max(c, 0)} for a prefactor
-    of modulus e^{pi c}, so the returned value's tail is below tol.
+    The prefactor is folded into each term's exact forms, so the
+    certificate, which reads the decay form, covers it.
     """
     ctx = get_context(context)
     tol = _resolved_tol(tol, ctx)
     b, a = _tau_parts(tau)
-    lin = _pair_linear_coeff(tau, [u, v])
     ur, ui = rat(u.real), rat(u.imag)
     vr, vi = rat(v.real), rat(v.imag)
     dr, di = ur - vr, ui - vi
     # constant prefactor magnitude, exact in Q: Re(-u^2 - v^2 + 2uv) / (2a)
     pref_coeff = -(dr * dr - di * di) / (2 * a)
-    tol_eff = tol * math.exp(
-        -max(to_float(_interval(pref_coeff)[1]), 0.0) * math.pi)
 
     def form(rows, den, *coeffs):
         # rows / den, plus the exact linear and constant coefficients
@@ -871,7 +875,7 @@ def gaussian_theta_lhs(tau: complex, u: complex, v: complex,
                   -pref_coeff),
              form(((0, 1), (0, 0)), 2, -di / (2 * a),
                   (a * (ur + vr) - b * di) / (2 * a), -dr * di / (2 * a)))
-    value, cert = _double_sum(forms, tau, lin, tol_eff, max_radius, ctx)
+    value, cert = _double_sum(forms, tau, tol, max_radius, ctx)
     return CertifiedValue(value, cert, context)
 
 

@@ -266,7 +266,7 @@ tol = 1e-10
 
 # sha256 of DETERMINISM_JOB's ``lines`` report (test_golden.py reads it here)
 DETERMINISM_DIGEST = (
-    "205dbc74f25ba5668f4c242ef9366c72d6487b2f4e2cd0595c3b5e3c5f833d10")
+    "dec2f83f4ecfb7d8d3a1088f3db0fd310531c19fe2c87acfe153c974ccc4b1c4")
 
 
 def test_criterion_9_report_determinism():

@@ -1,8 +1,10 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
 
+from toruslift import cli
 from toruslift.cli import main
 from toruslift.config import (
     JobConfig,
@@ -374,3 +376,72 @@ def test_max_radius_caps_every_certified_task(tmp_path, capsys):
     for record in records:
         assert record["status"] == "error"
         assert record["detail"].startswith("TruncationBudgetExceeded")
+
+
+def test_header_faults_are_reported_at_their_own_text():
+    # the column of the header's own name, not of the first occurrence of
+    # its text on the line (the b of "brane", the kind "torus")
+    with pytest.raises(ParseError) as err:
+        parse_config("[torus]\nn = 1\ntau = i\n"
+                     "[brane b]\nkind = fiber\n[brane b]\nkind = fiber\n")
+    assert (err.value.line, err.value.column) == (6, 8)
+    assert "brane 'b' is declared twice" in str(err.value)
+    with pytest.raises(ParseError) as err:
+        parse_config("[torus torus]\nn = 1\n")
+    assert (err.value.line, err.value.column) == (1, 8)
+    with pytest.raises(ParseError) as err:
+        parse_config("[torus]\nn = 1\ntau = i\n  [torus]\n")
+    assert (err.value.line, err.value.column) == (4, 4)
+
+
+def test_a_huge_exponent_fails_to_parse_at_once(tmp_path, capsys):
+    # 10^2000000 is never built: the token's digits plus its exponent
+    # exceed the digit limit of int(), so it is a parse error at its column
+    text = "[torus]\nn = 1\ntau = 1e2000000\n"
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as err:
+        parse_config(text)
+    assert time.perf_counter() - start < 0.05
+    assert (err.value.line, err.value.column) == (3, 7)
+    assert "not a rational number: '1e2000000'" in str(err.value)
+    for token in ("1e-2000000", "12.5e4300"):
+        with pytest.raises(ParseError):
+            parse_config(f"[torus]\nn = 1\ntau = {token}i\n")
+    assert parse_config("[torus]\nn = 1\ntau = 1e4299i\n").torus.tau
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(text)
+    assert main(["--config", str(cfg)]) == 2
+    assert "column 7: not a rational number" in capsys.readouterr().err
+
+
+def test_a_repeated_argv_is_parsed_once(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text(MINIMAL)
+    argv = ["--config", str(cfg), "--format", "summary"]
+    calls = []
+    parse = cli._PARSER.parse_args
+    monkeypatch.setattr(cli._PARSER, "parse_args",
+                        lambda a: calls.append(a) or parse(a))
+    cli._options.cache_clear()
+    for _ in range(3):
+        assert main(list(argv)) == 0
+        assert "1 task: 1 pass" in capsys.readouterr().out
+    assert len(calls) == 1
+    # each call gets its own namespace: another argv is parsed afresh
+    assert main(["--config", str(cfg)]) == 0
+    assert json.loads(capsys.readouterr().out)["kind"] == "theta"
+    assert len(calls) == 2
+
+
+def test_a_bad_flag_exits_with_usage_on_every_call(capsys):
+    cli._options.cache_clear()
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", "x.cfg", "--bogus"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: toruslift" in capsys.readouterr().out
+    assert cli._options.cache_info().currsize == 0

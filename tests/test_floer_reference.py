@@ -26,15 +26,14 @@ F = Fraction
 
 
 def fraction_double_forms(spec, l, pt):
-    """(gram, shift, decay, turns) as mu2_double computed them through
-    RatMat blocks, the Fraction form references and Fraction vectors."""
+    """(gram, decay, turns) as mu2_double computed them through RatMat
+    blocks, the Fraction form references and Fraction vectors."""
     n = spec.n
     d_mat, a_form, p = spec.d_mat, spec.a_form, spec.p_vec
     q = d_mat.T.solve(vec_add(a_form @ p, ratvec(l)))
     cm = vec_sub(pt.r, p)
     cn = vec_sub(pt.theta_hat, q)
     gram = ref_double_gram(spec)
-    shift = max((abs(c) for c in cm + cn), default=Fraction(0))
     decay = ref_int_form(*ref_centered_form(gram, tuple(-x for x in cm + cn)))
     half = Fraction(1, 2)
     t_mat = [[0] * (2 * n) for _ in range(2 * n)]
@@ -52,7 +51,7 @@ def fraction_double_forms(spec, l, pt):
         - vec_dot(cm, vec_add(a_form.T @ pt.kappa, d_mat.T @ pt.phi))
         + half * vec_dot(p, a_form @ pt.r)
     )
-    return gram, shift, decay, ref_int_form(t_mat, t_lin, t_const)
+    return gram, decay, ref_int_form(t_mat, t_lin, t_const)
 
 
 # (Re tau, Im tau, D): n = 1 and 2; D = I, diagonal and unimodular; Re tau
@@ -111,9 +110,8 @@ def test_double_forms_are_the_fraction_forms(case):
                 got = floer._double_forms(spec, l, pt)
                 want = fraction_double_forms(spec, l, pt)
                 assert got == want, (spec, l, pt)
-                gram, shift, decay, turns = got
+                gram, decay, turns = got
                 assert (gram.num, gram.den) == (want[0].num, want[0].den)
-                assert type(shift) is Fraction
                 for form in (decay, turns):
                     assert all(type(x) is int for x in
                                (form[0], *form[2], form[3],

@@ -8,7 +8,9 @@ bound) fails here and has to say why and record the new digest.
 """
 
 import hashlib
+from itertools import product
 
+import mpmath
 import pytest
 
 from test_acceptance import DETERMINISM_DIGEST, DETERMINISM_JOB
@@ -279,29 +281,29 @@ JOBS = {
 GOLDEN = {
     "determinism": DETERMINISM_DIGEST,
     "identity2":
-        "f68cd844116ebe9d45a3bac22b997e63c111b159b73317db6786ee975a4c797b",
+        "27953755207bdac562a4f566d66b44816393d36433f24c7bea11318939aae054",
     "theta-n1-dd":
-        "b39afcb3780103956fb5a19ab1178b9bb352a9b624659fbec53a6d99f42e23a8",
+        "5c4871bafba5e27579b503c1bac91585f6be98c7a7f330a0d973e737fb265dac",
     "theta-n1-double":
-        "22967319b0388165721d02f127d3085aa697fac11bbb8c32ff6d3749793bfe3f",
+        "e83ab1aa1520d56a661a97957c872be00b81235add97a1e719d14c88ebba03f2",
     "theta-n2-dd":
-        "f3a32dd36ae98c1e5ea02c626eb5e48c4c1a1ebf5757de2e1b14dd13867b774f",
+        "d844a83c4ad1fe06835b80d96b661c5de38f59f1a5c8646538dca67f022df927",
     "theta-n2-double":
-        "64f39958cce0ac500e8a13851867c393a5762db302ce84f74e450c06b94b6b68",
+        "be94687092b6c544d93f0adb4f27b973a487d3edd4f35a60114f718d829d6073",
     "usub-n2":
-        "4b46058f19b37dc42547c46bc86c76e2cfb89299640da5c235830e5d185bff57",
+        "45e8ebb62122087f86da5fe5e1811d9f5b2ba8fb2565f23a5e1edb47385dd0d6",
     "diagram-n2":
-        "5a57533fe4c06d92791c1e4152a4dd219aa1d12bf15f105e1bbf62abff19794d",
+        "6acc519db4590e4e1debe1d9794e794a3043faa48e3d5b4160dfb4865f70522c",
     "diagram-n2-dd":
-        "48aacfeb0e55f0da1d668750c9e026c47647a443a909fcfd33b9e60397018ab5",
+        "9ca0109f872ca0dc6d5773c4383a3ffe2d9038f4add586be81e654cc189b2e1e",
     "diagram-n1-d3":
-        "bf3d692b9b7775b75e6aa30e3e8b9e8a84197a1d937e9ee37aa620531125697d",
+        "be84ad87def54d5e4cf1318dd0a257e212dc891b55371e506fba90d80c22b315",
     "usub-n2-diag21":
-        "e2d43f2b522423dde0731f540b9ec3ff405d1ef5a9abcafe09006a590090a893",
+        "e5d3d13e96320c7ee7bb908be0a6e6e518235c250b337041c209a7a1bb0b4a62",
     "usub-n1-dd":
-        "cd42975b09ad473efbd100a2571453faff2b862cab93efb5b35d9d58a31f2117",
+        "abff98fd4c0c5393e9ad0ffffed8ea77445bdd816e2d590df2f62d200b52d889",
     "theta-n2-re":
-        "e237420833cd194d35f619cc084d24693bc60720da4da9484e73f0968f0f22aa",
+        "b6ff4b470c78d44ee23ae29fc297b424569202d0cd5e08a23dd8b4f6fc28a0c4",
     "lift-fiber":
         "fe0a3deaa1936f4c957a3d129227fe28440cc6e918093b1f525db59a259b2594",
     "lift-graph":
@@ -344,16 +346,16 @@ def test_lines_report_does_not_depend_on_term_order(name, monkeypatch):
     # the reverse order must not move a byte: every prefix coordinate, the
     # pruned last one included, runs from its top down, and each line from
     # its top
-    walked, spans, radii = [], [], []
+    walked, spans, boxes = [], [], []
     span, lattice_sum = theta._span, theta.lattice_sum
 
     def reversed_span(lo, hi):
-        spans.append((lo, hi, radii[-1]))
+        spans.append((lo, hi, boxes[-1]))
         return span(lo, hi)[::-1]
 
-    def recorded_sum(ctx, dim, radius, *forms):
-        radii.append(radius)
-        return lattice_sum(ctx, dim, radius, *forms)
+    def recorded_sum(ctx, box, *args):
+        boxes.append(box)
+        return lattice_sum(ctx, box, *args)
 
     monkeypatch.setattr(theta, "_span", reversed_span)
     monkeypatch.setattr(theta, "lattice_sum", recorded_sum)
@@ -377,12 +379,13 @@ def test_lines_report_does_not_depend_on_term_order(name, monkeypatch):
                          "diagram-not-positive")
     assert any(len(ts) > 1 for ts in walked) == summed
     # the jobs with a sum over two or more dimensions walk prefixes, and
-    # their last prefix coordinate is pruned to a part of the span, but for
-    # two jobs whose small doubled n = 1 sums have bands over the whole cube
+    # their last prefix coordinate is pruned to a part of the box, but for
+    # two jobs whose 2-D sums are centred near 0: there the box is the
+    # ellipsoid's own extent
     prefixed = summed and not name.startswith("theta-n1")
     assert any(lo < hi for lo, hi, _ in spans) == prefixed
-    pruned = any((lo, hi) != (-r, r) for lo, hi, r in spans)
-    assert pruned == (prefixed and name not in ("determinism", "usub-n1-dd"))
+    pruned = any(lo != -hi or hi not in box for lo, hi, box in spans)
+    assert pruned == (prefixed and name not in ("identity2", "usub-n1-dd"))
 
 
 @pytest.mark.parametrize("name", sorted(JOBS))
@@ -393,3 +396,72 @@ def test_lines_report_does_not_depend_on_coset_order(name, monkeypatch):
     monkeypatch.setattr(floer, "cosets", lambda m: original(m)[::-1])
     got = lines_digest(JOBS[name])
     assert got == GOLDEN[name], f"job {name!r}: reversed cosets give {got}"
+
+
+# every certified sum of the jobs with one, against a 200-bit evaluation
+SUMMED = [name for name in sorted(JOBS) if not name.startswith(
+    ("lift", "validate", "twist", "upart")) and name not in (
+    "theta-asymmetric", "usub-not-positive", "diagram-not-positive")]
+MP200 = mpmath.mp.clone()
+MP200.prec = 200
+# the reference keeps the points of decay up to limit + WIDEN: each point
+# it leaves out is below e^{-pi (limit + 8)}, some 1e-11 of the largest
+# term the certified sum leaves out
+WIDEN = 8
+ROUNDING = {"double": 2.0 ** -40, "dd": 2.0 ** -90}
+
+
+def reference_sum(box, limit, decay, turns):
+    """(sum, sum of |terms|) at 200 bits over the points of the box two
+    wider than ``box`` whose decay is at most limit + WIDEN, each exponent
+    formed exactly."""
+    mp = MP200
+    (d_den, d_quad, d_lin, d_const), (t_den, t_quad, t_lin, t_const) = \
+        decay, turns
+    dim = len(box)
+    top = (limit + WIDEN) * d_den
+    total, size = mp.mpc(0), mp.mpf(0)
+    for w in product(*(range(-b - 2, b + 3) for b in box)):
+        dv = d_const + sum(x * y for x, y in zip(d_lin, w)) + sum(
+            d_quad[i][j] * w[i] * w[j] for i in range(dim)
+            for j in range(i, dim))
+        if dv > top:
+            continue
+        tv = t_const + sum(x * y for x, y in zip(t_lin, w)) + sum(
+            t_quad[i][j] * w[i] * w[j] for i in range(dim)
+            for j in range(i, dim))
+        mag = mp.exp(-mp.pi * mp.mpf(dv) / d_den)
+        total += mag * mp.expjpi(2 * mp.mpf(tv % t_den) / t_den)
+        size += mag
+    return total, size
+
+
+@pytest.mark.parametrize("name", SUMMED)
+def test_every_sum_lies_within_its_tail_bound(name, monkeypatch):
+    # each value of each certified sum of the job, double or dd, is within
+    # its certificate's tail bound (plus a rounding allowance) of the sum
+    # at 200 bits
+    sums, certs = [], []
+    truncation_radius, lattice_sum = theta.truncation_radius, \
+        theta.lattice_sum
+
+    def certified(*args, **kwargs):
+        certs.append(truncation_radius(*args, **kwargs))
+        return certs[-1]
+
+    def summed(ctx, box, limit, decay, turns):
+        value = lattice_sum(ctx, box, limit, decay, turns)
+        assert (certs[-1].box, certs[-1].limit) == (tuple(box), limit)
+        sums.append((ctx.name, certs[-1], decay, turns, value))
+        return value
+
+    for module in (theta, floer):
+        monkeypatch.setattr(module, "truncation_radius", certified)
+        monkeypatch.setattr(module, "lattice_sum", summed)
+    lines_digest(JOBS[name])
+    assert sums
+    for context, cert, decay, turns, value in sums:
+        ref, size = reference_sum(cert.box, cert.limit, decay, turns)
+        error = abs(MP200.mpc(value) - ref)
+        assert error <= cert.tail_bound + ROUNDING[context] * size, (
+            name, context, float(error), cert.tail_bound)

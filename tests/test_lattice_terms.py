@@ -3,13 +3,15 @@
 ``mu2_double``, ``mu2_base`` and the theta sum are each one
 ``lattice_sum``.  Its value must equal, bit for bit, ``ctx.sum`` of the
 terms of a per-point ``Fraction`` loop that forms each exponent exactly and
-rounds it once.  Those loops are copied here as references, together with
-the filtered-cube shell enumeration they walked.  The kernel's values are
-captured where each site receives them.  The term evaluators of both
+rounds it once, over the points of a wider cube whose decay is at most the
+certificate's limit.  Those loops are copied here as references, together
+with the filtered-cube shell enumeration they walked.  The kernel's values
+are captured where each site receives them.  The term evaluators of both
 contexts are checked against ``cmath.exp`` and ``mp.exp`` term by term,
-the decay band's fallback is shown to run where a part of the sum is zero
-or nearly zero, the value is shown not to depend on the band's margin, and
-the pruned walk is shown to keep the terms that a walk of every line keeps.
+the kept set is shown to be exactly the cube points of decay at most the
+limit, with one rounding and no fallback, also where a part of the sum is
+zero or nearly zero, and the pruned walk is shown to keep the terms that a
+walk of every line keeps.
 """
 
 import cmath
@@ -24,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fractionforms import ref_double_gram, ref_int_form
+from fractionforms import ref_centered_form, ref_double_gram, ref_int_form
 from toruslift import floer, theta
 from toruslift.brane import _mod1
 from toruslift.exact import RatMat, ratvec, vec_add, vec_dot, vec_sub
@@ -33,7 +35,6 @@ from toruslift.lattice import cosets
 from toruslift.summation import get_context
 from toruslift.theta import (
     ThetaSpec,
-    _exact_z,
     iter_shell,
     lattice_sum,
     spec_n1,
@@ -75,9 +76,10 @@ def xi_raw(a_rows, bits, m):
             + sum(b * c for b, c in zip(bits, m)))
 
 
-def old_theta_terms(spec, z, ctx, radius):
+def old_theta_terms(spec, z, ctx, radius, limit):
     """The theta terms with z taken exactly: every exponent is one Fraction,
-    rounded once."""
+    rounded once, at the points of the cube of ``radius`` whose decay is at
+    most ``limit``."""
     p = spec.p_vec
     a = spec.a_form
     re_q = spec.tau_re @ spec.d_mat
@@ -95,12 +97,14 @@ def old_theta_terms(spec, z, ctx, radius):
             + vec_dot(g, z_re)
         ) % 1
         decay = vec_dot(im_q @ w, w) + 2 * vec_dot(g, z_im)
-        terms.append(ctx.exp(ctx.to_complex(
-            -ctx.pi * ctx.real(decay), 2 * ctx.pi * ctx.real(turns))))
+        if decay <= limit:
+            terms.append(ctx.exp(ctx.to_complex(
+                -ctx.pi * ctx.real(decay), 2 * ctx.pi * ctx.real(turns))))
     return terms
 
 
-def old_base_terms(tau_re, tau_im, d_mat, k, r, phi, bits, ctx, radius):
+def old_base_terms(tau_re, tau_im, d_mat, k, r, phi, bits, ctx, radius,
+                   limit):
     a_form = tau_re @ d_mat - d_mat.T @ tau_re.T
     p = d_mat.solve(ratvec(k))
     z_re = vec_sub(tau_re.T @ r, phi)
@@ -117,14 +121,16 @@ def old_base_terms(tau_re, tau_im, d_mat, k, r, phi, bits, ctx, radius):
             + vec_dot(d_mat @ w, z_re)
         )
         decay = vec_dot(q_form @ w, w) + 2 * vec_dot(d_mat @ w, z_im)
-        terms.append(ctx.exp(ctx.to_complex(
-            -ctx.pi * ctx.real(decay),
-            2 * ctx.pi * ctx.real(_mod1(turns)),
-        )))
+        if decay <= limit:
+            terms.append(ctx.exp(ctx.to_complex(
+                -ctx.pi * ctx.real(decay),
+                2 * ctx.pi * ctx.real(_mod1(turns)),
+            )))
     return terms
 
 
-def old_double_terms(tau_re, tau_im, d_mat, k, l, pt, bits, ctx, radius):
+def old_double_terms(tau_re, tau_im, d_mat, k, l, pt, bits, ctx, radius,
+                     limit):
     a_form = tau_re @ d_mat - d_mat.T @ tau_re.T
     n = d_mat.nrows
     dim = 2 * n
@@ -185,6 +191,8 @@ def old_double_terms(tau_re, tau_im, d_mat, k, l, pt, bits, ctx, radius):
             if w[i]:
                 dec_num += d_lin_i[i] * w[i]
                 t_num += t_lin_i[i] * w[i]
+        if Fraction(dec_num, d_den) > limit:
+            continue
         terms.append(ctx.exp(ctx.to_complex(
             -ctx.pi * ctx.real(Fraction(dec_num, d_den)),
             2 * ctx.pi * ctx.real(Fraction(t_num % t_den, t_den)),
@@ -244,6 +252,12 @@ CASES = [(seed, context) for seed in range(12) for context in ("double", "dd")]
 TOL = {"double": 1e-12, "dd": 1e-20}
 
 
+def wider(cert):
+    """The reference loops' cube: one wider than the certificate's box, so
+    that a box too small for its ellipsoid would show."""
+    return cert.radius + 1
+
+
 @pytest.mark.parametrize("seed,context", CASES)
 def test_theta_terms_match_the_fraction_loop(captured, seed, context):
     rng, tau_re, tau_im, d_mat, k, bits, vec = _case(seed)
@@ -252,8 +266,9 @@ def test_theta_terms_match_the_fraction_loop(captured, seed, context):
     spec = ThetaSpec(tau_re, tau_im, d_mat, k, bits, tol=TOL[context])
     z = list(zip(vec(), vec()))
     value = theta_dk(spec, z, context=context)
-    ref = old_theta_terms(spec, z, get_context(context),
-                          value.certificate.radius)
+    cert = value.certificate
+    ref = old_theta_terms(spec, z, get_context(context), wider(cert),
+                          cert.limit)
     assert captured[-1] == ref_sum(ref, context)
 
 
@@ -263,14 +278,14 @@ def test_base_product_terms_match_the_fraction_loop(captured, seed, context):
     r, phi = vec(), vec()
     value = mu2_base(ThetaSpec(tau_re, tau_im, d_mat, k, bits,
                                tol=TOL[context]), r, phi, context=context)
+    cert = value.certificate
     ref = old_base_terms(tau_re, tau_im, d_mat, k, ratvec(r), ratvec(phi),
-                         bits, get_context(context), value.certificate.radius)
+                         bits, get_context(context), wider(cert), cert.limit)
     assert captured[-1] == ref_sum(ref, context)
 
 
-# the unimodular 4-D sums have radius 7 (50,625 terms) at any tolerance; in
-# dd the reference loop would take most of a minute on each, so only double
-# runs them
+# the unimodular 4-D sums have the widest boxes; in dd the reference loop
+# would take most of a minute on each, so only double runs them
 DOUBLED_CASES = [(seed, context) for seed, context in CASES
                  if context == "double"
                  or SLOPES[seed % len(SLOPES)][2].det() != 1]
@@ -287,21 +302,27 @@ def test_doubled_product_terms_match_the_fraction_loop(captured, seed,
     tol = TOL[context] if d_mat.nrows == 1 else 1e-3
     value = mu2_double(ThetaSpec(tau_re, tau_im, d_mat, k, bits, tol=tol),
                        l, pt, context=context)
+    cert = value.certificate
     ref = old_double_terms(tau_re, tau_im, d_mat, k, l, pt, bits,
-                           get_context(context), value.certificate.radius)
+                           get_context(context), wider(cert), cert.limit)
     assert captured[-1] == ref_sum(ref, context)
 
 
 def test_doubled_product_terms_match_on_an_enlarged_ball(captured):
+    # a box two wider and a limit two higher than certified: the kernel
+    # sums exactly the cube points of decay at most the limit, wherever the
+    # limit is
     _, tau_re, tau_im, d_mat, k, bits, vec = _case(10)
     args = (tau_re, tau_im, d_mat, k, (0, 0),
             DoublePoint(vec(), vec(), vec(), vec()))
     spec = ThetaSpec(*args[:4], bits, tol=1e-3)
-    radius = mu2_double(spec, *args[4:]).certificate.radius + 2
-    _, _, decay, turns = floer._double_forms(spec, *args[4:])
-    theta.lattice_sum(get_context("double"), 4, radius, decay, turns)
-    ref = old_double_terms(*args, bits, get_context("double"), radius)
-    assert len(ref) == (2 * radius + 1) ** 4
+    cert = mu2_double(spec, *args[4:]).certificate
+    radius, limit = cert.radius + 2, cert.limit + 2
+    _, decay, turns = floer._double_forms(spec, *args[4:])
+    theta.lattice_sum(get_context("double"), (radius,) * 4, limit, decay,
+                      turns)
+    ref = old_double_terms(*args, bits, get_context("double"), radius, limit)
+    assert cert.limit < limit and len(ref) < (2 * radius + 1) ** 4
     assert captured[-1] == ref_sum(ref, "double")
 
 
@@ -337,8 +358,8 @@ def one_term(context, dv, d_den, tv, t_den):
     """The kernel's value on the single point of a radius-0 line: decay
     dv / d_den and turns tv / t_den.  One term is its own rounded sum, up to
     the sign of a zero part, which no sum keeps."""
-    return lattice_sum(get_context(context), 1, 0, (d_den, [[1]], [0], dv),
-                       (t_den, [[0]], [0], tv))
+    return lattice_sum(get_context(context), (0,), F(dv, d_den),
+                       (d_den, [[1]], [0], dv), (t_den, [[0]], [0], tv))
 
 
 def exp_term(context, dv, d_den, tv, t_den):
@@ -418,9 +439,20 @@ def form_value(form, w):
     return num, den
 
 
-def per_point_terms(ctx, dim, radius, decay, turns):
+def cube(dim, radius):
+    return product(range(-radius, radius + 1), repeat=dim)
+
+
+def kept_points(dim, radius, limit, decay):
+    """The points of the cube of ``radius`` with decay at most ``limit``,
+    filtered by brute force."""
+    return [w for w in cube(dim, radius)
+            if F(*form_value(decay, w)) <= limit]
+
+
+def per_point_terms(ctx, points, decay, turns):
     terms = []
-    for w in product(range(-radius, radius + 1), repeat=dim):
+    for w in points:
         dv, d_den = form_value(decay, w)
         tv, t_den = form_value(turns, w)
         terms.append(ctx.exp(ctx.to_complex(
@@ -432,28 +464,32 @@ def per_point_terms(ctx, dim, radius, decay, turns):
 @pytest.mark.parametrize("context", ["double", "dd"])
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_lattice_sum_is_the_rounded_sum_of_every_cube_term(context, dim):
+    # with the limit at the largest decay on the cube, the kept set is the
+    # whole cube
     rng = random.Random(100 * dim + len(context))
     ctx = get_context(context)
     for _ in range(6 if context == "double" else 2):
         decay, turns = random_forms(rng, dim)
         radius = rng.randint(0, {1: 12, 2: 6, 3: 3}[dim])
-        got = lattice_sum(ctx, dim, radius, decay, turns)
-        ref = per_point_terms(ctx, dim, radius, decay, turns)
+        points = list(cube(dim, radius))
+        limit = max(F(*form_value(decay, w)) for w in points)
+        got = lattice_sum(ctx, (radius,) * dim, limit, decay, turns)
+        ref = per_point_terms(ctx, points, decay, turns)
         assert exact_bits(got) == ref_sum(ref, context)
 
 
-# -- the decay band and its fallback ---------------------------------------------
+# -- the kept set: one band per line, no fallback -------------------------------
 
 @dataclass
 class SumWalk:
-    """What one ``lattice_sum`` did: its radius, the terms of its first
-    accumulator as (da, db, ta, tb, t), and whether its rounding test
-    failed, so that it summed its whole cube afresh."""
+    """What one ``lattice_sum`` did: its box and limit, the terms it kept as
+    (da, db, ta, tb, t), and how many accumulators it opened and closed."""
 
-    radius: int
+    box: tuple
+    limit: F
     kept: list = field(default_factory=list)
     accumulators: int = 0
-    fell_back: bool = False
+    closed: int = 0
 
 
 def record_walks(monkeypatch) -> list:
@@ -461,29 +497,25 @@ def record_walks(monkeypatch) -> list:
     walks = []
     original = theta.lattice_sum
 
-    def recorded(ctx, dim, radius, *forms):
-        walks.append(SumWalk(radius))
-        return original(ctx, dim, radius, *forms)
+    def recorded(ctx, box, limit, *forms):
+        walks.append(SumWalk(tuple(box), limit))
+        return original(ctx, box, limit, *forms)
 
     for ctx in (get_context("double"), get_context("dd")):
         def line_terms(*forms, line_terms=type(ctx).line_terms, ctx=ctx):
             add, close = line_terms(ctx, *forms)
             current = walks[-1]
             current.accumulators += 1
-            if current.accumulators > 1:  # the fallback's whole cube
-                return add, close
 
             def kept(ts, *line):
                 current.kept.extend((*line, t) for t in ts)
                 return add(ts, *line)
 
-            def tested(bound=None):
-                value = close(bound)
-                if bound is not None and value is None:
-                    current.fell_back = True
-                return value
+            def closed():
+                current.closed += 1
+                return close()
 
-            return kept, tested
+            return kept, closed
 
         monkeypatch.setattr(ctx, "line_terms", line_terms)
     monkeypatch.setattr(theta, "lattice_sum", recorded)
@@ -496,8 +528,9 @@ def walks(monkeypatch):
     return record_walks(monkeypatch)
 
 
-def fell_back(walks) -> list:
-    return [w.radius for w in walks if w.fell_back]
+def one_pass(walks) -> bool:
+    """Every recorded sum opened one accumulator and rounded it once."""
+    return all((w.accumulators, w.closed) == (1, 1) for w in walks)
 
 
 REAL_SPECS = [
@@ -512,15 +545,18 @@ REAL_SPECS = [
 
 @pytest.mark.parametrize("context", ["double", "dd"])
 @pytest.mark.parametrize("case", range(len(REAL_SPECS)))
-def test_a_zero_or_nearly_zero_part_runs_the_fallback(walks, case, context):
+def test_a_zero_or_nearly_zero_part_needs_no_fallback(walks, case, context):
+    # a real sum used to fail the rounding test and sum its whole cube
+    # again; the kept set is now decided exactly, and its sum is rounded once
     spec, z = REAL_SPECS[case]
-    # enlarge the ball so that points beyond the band exist
-    value = theta.lattice_sum(get_context(context), 1, 12,
-                              *spec.forms(_exact_z(z, 1)))
-    assert fell_back(walks) == [12]
+    value = theta_dk(spec, z, context=context)
+    cert = value.certificate
+    assert one_pass(walks) and len(walks) == 1
     zz = [(F(0), F(0))]
-    ref = old_theta_terms(spec, zz, get_context(context), 12)
-    assert exact_bits(value) == ref_sum(ref, context)
+    ref = old_theta_terms(spec, zz, get_context(context), wider(cert),
+                          cert.limit)
+    assert len(walks[0].kept) == len(ref) < 2 * wider(cert) + 1
+    assert exact_bits(value.value) == ref_sum(ref, context)
     assert abs(complex(value).imag) < 1e-15
 
 
@@ -529,10 +565,12 @@ def test_the_band_decides_a_complex_sum_without_the_fallback(walks,
                                                               context):
     spec = spec_n1(0.5 + 1j, d=3, k=1, xi=1, tol=1e-12)
     z = [(F(1, 5), F(3, 10))]
-    value = theta.lattice_sum(get_context(context), 1, 12, *spec.forms(z))
-    assert fell_back(walks) == []
-    ref = old_theta_terms(spec, z, get_context(context), 12)
-    assert exact_bits(value) == ref_sum(ref, context)
+    value = theta_dk(spec, z, context=context)
+    assert one_pass(walks) and len(walks) == 1
+    cert = value.certificate
+    ref = old_theta_terms(spec, z, get_context(context), wider(cert),
+                          cert.limit)
+    assert exact_bits(value.value) == ref_sum(ref, context)
 
 
 def decay_at(form, line, t):
@@ -544,95 +582,40 @@ def decay_at(form, line, t):
 
 @pytest.mark.parametrize("context", ["double", "dd"])
 def test_points_outside_the_band_have_decay_above_T(walks, context):
-    # a zero turns form makes every imaginary part exactly 0, so each sum
-    # falls back and sums its whole cube: every cube point the band left out
-    # must have decay above T, or B would not bound it
+    # with the limit T at the decay of a random cube point, the kernel keeps
+    # exactly the cube points of decay at most T, and each once: every point
+    # it leaves out has decay above T
     rng = random.Random(7)
     ctx = get_context(context)
     cases = [(1, 30), (2, 9), (3, 4)] * (3 if context == "double" else 1)
     for dim, radius in cases:
-        decay, _ = random_forms(rng, dim)
+        decay, turns = random_forms(rng, dim)
         # shrink the Gram so that bands hold many points, yet not the cube
         decay = (decay[0] * 4,) + decay[1:]
-        t_band, _ = theta._decay_band(ctx.prec, (2 * radius + 1) ** dim)
-        p, q = t_band.numerator, t_band.denominator
-        turns = ref_int_form([[0] * dim for _ in range(dim)], [0] * dim, 0)
-        got = theta.lattice_sum(ctx, dim, radius, decay, turns)
-        ref = per_point_terms(ctx, dim, radius, decay, turns)
+        points = list(cube(dim, radius))
+        limit = F(*form_value(decay, rng.choice(points)))
+        got = theta.lattice_sum(ctx, (radius,) * dim, limit, decay, turns)
+        inside = kept_points(dim, radius, limit, decay)
+        ref = per_point_terms(ctx, inside, decay, turns)
         assert exact_bits(got) == ref_sum(ref, context)
         band = [decay_at(decay, (da, db), t)
                 for da, db, _, _, t in walks[-1].kept]
-        assert len(band) < len(ref)
-        inside = sorted(form_value(decay, w)[0]
-                        for w in product(range(-radius, radius + 1),
-                                         repeat=dim)
-                        if q * form_value(decay, w)[0] <= p * decay[0])
-        assert not Counter(inside) - Counter(band)
-    assert fell_back(walks) == [radius for _, radius in cases]
+        assert 0 < len(band) < len(points)
+        assert Counter(band) == Counter(form_value(decay, w)[0]
+                                        for w in inside)
+        assert all(F(x, decay[0]) <= limit for x in band)
+    assert one_pass(walks)
 
 
-def bounded_forms(rng, dim, radius):
-    """:func:`random_forms` whose decay stays above -100 on the cube, so
-    that no term overflows a double."""
-    while True:
-        decay, turns = random_forms(rng, dim)
-        low = min(F(*form_value(decay, w))
-                  for w in product(range(-radius, radius + 1), repeat=dim))
-        if low > -100:
-            return decay, turns
-
-
-# a margin whose band holds every cube point of these forms: T ~ 1,300
-WHOLE_CUBE_MARGIN = 6000
-MARGIN_CASES = {"double": [(1, 12), (1, 5), (2, 6), (2, 3), (3, 3), (4, 2),
-                           (4, 1)],
-                "dd": [(1, 10), (2, 4), (3, 2), (4, 1)]}
-
-
-@pytest.mark.parametrize("context", ["double", "dd"])
-@pytest.mark.parametrize("margin", [0, theta._BAND_MARGIN, WHOLE_CUBE_MARGIN])
-def test_the_value_does_not_depend_on_the_band_margin(walks, monkeypatch,
-                                                      margin, context):
-    # the value is the rounded sum of the whole cube for any band edge T:
-    # margin 0 fails the rounding test often and falls back, and a band
-    # over the whole cube defers nothing.  Every other case has a zero
-    # turns form, whose sums are real: they fall back whenever a term is
-    # deferred
-    monkeypatch.setattr(theta, "_BAND_MARGIN", margin)
-    monkeypatch.setattr(theta, "_decay_band", theta._decay_band.__wrapped__)
-    rng = random.Random(len(context))
-    ctx = get_context(context)
-    cases = MARGIN_CASES[context] * 2
-    for i, (dim, radius) in enumerate(cases):
-        decay, turns = bounded_forms(rng, dim, radius)
-        if i % 2:
-            turns = ref_int_form([[0] * dim for _ in range(dim)], [0] * dim, 0)
-        got = theta.lattice_sum(ctx, dim, radius, decay, turns)
-        ref = per_point_terms(ctx, dim, radius, decay, turns)
-        assert exact_bits(got) == ref_sum(ref, context), (dim, radius)
-    assert len(walks) == len(cases)
-    real = [w.fell_back for w in walks[1::2]]
-    if margin == WHOLE_CUBE_MARGIN:
-        assert fell_back(walks) == []
-        assert [len(w.kept) for w in walks] == \
-            [(2 * radius + 1) ** dim for dim, radius in cases]
-    else:
-        assert all(real)
-    if margin == 0 and context == "double":
-        # with B near half an ulp, complex sums fail the test too
-        assert any(w.fell_back for w in walks[::2])
-
-
-def unpruned_walk(ctx, radius, decay, turns) -> tuple:
+def unpruned_walk(radius, limit, decay, turns) -> tuple:
     """(kept, rooted): the (da, db, ta, tb, t) terms that the walk without
     pruning keeps, and its (da, db, ta, tb) lines on which q (da + t (db +
-    d_cc t)) - p d_den has a real root, for T = p / q.  Every line of the
-    last coordinate through the cube is walked, and its band [lo, hi] is
-    the widened roots of that quadratic."""
+    d_cc t)) - p d_den has a real root, for ``limit`` = p / q.  Every line
+    of the last coordinate through the cube is walked, and its band [lo,
+    hi] is the exact roots of that quadratic."""
     d_den, d_quad, d_lin, d_const = decay
     t_den, t_quad, t_lin, t_const = turns
     dim = len(d_lin)
-    limit, _ = theta._decay_band(ctx.prec, (2 * radius + 1) ** dim)
     p, q = limit.numerator, limit.denominator
     d_cc = d_quad[-1][-1]
     a2 = 2 * q * d_cc
@@ -653,7 +636,7 @@ def unpruned_walk(ctx, radius, decay, turns) -> tuple:
         disc = b * b - 2 * a2 * (q * da - p * d_den)
         if disc >= 0:
             rooted[da, db, ta, tb] += 1
-            root = math.isqrt(disc) + 1
+            root = math.isqrt(disc)
             lo = max(-radius, -((b + root) // a2))
             hi = min(radius, (root - b) // a2)
             kept.update((da, db, ta, tb, t) for t in range(lo, hi + 1))
@@ -674,8 +657,9 @@ def skewed_gram(dim, shears, scale):
 
 @st.composite
 def centred_forms(draw):
-    """(dim, radius, decay, turns): decay = <G (c_den w - c), c_den w - c>
-    / d_den >= 0 for a skewed integer Gram G, and a random turns form."""
+    """(dim, radius, decay, turns, limit): decay = <G (c_den w - c), c_den w
+    - c> / d_den >= 0 for a skewed integer Gram G, a random turns form, and
+    the decay at a random cube point as the limit."""
     dim = draw(st.integers(2, 4))
     radius = draw(st.integers(1, {2: 8, 3: 5, 4: 3}[dim]))
     shears = draw(st.lists(st.integers(-4, 4), min_size=dim * (dim - 1) // 2,
@@ -695,25 +679,114 @@ def centred_forms(draw):
               for i in range(dim)]
     turns = (draw(st.integers(1, 12)), t_quad,
              draw(st.lists(ints, min_size=dim, max_size=dim)), draw(ints))
-    return dim, radius, decay, turns
+    point = draw(st.lists(st.integers(-radius, radius), min_size=dim,
+                          max_size=dim))
+    return dim, radius, decay, turns, F(*form_value(decay, point))
 
 
 @settings(max_examples=60, deadline=None)
 @given(case=centred_forms())
 def test_the_pruned_walk_keeps_what_the_unpruned_walk_keeps(case):
-    dim, radius, decay, turns = case
+    dim, radius, decay, turns, limit = case
     ctx = get_context("double")
+    box = (radius,) * dim
     with pytest.MonkeyPatch.context() as monkeypatch:
         walks = record_walks(monkeypatch)
-        theta.lattice_sum(ctx, dim, radius, decay, turns)
+        theta.lattice_sum(ctx, box, limit, decay, turns)
     got = Counter(walks[-1].kept)
-    want, rooted = unpruned_walk(ctx, radius, decay, turns)
+    want, rooted = unpruned_walk(radius, limit, decay, turns)
     assert got == want
     # no line with a non-empty band is skipped
     assert {k[:4] for k in want} <= {k[:4] for k in got}
     # and the pruned walk visits exactly the lines with a real root
-    limit, _ = theta._decay_band(ctx.prec, (2 * radius + 1) ** dim)
     band = (limit.denominator, limit.numerator * decay[0], decay[1][-1][-1])
-    walked = theta._lines(radius, decay[1], turns[1], decay[3], decay[2],
+    walked = theta._lines(box, decay[1], turns[1], decay[3], decay[2],
                           turns[3], turns[2], band)
     assert Counter(walked) == rooted
+
+
+# -- the certified ellipsoid ------------------------------------------------------
+
+def ellipsoid_case(seed):
+    """(gram, decay, turns, tol, excess) of a seed: a skewed integer Gram of
+    dimension 1, 2 or 4 times a rational, a decay form <G (w - c), w - c> -
+    e with a rational centre c and e >= 0 (so its minimum is -e), a random
+    turns form and a tolerance; 4-D cases are kept to small boxes."""
+    rng = random.Random(seed)
+    dim = (1, 2, 4)[seed % 3]
+    spread = 1 if dim == 4 else 2
+    shears = [rng.randint(-spread, spread) for _ in range(dim * (dim - 1) // 2)]
+    rows = skewed_gram(dim, shears, rng.randint(1, 2))
+    gram = RatMat(rows) * F(rng.randint(2, 6), rng.randint(2, 3))
+    c_den = rng.randint(1, 7)
+    centre = [F(rng.randint(-2 * c_den, 2 * c_den), c_den)
+              for _ in range(dim)]
+    excess = F(rng.randint(0, 40), rng.randint(1, 8))
+    mat, lin, const = ref_centered_form(gram, centre)
+    decay = ref_int_form(mat, lin, const - excess)
+    t_mat = [[F(rng.randint(-5, 5), 6) for _ in range(dim)]
+             for _ in range(dim)]
+    turns = ref_int_form(t_mat, [F(rng.randint(-9, 9), 13)] * dim,
+                         F(rng.randint(-9, 9), 5))
+    tol = rng.choice((1e-2, 1e-4) if dim == 4 else (1e-2, 1e-4, 1e-7))
+    return gram, decay, turns, tol, excess
+
+
+def below(decay, limit):
+    """w -> decay(w) <= limit, in integers."""
+    p, q = limit.numerator, limit.denominator
+    return lambda w: form_value(decay, w)[0] * q <= p * decay[0]
+
+
+def line_values(decay, turns, kept):
+    """(decay, turns) numerators of the kept (da, db, ta, tb, t) terms."""
+    d_cc, t_cc = decay[1][-1][-1], turns[1][-1][-1]
+    return Counter((da + t * (db + d_cc * t), ta + t * (tb + t_cc * t))
+                   for da, db, ta, tb, t in kept)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10 ** 6))
+def test_the_kept_set_is_the_ellipsoid_of_a_wider_cube(seed):
+    # the kept set is exactly the points of decay at most mu + T, found by
+    # brute force in a cube wider than the certified box; the box holds all
+    # of them, mu is the decay's exact minimum, and the terms of the cube
+    # left out add up to less than the tail bound
+    gram, decay, turns, tol, excess = ellipsoid_case(seed)
+    dim = gram.nrows
+    cert = theta.truncation_radius(gram, tol, decay=decay)
+    mu = theta._centre(decay)[0]
+    assert mu == -excess
+    assert ((cert.limit - mu) * theta._STEPS).denominator == 1
+    assert 0 < cert.tail_bound <= tol * theta.TAIL_SHARE
+    assert cert.radius == max(cert.box)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        walks = record_walks(monkeypatch)
+        theta.lattice_sum(get_context("double"), cert.box, cert.limit,
+                          decay, turns)
+    points = list(cube(dim, cert.radius + (1 if dim == 4 else 3)))
+    keep = below(decay, cert.limit)
+    inside = [w for w in points if keep(w)]
+    assert all(abs(x) <= b for w in inside for x, b in zip(w, cert.box))
+    assert line_values(decay, turns, walks[-1].kept) == Counter(
+        (form_value(decay, w)[0], form_value(turns, w)[0]) for w in inside)
+    left_out = math.fsum(math.exp(-math.pi * form_value(decay, w)[0]
+                                  / decay[0])
+                         for w in points if not keep(w))
+    assert left_out <= cert.tail_bound
+
+
+@pytest.mark.parametrize("context", ["double", "dd"])
+@pytest.mark.parametrize("dim", [1, 2, 4])
+def test_the_kernel_is_the_fraction_reference_over_the_kept_set(context,
+                                                                  dim):
+    ctx = get_context(context)
+    seeds = range((1, 2, 4).index(dim), 30, 3)
+    for seed in seeds[:4 if context == "double" else 2]:
+        gram, decay, turns, tol, _ = ellipsoid_case(seed)
+        cert = theta.truncation_radius(gram, tol, decay=decay)
+        got = lattice_sum(ctx, cert.box, cert.limit, decay, turns)
+        keep = below(decay, cert.limit)
+        inside = [w for w in cube(dim, cert.radius + 1) if keep(w)]
+        ref = per_point_terms(ctx, inside, decay, turns)
+        assert exact_bits(got) == ref_sum(ref, context)

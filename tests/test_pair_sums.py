@@ -3,19 +3,17 @@
 ``gaussian_theta_lhs`` builds each term's exponent as integer decay and
 turns forms in (m, n) and sums them with the lattice-sum kernel.  The
 references here evaluate the same terms as complex-float closures over
-``iter_ball``, with the same certificates; the two must agree to rounding
-on the runner's default grids.  Identity 1's shifted-Gaussian form is the
+the points of ``iter_ball`` that the same certificate keeps; the two must
+agree to rounding on the runner's default grids.  Identity 1's shifted-Gaussian form is the
 same sum written differently, so it is checked against the periodized
 Gaussian at v = 0.  The forms themselves are pinned, bit for bit, to a
 Fraction reference.
 """
 
-import math
 import random
 from fractions import Fraction
 
 import pytest
-from mpmath.libmp import to_float
 
 from fractionforms import ref_int_form
 from toruslift import theta
@@ -23,9 +21,7 @@ from toruslift.exact import rat
 from toruslift.runner import _TAU_DEFAULT, _UV_DEFAULT, _Z_DEFAULT
 from toruslift.summation import get_context
 from toruslift.theta import (
-    _interval,
     _pair_gram,
-    _pair_linear_coeff,
     gaussian_theta_lhs,
     iter_ball,
     lattice_sum,
@@ -35,24 +31,25 @@ from toruslift.theta import (
 REL = {"double": 1e-13, "dd": 1e-28}
 
 
-def closure_sum(term, tau, lin, tol, ctx, const=Fraction(0)):
-    cert = truncation_radius(_pair_gram(tau), linear_bound=lin, tol=tol,
-                             constant_exponent=const)
-    return ctx.sum([term(m, n) for m, n in iter_ball(2, cert.radius)])
+def closure_sum(term, tau, u, v, ctx):
+    """The closure's terms at the points of ``iter_ball`` that the pair
+    sum's certificate keeps: decay, from the Fraction forms, at most its
+    limit."""
+    decay = fraction_pair_forms(tau, u, v)[0]
+    cert = truncation_radius(_pair_gram(tau), ctx.default_tol, decay=decay)
+    den, quad, lin, const = decay
 
+    def kept(m, n):
+        num = (quad[0][0] * m * m + quad[0][1] * m * n + quad[1][1] * n * n
+               + lin[0] * m + lin[1] * n + const)
+        return Fraction(num, den) <= cert.limit
 
-def tol_eff(tol, pref_coeff):
-    return tol * math.exp(-max(to_float(_interval(pref_coeff)[1]), 0.0)
-                          * math.pi)
+    return ctx.sum([term(m, n) for m, n in iter_ball(2, cert.radius)
+                    if kept(m, n)])
 
 
 def closure_lhs(tau, u, v, ctx):
-    tol = ctx.default_tol
     b, a = rat(tau.real), rat(tau.imag)
-    ur, ui = rat(u.real), rat(u.imag)
-    vr, vi = rat(v.real), rat(v.imag)
-    pref = (-(ur * ur - ui * ui) - (vr * vr - vi * vi)
-            + 2 * (ur * vr - ui * vi)) / (2 * a)
     half_pi_a = ctx.pi * ctx.real(1 / a) / 2
     tau_c, tau_cc = ctx.to_complex(b, a), ctx.to_complex(b, -a)
     mod2 = ctx.real(b * b + a * a)
@@ -64,16 +61,13 @@ def closure_lhs(tau, u, v, ctx):
                        - 2 * half_pi_a * ((m + n * tau_cc) * uu)
                        + 2 * half_pi_a * ((m + n * tau_c) * vv))
 
-    value = closure_sum(term, tau, _pair_linear_coeff(tau, [u, v]),
-                        tol_eff(tol, pref), ctx)
+    value = closure_sum(term, tau, u, v, ctx)
     return value * ctx.exp(-half_pi_a * (uu * uu) + 2 * half_pi_a * (uu * vv)
                            - half_pi_a * (vv * vv))
 
 
 def closure_first(tau, z, ctx):
-    tol = ctx.default_tol
     b, a = rat(tau.real), rat(tau.imag)
-    zr, zi = rat(z.real), rat(z.imag)
     half_pi_a = ctx.pi * ctx.real(1 / a) / 2
     b_real, tau_cc = ctx.real(b), ctx.to_complex(b, -a)
     zz = ctx.to_complex(z.real, z.imag)
@@ -85,14 +79,12 @@ def closure_first(tau, z, ctx):
         return sgn * ctx.exp(-half_pi_a * quad
                              - 2 * half_pi_a * ((m + n * tau_cc) * zz))
 
-    value = closure_sum(term, tau, _pair_linear_coeff(tau, [z]),
-                        tol_eff(tol, -(zr * zr - zi * zi) / (2 * a)), ctx)
+    value = closure_sum(term, tau, z, 0j, ctx)
     return value * ctx.exp(-half_pi_a * zz * zz)
 
 
 def closure_middle(tau, z, ctx):
     b, a = rat(tau.real), rat(tau.imag)
-    zr, zi = rat(z.real), rat(z.imag)
     half_pi_a = ctx.pi * ctx.real(1 / a) / 2
     tau_cc = ctx.to_complex(b, -a)
     zz = ctx.to_complex(z.real, z.imag)
@@ -103,9 +95,7 @@ def closure_middle(tau, z, ctx):
         return ctx.exp(-half_pi_a * (w * w) - 2 * half_pi_a * (n * tau_cc * w)
                        - half_pi_a * mod2 * (n * n))
 
-    return closure_sum(term, tau, _pair_linear_coeff(tau, [z]),
-                       ctx.default_tol, ctx,
-                       const=abs(zr * zr - zi * zi) / (2 * a))
+    return closure_sum(term, tau, z, 0j, ctx)
 
 
 def assert_close(got, ref, context):
@@ -157,9 +147,9 @@ def test_pair_sum_forms_are_the_fraction_forms(monkeypatch):
     # tau (a quarter with Re tau = 0), u and v
     seen = []
 
-    def record(ctx, dim, radius, decay, turns):
+    def record(ctx, box, limit, decay, turns):
         seen.append((decay, turns))
-        return lattice_sum(ctx, dim, radius, decay, turns)
+        return lattice_sum(ctx, box, limit, decay, turns)
 
     monkeypatch.setattr(theta, "lattice_sum", record)
     rng = random.Random(20)

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fractionforms import ref_double_gram
+from fractionforms import ref_double_gram, ref_int_form
 from toruslift.errors import (
     InadmissibleSpec,
     NotPositiveDefinite,
     TruncationBudgetExceeded,
 )
+import toruslift.floer as floer_module
 import toruslift.theta as theta_module
 from toruslift.exact import RatMat
 from toruslift.summation import get_context
@@ -134,39 +135,47 @@ def test_shell_order_is_lexicographic():
 # --- certified truncation -----------------------------------------------------
 
 
+def centred_radius(gram, tol):
+    """The certificate of the sum of e^{-pi <gram w, w>}."""
+    return truncation_radius(gram, tol,
+                             decay=ref_int_form(gram.rows, [0] * gram.nrows, 0))
+
+
 def test_truncation_radius_unit_gram():
-    cert = truncation_radius(RatMat([[1]]), tol=1e-12)
+    cert = centred_radius(RatMat([[1]]), tol=1e-12)
     assert cert.radius <= 4
     assert 0 < cert.tail_bound <= 1e-12
     assert 0.9 < cert.lambda_min <= 1
 
 
 def test_truncation_radius_loose_tolerance():
-    cert = truncation_radius(RatMat([[1]]), tol=1.0)
+    cert = centred_radius(RatMat([[1]]), tol=1.0)
     assert cert.radius == 0
 
 
 def test_truncation_rejects_degenerate_gram():
     with pytest.raises(NotPositiveDefinite):
-        truncation_radius(RatMat([[1, 1], [1, 1]]), tol=1e-10)
+        centred_radius(RatMat([[1, 1], [1, 1]]), tol=1e-10)
     with pytest.raises(NotPositiveDefinite):
-        truncation_radius(RatMat([[0]]), tol=1e-10)
+        centred_radius(RatMat([[0]]), tol=1e-10)
     with pytest.raises(NotPositiveDefinite):
         min_eigenvalue_bound(RatMat([[0, 1], [1, 0]]))
 
 
 def test_truncation_budget_exceeded_for_flat_gram():
     with pytest.raises(TruncationBudgetExceeded):
-        truncation_radius(RatMat([[Fraction(1, 10000)]]), tol=1e-30)
+        centred_radius(RatMat([[Fraction(1, 10000)]]), tol=1e-30)
 
 
 def test_linear_term_enlarges_radius():
-    plain = truncation_radius(RatMat([[1]]), tol=1e-12)
-    pushed = truncation_radius(
-        RatMat([[1]]), linear_bound=Fraction(3), tol=1e-12
-    )
-    assert pushed.radius > plain.radius
-    assert pushed.tail_bound <= 1e-12
+    # (m - 3)^2 - 9: the box follows the centre 3, and the minimum -9 scales
+    # the tail by e^{9 pi}, so the ellipsoid grows too
+    plain = centred_radius(RatMat([[1]]), tol=1e-12)
+    pushed = truncation_radius(RatMat([[1]]), tol=1e-12,
+                               decay=(1, [[1]], [-6], 0))
+    assert pushed.radius > plain.radius + 3
+    assert pushed.limit > plain.limit - 9
+    assert pushed.tail_bound <= 1e-12 / 4
 
 
 def test_min_eigenvalue_bound_is_a_lower_bound():
@@ -278,141 +287,217 @@ def test_non_certifiable_gram_raises_on_every_call(rows):
             min_eigenvalue_bound(gram)
 
 
-# --- the radius search equals the mpmath.iv shell walk --------------------------
+# --- the radius search against Theorem 2 at 200 bits -----------------------------
+
+MP200 = mpmath.mp.clone()
+MP200.prec = 200
 
 
-def iv_radius_walk(lam, dim, c1, c0, shift, tol, max_radius):
-    """Reference: the shell walk in mpmath.iv interval objects at 53 bits,
-    as truncation_radius ran it before it moved onto raw libmp tuples.
-    Returns (radius, tail_bound) or raises TruncationBudgetExceeded."""
-    iv = mpmath.iv
+def package_rho(lam):
+    """The rho the package takes: sqrt(pi lambda_min) in 53-bit libmp
+    intervals, rounded down."""
+    lib = mpmath.libmp
+    pi = (lib.mpf_pi(53, lib.round_floor), lib.mpf_pi(53, lib.round_ceiling))
+    lam_iv = lib.mpi_div(
+        (lib.from_int(lam.numerator, 53, lib.round_floor),
+         lib.from_int(lam.numerator, 53, lib.round_ceiling)),
+        (lib.from_int(lam.denominator, 53, lib.round_floor),
+         lib.from_int(lam.denominator, 53, lib.round_ceiling)), 53)
+    return MP200.make_mpf(lib.mpi_sqrt(lib.mpi_mul(pi, lam_iv, 53), 53)[0])
 
-    def num(x):
-        if isinstance(x, Fraction):
-            return iv.mpf(x.numerator) / iv.mpf(x.denominator)
-        return iv.mpf(x)
 
-    lam_iv, c1_iv, c0_iv, shift_iv = num(lam), num(c1), num(c0), num(shift)
+def theorem2(lam, dim, excess, k):
+    """Theorem 2's bound e^{pi excess} (g/2) (2/rho)^g Gamma(g/2, (R -
+    rho/2)^2) at R^2 = pi k / 64, at 200 bits with mpmath.gammainc, or None
+    where R < sqrt(g/2) + rho/2."""
+    mp = MP200
+    rho = package_rho(lam)
+    y = mp.sqrt(mp.pi * mp.mpf(k) / theta_module._STEPS) - rho / 2
+    if y < mp.sqrt(mp.mpf(dim) / 2):
+        return None
+    return (mp.exp(mp.pi * mp.mpf(excess.numerator) / excess.denominator)
+            * mp.mpf(dim) / 2 * (2 / rho) ** dim
+            * mp.gammainc(mp.mpf(dim) / 2, y * y))
 
-    def shell_bound(s):
-        gap = num(s) - shift_iv
-        if float(gap.a) < 0:
-            gap = iv.mpf(0)
-        expo = iv.pi * (-lam_iv * gap * gap + c1_iv * num(s) + c0_iv)
-        count = num(2 * dim) * num(2 * s + 1) ** (dim - 1)
-        return count * iv.exp(expo)
 
-    def ratio_bound(s):
-        gap = num(s) - shift_iv
-        count_ratio = (num(2 * s + 3) / num(2 * s + 1)) ** (dim - 1)
-        return count_ratio * iv.exp(iv.pi * (-lam_iv * (2 * gap + 1) + c1_iv))
-
-    for m_try in range(max(0, math.ceil(float(shift_iv.b))), max_radius + 1):
-        if float(ratio_bound(m_try + 1).b) > 0.5:
-            continue
-        tail = 2 * shell_bound(m_try + 1)
-        if float(tail.b) <= tol:
-            return m_try, float(tail.b)
-    raise TruncationBudgetExceeded(f"no radius <= {max_radius}")
+def assert_least_certified(gram, tol, excess, offset, tail, lam):
+    """The step k = offset * 64 passes Theorem 2 at 200 bits with the
+    returned tail bound above its value by at most 3 % (the interval's
+    bound on erfc), and step k - 1 fails it, or passes only within that
+    3 %."""
+    target = tol * theta_module.TAIL_SHARE
+    k = offset * theta_module._STEPS
+    assert k.denominator == 1 and lam == min_eigenvalue_bound(gram)
+    value = theorem2(lam, gram.nrows, excess, int(k))
+    assert value is not None and value <= tail <= target
+    assert tail <= value * 1.03
+    before = theorem2(lam, gram.nrows, excess, int(k) - 1)
+    assert before is None or before > target / 1.03
 
 
 def seeded_search_inputs(seed, count):
-    """(lambda_min, dim, c1, c0, shift, tol, max_radius) tuples: lambda_min
-    from real Grams or with ~90-bit numerators, negative and positive c0,
-    shifts past zero, tol 1e-6 to 1e-30, and small radius budgets."""
+    """(gram, tol, excess, max_radius) tuples: Grams of dimension 1 to 4,
+    also scaled identities with ~90-bit entries, excess 0 to 30, tol 1e-2
+    to 1e-30, and small radius caps."""
     rng = random.Random(seed)
-    grams = [g for dim in (1, 2, 4) for g in seeded_grams(seed + dim, dim, 6)
+    grams = [g for dim in (1, 2, 3, 4) for g in seeded_grams(seed + dim, dim, 6)
              if g.is_positive_definite()]
     for _ in range(count):
-        dim = rng.choice((1, 2, 3, 4))
-        if rng.random() < 0.5:
-            lam = min_eigenvalue_bound(rng.choice(grams))
+        if rng.random() < 0.7:
+            gram = rng.choice(grams)
         else:
-            lam = Fraction(rng.getrandbits(90) | 1 << 89,
-                           1 << rng.randint(86, 96))
-        c1 = Fraction(rng.randint(0, 60), rng.choice((1, 7, 100, 2 ** 53)))
-        c0 = Fraction(rng.randint(-300, 300), rng.choice((1, 3, 100)))
-        shift = Fraction(rng.randint(0, 30), rng.choice((4, 10)))
-        tol = 10.0 ** -rng.uniform(6, 30)
-        yield lam, dim, c1, c0, shift, tol, rng.choice((3, 12, 60, 60))
+            gram = RatMat.identity(rng.randint(1, 4)) * Fraction(
+                rng.getrandbits(90) | 1 << 89, 1 << rng.randint(86, 96))
+        excess = Fraction(rng.randint(0, 480), 16)
+        tol = 10.0 ** -rng.uniform(2, 30)
+        yield gram, tol, excess, rng.choice((3, 12, 40, 40))
 
 
 def test_radius_search_matches_the_iv_walk():
+    # every search result is the least step that Theorem 2, evaluated at
+    # 200 bits, certifies; a search that raises has no step left below its
+    # cap
+    search = theta_module._ellipsoid.__wrapped__
     exceeded = 0
-    for args in seeded_search_inputs(7, 300):
+    for gram, tol, excess, cap in seeded_search_inputs(7, 120):
         try:
-            want = iv_radius_walk(*args)
+            offset, tail, lam = search(gram, tol, excess, cap)
         except TruncationBudgetExceeded:
             exceeded += 1
-            with pytest.raises(TruncationBudgetExceeded):
-                theta_module._radius_search(*args)
+            top = theta_module._STEPS * (cap + 1) ** 2 * min(
+                gram[i, i] for i in range(gram.nrows))
+            value = theorem2(min_eigenvalue_bound(gram), gram.nrows, excess,
+                             math.floor(top))
+            assert value is None or value > tol * theta_module.TAIL_SHARE
             continue
-        cert = theta_module._radius_search(*args)
-        assert (cert.radius, cert.tail_bound) == want, args
-        assert cert.lambda_min == args[0]
-    assert 0 < exceeded < 300
+        assert_least_certified(gram, tol, excess, offset, tail, lam)
+    assert 0 < exceeded < 120
 
 
-def test_certificates_of_every_caller_match_the_iv_walk():
-    # theta series, doubled products and pair sums pass their own c1, c0
-    # and shift; the public call must give the walk's certificate
-    gram = ref_double_gram(ThetaSpec(RatMat([[0, 1], [0, 0]]),
-                                     RatMat.identity(2),
-                                     RatMat([[2, 0], [0, 1]])))
-    cases = [
-        (RatMat([[2, 1], [1, 1]]), Fraction(0), Fraction(0), Fraction(1, 3)),
-        (gram, Fraction(0), Fraction(0), Fraction(7, 10)),
-        (RatMat([[Fraction(1, 2), Fraction(1, 4)], [Fraction(1, 4), 1]]),
-         Fraction(12, 5), Fraction(-3, 8), Fraction(0)),
-    ]
-    for q_form, c1, c0, shift in cases:
-        for tol in (1e-6, 1e-12, 1e-20, 1e-30):
-            cert = truncation_radius(q_form, c1, tol, center_shift=shift,
-                                     constant_exponent=c0)
-            lam = min_eigenvalue_bound(q_form)
-            assert (cert.radius, cert.tail_bound) == iv_radius_walk(
-                lam, q_form.nrows, c1, c0, shift, tol, 60)
+def fraction_minimum(decay):
+    """(mu, centre) of a kernel decay form through Fraction algebra: the
+    symmetric Gram S of its quadratic part, the centre -S^{-1} lin / 2 and
+    the form's value there."""
+    den, quad, lin, const = decay
+    n = len(lin)
+    gram = RatMat([[Fraction(quad[min(i, j)][max(i, j)], den)
+                    / (1 + (i != j)) for j in range(n)] for i in range(n)])
+    centre = gram.solve([Fraction(-x, 2 * den) for x in lin])
+    value = Fraction(const, den) + sum(Fraction(x, den) * c
+                                       for x, c in zip(lin, centre))
+    value += sum(gram[i, j] * centre[i] * centre[j]
+                 for i in range(n) for j in range(n))
+    return value, centre, gram
+
+
+def assert_certificate_reads_its_form(q_form, tol, decay, cert):
+    """The certificate of ``decay``: mu and the centre from Fraction
+    algebra, the excess mu rounded down to 1/16, the least certified step,
+    and the box floor(|c_i| + sqrt(T (Q^{-1})_ii)) at 60 digits."""
+    mu, centre, gram = fraction_minimum(decay)
+    assert gram == q_form
+    excess = Fraction(max(0, math.ceil(-16 * mu)), 16)
+    offset = cert.limit - mu
+    assert_least_certified(q_form, tol, excess, offset, cert.tail_bound,
+                           cert.lambda_min)
+    inv = q_form.inv()
+    with mpmath.workdps(60):
+        box = tuple(int(mpmath.floor(
+            abs(mpmath.mpf(c.numerator) / c.denominator) + mpmath.sqrt(
+                mpmath.mpf((offset * inv[i, i]).numerator)
+                / (offset * inv[i, i]).denominator)))
+            for i, c in enumerate(centre))
+    assert cert.box == box and cert.radius == max(box)
+
+
+def test_certificates_of_every_caller_match_the_iv_walk(monkeypatch):
+    # theta series, doubled products and pair sums pass their own decay
+    # forms; each certificate must be the one its form defines
+    seen = []
+    original = theta_module.truncation_radius
+
+    def record(q_form, tol, *, decay, max_radius):
+        cert = original(q_form, tol, decay=decay, max_radius=max_radius)
+        seen.append((q_form, tol, decay, cert))
+        return cert
+
+    monkeypatch.setattr(theta_module, "truncation_radius", record)
+    monkeypatch.setattr(floer_module, "truncation_radius", record)
+    spec = ThetaSpec(RatMat([[0, 1], [0, 0]]), RatMat.identity(2),
+                     RatMat([[2, 1], [1, 1]]), (1, 0), (0, 1), tol=1e-12)
+    theta_dk(spec, [0.1 + 0.2j, -0.3 + 0.1j])
+    theta_dk(spec, [0.1 + 0.2j, -0.3 + 0.1j], context="dd")
+    gaussian_theta_lhs(0.5 + 1j, 0.3 + 0.2j, -0.1, tol=1e-12)
+    floer_module.mu2_double(spec.with_char((0, 0)), (0, 0),
+                            floer_module.DoublePoint(
+                                (Fraction(1, 5), Fraction(-1, 10)),
+                                (Fraction(3, 10), 0), (Fraction(-1, 10), 0),
+                                (Fraction(1, 5), Fraction(1, 10))))
+    assert len(seen) == 4
+    for q_form, tol, decay, cert in seen:
+        assert_certificate_reads_its_form(q_form, tol, decay, cert)
 
 
 def test_radius_search_is_memoised_on_exact_inputs():
-    theta_module._radius_search.cache_clear()
-    first = truncation_radius(RatMat([[3, 1], [1, 2]]), Fraction(1, 2), 1e-12)
-    again = truncation_radius(RatMat([[3, 1], [1, 2]]), Fraction(1, 2), 1e-12)
-    assert again is first
-    info = theta_module._radius_search.cache_info()
-    assert (info.hits, info.misses) == (1, 1)
+    theta_module._ellipsoid.cache_clear()
+    first = centred_radius(RatMat([[3, 1], [1, 2]]), 1e-12)
+    again = centred_radius(RatMat([[3, 1], [1, 2]]), 1e-12)
+    # another centre (1/5, -1/10) and the minimum 9/10 >= 0: the same search
+    moved = truncation_radius(RatMat([[3, 1], [1, 2]]), 1e-12,
+                              decay=(1, [[3, 2], [0, 2]], [-1, 0], 1))
+    assert again == first and moved.lambda_min == first.lambda_min
+    info = theta_module._ellipsoid.cache_info()
+    assert (info.hits, info.misses) == (2, 1)
     assert info.maxsize is not None  # bounded
 
 
 def test_budget_exceeded_raises_on_every_call():
-    theta_module._radius_search.cache_clear()
+    theta_module._ellipsoid.cache_clear()
     for _ in range(3):
         with pytest.raises(TruncationBudgetExceeded):
-            truncation_radius(RatMat([[Fraction(1, 10000)]]), tol=1e-30)
-    info = theta_module._radius_search.cache_info()
+            centred_radius(RatMat([[Fraction(1, 10000)]]), tol=1e-30)
+    info = theta_module._ellipsoid.cache_info()
     assert (info.hits, info.currsize) == (0, 0)
 
 
-def test_pair_sum_tolerance_is_the_iv_upper_endpoint():
-    # gaussian_theta_lhs scales tol by e^{-pi max(c, 0)} with c's interval
-    # upper endpoint; the libmp interval must give the mpmath.iv endpoint
+def test_pair_sum_tolerance_is_the_iv_upper_endpoint(monkeypatch):
+    # _interval gives mpmath.iv's endpoints; the pair sums pass the job's
+    # tol itself, whatever the prefactor, which their decay form carries
     rng = random.Random(11)
     for _ in range(200):
         c = theta_module.rat(rng.uniform(-3, 3)) / rng.choice((1, 3, 7))
         want = float((mpmath.iv.mpf(c.numerator)
                       / mpmath.iv.mpf(c.denominator)).b)
         assert mpmath.libmp.to_float(theta_module._interval(c)[1]) == want
-    for tau, u, v in [(1j, 0.3 + 0.2j, -0.1), (0.5 + 1j, 0.7j, 0.2 - 0.4j)]:
-        b, a = theta_module._tau_parts(tau)
-        dr = theta_module.rat(u.real) - theta_module.rat(v.real)
-        di = theta_module.rat(u.imag) - theta_module.rat(v.imag)
-        c = -(dr * dr - di * di) / (2 * a)
-        iv_c = mpmath.iv.mpf(c.numerator) / mpmath.iv.mpf(c.denominator)
-        tol_eff = 1e-12 * math.exp(-max(float(iv_c.b), 0.0) * math.pi)
-        cert = truncation_radius(
-            theta_module._pair_gram(tau),
-            theta_module._pair_linear_coeff(tau, [u, v]), tol_eff)
-        assert gaussian_theta_lhs(tau, u, v, 1e-12).certificate == cert
+    seen = []
+    original = theta_module.truncation_radius
+
+    def record(q_form, tol, **kw):
+        seen.append(tol)
+        return original(q_form, tol, **kw)
+
+    monkeypatch.setattr(theta_module, "truncation_radius", record)
+    for tau, u, v in [(1j, 0.3 + 0.2j, -0.1), (0.5 + 1j, 0.7j, 0.2 - 0.4j),
+                      (1j, 2.0, -1.5)]:
+        cert = gaussian_theta_lhs(tau, u, v, 1e-12).certificate
+        assert seen.pop() == 1e-12
+        assert cert.tail_bound <= 1e-12 * theta_module.TAIL_SHARE
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_interval_gamma_encloses_mpmath_gammainc(g):
+    # Gamma(g/2, x) at 200 bits lies in the package's interval, which is
+    # tight: within a few ulps for even g, and for odd g, from the bound on
+    # erfc, within 10 % at x < 5 and 3 % beyond, where the searches stop
+    for x in [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(7, 3), 5,
+              Fraction(40, 3), 30, Fraction(2001, 8), 700, 5000]:
+        x = Fraction(x)
+        lo, hi = theta_module._upper_gamma(g, theta_module._interval(x))
+        want = MP200.gammainc(MP200.mpf(g) / 2,
+                              MP200.mpf(x.numerator) / x.denominator)
+        assert MP200.make_mpf(lo) <= want <= MP200.make_mpf(hi), (g, x)
+        slack = (1.1 if x < 5 else 1.03) if g % 2 else 1 + 1e-12
+        assert MP200.make_mpf(hi) <= want * slack
 
 
 # --- spec admissibility -------------------------------------------------------
@@ -582,10 +667,10 @@ def test_enlarged_radius_stays_within_tail_bound():
     sp = generic_spec()
     z = [0.13 - 0.07j]
     base = theta_dk(sp, z)
-    wide = lattice_sum(get_context("double"), sp.n,
-                       2 * base.certificate.radius + 3,
-                       *sp.forms(_exact_z(z, sp.n)))
-    assert abs(complex(base) - complex(wide)) < base.certificate.tail_bound
+    cert = base.certificate
+    wide = lattice_sum(get_context("double"), (2 * cert.radius + 3,),
+                       cert.limit + 10, *sp.forms(_exact_z(z, sp.n)))
+    assert abs(complex(base) - complex(wide)) < cert.tail_bound
 
 
 def test_double_and_dd_agree():
@@ -613,21 +698,23 @@ def test_point_length_is_checked():
 
 
 def test_error_scales_with_tolerance():
-    # shells are discrete, so compare decades that cross a radius step;
-    # the certified tail bound must respect the tolerance at every level
-    oracle = None
+    # kept sets are discrete, so compare decades that cross a step of the
+    # set (m = +-1 enters below tol 1, m = +-2 below 1e-2, m = +-3 below
+    # 1e-8); the error stays below the certified tail bound, and that below
+    # the tolerance, at every level
+    with mpmath.workdps(40):
+        oracle = mpmath.mpf("1.08643481121330801457531612151022346")
     errors = {}
-    for tol in (1.0, 1e-2, 1e-4, 1e-6, 1e-8):
+    for tol in (1.0, 1e-2, 1e-4, 1e-6, 1e-8, 1e-12):
         v = theta_dk(spec_n1(1j, tol=tol), [0], context="dd")
         assert v.certificate.tail_bound <= tol
-        if oracle is None:
-            with mpmath.workdps(40):
-                oracle = mpmath.mpf(
-                    "1.08643481121330801457531612151022346"
-                )
-        errors[tol] = abs(mpmath.mpc(v.value.real, v.value.imag) - oracle)
+        with mpmath.workdps(40):
+            errors[tol] = abs(mpmath.mpc(v.value.real, v.value.imag)
+                              - oracle)
+        assert errors[tol] <= v.certificate.tail_bound
     assert errors[1.0] / errors[1e-2] >= 10
-    assert errors[1e-4] / errors[1e-6] >= 10
+    assert errors[1e-2] / errors[1e-4] >= 10
+    assert errors[1e-8] / errors[1e-12] >= 10
 
 
 # --- transformation laws ------------------------------------------------------
@@ -715,8 +802,12 @@ def test_gaussian_sum_is_real_for_real_arguments():
 
 
 def test_gaussian_sum_budget_guard():
+    # the box follows the Gaussian's centre near m = -u, past the radius cap
+    # of 40 at u = 60
+    assert gaussian_theta_lhs(1j, 25.0, 0.0, tol=1e-10).certificate.radius \
+        <= 40
     with pytest.raises(TruncationBudgetExceeded):
-        gaussian_theta_lhs(1j, 25.0, 0.0, tol=1e-10)
+        gaussian_theta_lhs(1j, 60.0, 0.0, tol=1e-10)
 
 
 def test_identity_two_symmetric_diagonal():

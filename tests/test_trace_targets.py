@@ -52,11 +52,11 @@ def test_traced_certificate_sees_every_call(monkeypatch):
                           info=trace._cert_info)
     monkeypatch.setattr(theta, "truncation_radius", wrapped)
     spec = theta.spec_n1(0.5 + 1j, d=3, k=1, xi=1, tol=1e-12)
-    hits = theta._radius_search.cache_info().hits
+    hits = theta._ellipsoid.cache_info().hits
     for _ in range(3):
         theta.theta_dk(spec, [0.2 + 0.1j])
-    assert theta._radius_search.cache_info().hits >= hits + 2
-    wrapped(q_form=spec.q_form, tol=1e-12)
+    assert theta._ellipsoid.cache_info().hits >= hits + 2
+    wrapped(q_form=spec.q_form, tol=1e-12, decay=(1, [[3]], [0], 0))
     infos = [span[trace.INFO] for span in tracer.spans]
     assert len(infos) == 4
     gram = (spec.q_form[0, 0],)
