@@ -24,7 +24,7 @@ diagonal entry) / 2^80 below it: a 140-bit eigenvalue estimate proposes it
 and exact Sylvester tests over Q confirm it.  It is memoised per Gram.  R
 is the least one on a grid of R^2 / pi whose bound, evaluated in
 outward-rounded 53-bit mpmath.libmp intervals, is at most TAIL_SHARE * tol;
-a double-precision screen skips the steps that must fail.  The bound
+a double-precision estimate proposes it.  The bound
 depends only on the Gram, tol and max(0, -mu), so the search is memoised
 on the Gram, tol and max(0, -mu) rounded up to a sixteenth.  The tail bound
 covers truncation only: the floating-point rounding of the summed terms is
@@ -363,56 +363,35 @@ def _theorem2(g: int, rho, excess: Fraction):
     return bound
 
 
-# The float screen's log of the Theorem 2 bound takes about 20 + g
-# roundings of relative error 2^-53 on any path, with exp, log and sqrt
-# faithful, so it is within 2^-48 of the exact value times the sum of its
-# terms' magnitudes; a step fails only by _SCREEN_MARGIN plus 2^-40 of it.
-_SCREEN_MARGIN = 2.0 ** -20
-_SCREEN_ERROR = 2.0 ** -40
-_TINY = 2.0 ** -1022  # the least normal double
+def _step_guess(g: int, rho: float, excess: Fraction, target: float,
+                top: int) -> int:
+    """The last step below ``top`` whose Theorem 2 bound, estimated in
+    doubles, exceeds ``target``: only a proposal, where the interval search
+    of :func:`_ellipsoid` starts, as :func:`_eigen_guess` is for
+    :func:`min_eigenvalue_bound`.  0 where the doubles raise."""
+    floor = math.sqrt(g / 2)
 
+    def fails(k: int) -> bool:
+        y = math.sqrt(math.pi * k / _STEPS) - rho / 2
+        if y < floor:
+            return True
+        x = y * y
+        if g % 2:
+            acc, power = 2 / (y + math.sqrt(x + 4 / math.pi)), y
+        else:
+            acc, power = 1.0, x
+        for j in range(2 - g % 2, g - 1, 2):
+            acc = acc * j / 2 + power
+            power *= x
+        return log_factor - x + math.log(acc) > log_target
 
-def _screen(g: int, rho: float, excess: Fraction, target: float):
-    """fails(k): True only if step k must fail in :func:`_theorem2`'s
-    intervals, as its double estimates miss sqrt(g/2) or log(target) by
-    more than their rounding error.  False decides nothing, and so do
-    inputs out of double range and overflows."""
-    if not (rho >= _TINY and target >= _TINY):  # zero, subnormal, NaN
-        return lambda k: False
     try:
         log_factor = (math.pi * float(excess) + math.log(g / 2)
                       + g * math.log(2 / rho))
         log_target = math.log(target)
-    except OverflowError:
-        return lambda k: False
-    size0 = (math.pi * float(excess) + abs(math.log(g / 2))
-             + g * abs(math.log(2 / rho)) + abs(log_target))
-    floor = math.sqrt(g / 2)
-
-    def fails(k: int) -> bool:
-        r = math.sqrt(math.pi * k / _STEPS)
-        y = r - rho / 2
-        if floor - y > _SCREEN_MARGIN * (floor + r + rho):
-            return True
-        if y < floor:
-            return False
-        x = y * y
-        try:
-            if g % 2:
-                acc, power = 2 / (y + math.sqrt(x + 4 / math.pi)), y
-            else:
-                acc, power = 1.0, x
-            for j in range(2 - g % 2, g - 1, 2):
-                acc = acc * j / 2 + power
-                power *= x
-            log_g = math.log(acc)
-        except (OverflowError, ValueError):
-            return False
-        est = log_factor - x + log_g - log_target
-        size = size0 + x + abs(log_g)
-        return est > _SCREEN_MARGIN + _SCREEN_ERROR * size
-
-    return fails
+        return _last_true(fails, 0, top)
+    except (ArithmeticError, ValueError):  # 0, subnormal or huge inputs
+        return 0
 
 
 @lru_cache(maxsize=1024)
@@ -422,9 +401,9 @@ def _ellipsoid(q_form: RatMat, tol: float, excess: Fraction,
     minimum mu >= -``excess``: T = k / _STEPS for the least k whose
     :func:`_theorem2` bound is at most TAIL_SHARE * tol, with rho =
     sqrt(pi lambda_min) rounded down.  :func:`_last_true` finds the last
-    step that :func:`_screen` rules out (step 0, R = 0, always fails), and
-    from there the last that fails in intervals: the result of the
-    all-interval search.  No T above (max_radius + 1)^2 times the least
+    step that fails in intervals (step 0, R = 0, always fails), starting at
+    :func:`_step_guess`: a right guess costs two interval bounds, and no
+    guess changes the result.  No T above (max_radius + 1)^2 times the least
     diagonal entry is tried, as every box would exceed the cap there.
     Memoised on its inputs; errors are not cached."""
     lam = min_eigenvalue_bound(q_form)
@@ -439,8 +418,8 @@ def _ellipsoid(q_form: RatMat, tol: float, excess: Fraction,
         tail = bound(k)
         return tail is None or not tail <= target
 
-    last = _last_true(_screen(g, to_float(rho), excess, target), 0, top + 1)
-    k = last + 1 + _last_true(lambda j: fails(last + j), 0, top + 1 - last)
+    guess = _step_guess(g, to_float(rho), excess, target, top + 1)
+    k = 1 + _last_true(fails, guess, top + 1)
     if k <= top and not fails(k):
         return Fraction(k, _STEPS), bound(k), lam
     raise TruncationBudgetExceeded(
@@ -494,8 +473,9 @@ def truncation_radius(q_form: RatMat, tol: float = 1e-10, *, decay,
     """The certified kept set of a Gaussian-type lattice sum.
 
     ``decay`` is the sum's decay form as :func:`lattice_sum` takes it,
-    whose quadratic part is that of the Gram ``q_form``.  Its exact minimum mu over R^n and centre come
-    from :func:`_centre`, and T = R^2 / pi from the memo
+    whose quadratic part must be w^T ``q_form`` w (checked on the integer
+    numerators; ValueError otherwise).  Its exact minimum mu over R^n and
+    centre come from :func:`_centre`, and T = R^2 / pi from the memo
     :func:`_ellipsoid`, keyed on the Gram, tol and mu rounded down to a
     multiple of 1/16 (as max(0, -mu) rounded up).  The terms of decay(w) >
     mu + T add up to at most the returned tail bound, which is at most
@@ -503,10 +483,16 @@ def truncation_radius(q_form: RatMat, tol: float = 1e-10, *, decay,
     kept set has a radius above ``max_radius``."""
     max_radius = int(max_radius)
     min_eigenvalue_bound(q_form)  # rejects a Gram that is not definite
+    den, quad, n = decay[0], decay[1], q_form.nrows
+    # quad[i][j] / den is Q_ii on the diagonal and 2 Q_ij above it
+    if len(decay[2]) != n or not all(
+            quad[i][j] * q_form.den == (2 - (i == j)) * den * q_form.num[i][j]
+            for i in range(n) for j in range(i, n)):
+        raise ValueError("the decay's quadratic part is not q_form")
     mu, v, s, diag = _centre(decay)
     excess = Fraction(max(0, math.ceil(-mu * _EXCESS_STEPS)), _EXCESS_STEPS)
     offset, tail, lam = _ellipsoid(q_form, float(tol), excess, max_radius)
-    box = _box(v, s, diag, decay[0], offset)
+    box = _box(v, s, diag, den, offset)
     radius = max(box)
     if radius > max_radius:
         raise TruncationBudgetExceeded(

@@ -178,6 +178,19 @@ def test_linear_term_enlarges_radius():
     assert pushed.tail_bound <= 1e-12 / 4
 
 
+def test_a_decay_of_another_gram_is_rejected():
+    # the ellipsoid's radius comes from q_form and its box from the decay,
+    # so a decay whose quadratic part is not q_form would certify nothing
+    gram = RatMat([[3, 1], [1, 2]])
+    assert truncation_radius(gram, 1e-12, decay=(2, [[6, 4], [0, 4]],
+                                                 [1, -3], 5)).radius >= 1
+    for decay in ((2, [[6, 2], [0, 4]], [1, -3], 5),  # off-diagonal halved
+                  (1, [[6, 4], [0, 4]], [1, -3], 5),  # twice the Gram
+                  (2, [[6, 4], [0, 4]], [1], 5)):      # wrong dimension
+        with pytest.raises(ValueError, match="quadratic part"):
+            truncation_radius(gram, 1e-12, decay=decay)
+
+
 def test_min_eigenvalue_bound_is_a_lower_bound():
     lam = min_eigenvalue_bound(RatMat([[2, 1], [1, 2]]))
     assert Fraction(9, 10) < lam <= 1  # exact smallest eigenvalue is 1
@@ -359,7 +372,7 @@ def test_radius_search_matches_the_iv_walk():
     # cap
     search = theta_module._ellipsoid.__wrapped__
     exceeded = 0
-    for gram, tol, excess, cap in seeded_search_inputs(7, 120):
+    for gram, tol, excess, cap in seeded_search_inputs(7, 300):
         try:
             offset, tail, lam = search(gram, tol, excess, cap)
         except TruncationBudgetExceeded:
@@ -371,7 +384,7 @@ def test_radius_search_matches_the_iv_walk():
             assert value is None or value > tol * theta_module.TAIL_SHARE
             continue
         assert_least_certified(gram, tol, excess, offset, tail, lam)
-    assert 0 < exceeded < 120
+    assert 0 < exceeded < 300
 
 
 def fraction_minimum(decay):

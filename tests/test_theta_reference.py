@@ -1,10 +1,12 @@
 """The theta layer's fast paths against test-local copies of the code they
 replaced.
 
-* The radius search screens the steps of R^2 in doubles and tests the rest
-  in libmp intervals; :func:`interval_walk` is the search that tests every
-  step it looks at in intervals.  Both must give the same certificate, bit
-  for bit, or raise the same error.
+* The radius search starts at the step that a double-precision estimate
+  of the bound proposes (:func:`toruslift.theta._step_guess`, the screen)
+  and decides every step it looks at in libmp intervals;
+  :func:`interval_walk` is the same search started at step 0.  Both must
+  give the same certificate, bit for bit, or raise the same error, as the
+  guess only decides where the search starts.
 * A :class:`ThetaSpec` builds its integer forms from the integer
   numerators of its matrices; :func:`fraction_forms` and
   :func:`fraction_spec_data` are the Fraction computations they replaced.
@@ -60,7 +62,7 @@ def interval_steps(gram, excess):
 
 
 def interval_walk(gram, tol, excess, max_radius):
-    """The search without the screen: the least step whose interval bound
+    """The search without the guess: the least step whose interval bound
     is at most TAIL_SHARE * tol, found by galloping and bisection from step
     0 over every step up to the cap, in intervals."""
     lam, _, bound = interval_steps(gram, excess)
@@ -128,7 +130,7 @@ walk_inputs = st.tuples(
 )
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(walk_inputs)
 def test_screened_walk_matches_the_interval_walk(args):
     assert_walks_agree(args)
@@ -144,8 +146,8 @@ def stop_step(args):
 @given(walk_inputs, st.integers(-2 ** 10, 2 ** 10))
 def test_screen_near_the_tolerance(args, step):
     # tol within 2^-18 of the tail bound of the step the search stops on,
-    # or of the step before it: the screen sees a margin at or below its
-    # own and must leave the decision to the intervals
+    # or of the step before it: the double-precision guess may land on
+    # either side, and the intervals must decide the same step
     gram, tol, excess, cap = args
     k = stop_step(args)
     if k is None:
@@ -162,16 +164,21 @@ def test_screen_near_the_tolerance(args, step):
 @settings(max_examples=200, deadline=None)
 @given(walk_inputs)
 def test_screen_skips_only_failing_shells(args):
-    # every step the screen rules out fails in intervals
-    gram, tol, excess, _ = args
-    lam, rho, bound = interval_steps(gram, excess)
-    fails = theta_module._screen(gram.nrows, mpmath.libmp.to_float(rho),
-                                 excess, tol * SHARE)
-    k = stop_step(args) or 0
-    for s in list(range(0, 30)) + list(range(max(0, k - 30), k + 30)):
-        if fails(s):
-            tail = bound(s)
-            assert tail is None or tail > tol * SHARE, (args, s)
+    # the search tests only a few steps in intervals and decides the rest
+    # by monotonicity: every step below the one it stops on fails in
+    # intervals and every step from it up to the cap passes
+    gram, tol, excess, cap = args
+    _, _, bound = interval_steps(gram, excess)
+    top = math.floor(STEPS * (cap + 1) ** 2
+                     * min(gram[i, i] for i in range(gram.nrows)))
+    k = stop_step(args)
+    stop = top + 1 if k is None else k
+    for s in set(range(0, 30)) | set(range(max(0, stop - 30), stop + 30)):
+        if s > top:
+            continue
+        tail = bound(s)
+        passes = tail is not None and tail <= tol * SHARE
+        assert passes == (s >= stop), (args, s)
 
 
 def test_walks_agree_at_the_radius_cap():
@@ -209,14 +216,14 @@ def test_walks_agree_on_tolerances_next_to_each_tail_bound():
 
 
 def test_the_screen_leaves_out_of_range_inputs_to_the_intervals():
-    # rho out of double range, or a tol of zero, subnormal or nan, screens
-    # nothing
-    for rho in (0.0, 1e-320):
-        fails = theta_module._screen(2, rho, Fraction(0), 1e-12)
-        assert not any(fails(s) for s in range(1, 200, 7))
-    for tol in (0.0, 5e-324, math.nan):
-        fails = theta_module._screen(1, 1.0, Fraction(0), tol)
-        assert not any(fails(s) for s in range(1, 200, 7))
+    # a rho or tol of zero makes the doubles raise, and the guess is step
+    # 0; a subnormal rho, a subnormal tol or a nan still proposes a step
+    # below the cap, where the intervals take over
+    guess = theta_module._step_guess
+    assert guess(2, 0.0, Fraction(0), 1e-12, 200) == 0
+    assert guess(1, 1.0, Fraction(0), 0.0, 200) == 0
+    for rho, tol in ((1e-320, 1e-12), (1.0, 5e-324), (1.0, math.nan)):
+        assert 0 <= guess(1, rho, Fraction(0), tol, 200) < 200
     # an excess far past any tail: both searches raise at the cap
     args = (RatMat.identity(4), 1e-12, Fraction(10 ** 250), 3)
     assert assert_walks_agree(args)[0] == "raised"
@@ -264,7 +271,8 @@ def workload_like_misses():
 
 
 def test_intervals_run_at_one_shell_on_workload_like_misses(monkeypatch):
-    # the screen leaves one step to the intervals, which certify it
+    # the guess is right on every miss: the intervals test the step it
+    # proposes, which fails, and the next one, which passes
     calls = []
     theorem2 = theta_module._theorem2
 
@@ -278,7 +286,8 @@ def test_intervals_run_at_one_shell_on_workload_like_misses(monkeypatch):
     for args in misses:
         calls.clear()
         got = radius_search(*args)
-        assert len(calls) == 1, args
+        k = int(got[0] * STEPS)
+        assert calls == [k - 1, k], args
         assert got == interval_walk(*args)
 
 
