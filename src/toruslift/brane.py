@@ -325,24 +325,6 @@ def _xi_of(f_rows, bits, m) -> int:
     return (quad + lin) % 2
 
 
-def check_xi_pairs(brane: Brane, declared) -> None:
-    """Check declared values of xi on sums of generator pairs.
-
-    ``declared`` maps (i, j) index pairs to claimed bits for xi(e_i + e_j);
-    a mismatch with the cocycle rule raises InvalidXi naming the pair.
-    """
-    for (i, j), bit in sorted(declared.items()):
-        m = [0] * brane.dim
-        m[i] += 1
-        m[j] += 1
-        actual = brane.xi_value(m)
-        if actual != int(bit) % 2:
-            raise InvalidXi(
-                f"xi declaration for generator pair ({i}, {j}) is {int(bit)} but the "
-                f"cocycle rule forces {actual}"
-            )
-
-
 # -- constructors ------------------------------------------------------------
 
 

@@ -430,26 +430,6 @@ def _value(vtype, value):
     return _PARSERS[vtype](value)
 
 
-def _parse_value(vtype, value, line, raw, start=None):
-    """The value of type ``vtype`` written as ``value``, which starts at
-    offset ``start`` of the config line ``raw`` (found in it when not
-    given), line number ``line``.  A token outside the grammar raises
-    ParseError at the column of the offending text."""
-    try:
-        return _value(vtype, value)
-    except _BadValue as bad:
-        raise _value_error(bad, line, raw, value, start) from None
-
-
-def _value_error(bad, line, raw, value, start=None) -> ParseError:
-    message, offset = bad.args
-    if offset is None:
-        return ParseError(message, line)
-    if start is None:
-        start = raw.find(value)
-    return ParseError(message, line, start + offset + 1 if start >= 0 else None)
-
-
 def _fmt_value(vtype, value) -> str:
     scalar = _SCALARS.get(vtype)
     if scalar is not None:
@@ -646,8 +626,11 @@ def parse_config(text: str) -> JobConfig:
         try:
             fields[key] = _value(vtype, value)
         except _BadValue as bad:
-            start = len(rawline) - len(rawline.lstrip()) + len(line) - len(value)
-            raise _value_error(bad, lineno, rawline, value, start) from None
+            message, offset = bad.args
+            if offset is not None:  # the column of the offending text
+                offset += (len(rawline) - len(rawline.lstrip()) + len(line)
+                           - len(value) + 1)
+            raise ParseError(message, lineno, offset) from None
         at[key] = lineno
 
     _require(torus_fields is not None, "a [torus] section is required")

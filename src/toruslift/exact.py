@@ -447,28 +447,38 @@ class RatMat:
         return RatMat._make(tuple(map(tuple, k)), last)
 
     def is_positive_definite(self) -> bool:
-        """Sylvester test; requires a symmetric matrix.
-
-        One Bareiss pass without row exchanges: the k-th pivot is the k-th
-        leading minor of the numerator matrix (of the same sign as that of
-        the matrix), and the pass stops at the first one that is <= 0.
-        """
+        """Sylvester test on the leading minors (:func:`_leading_minors`);
+        requires a symmetric matrix."""
         if not self.is_symmetric():
             raise ValueError("positive-definiteness test needs a symmetric matrix")
-        a = [list(r) for r in self.num]
-        n = len(a)
-        prev = 1
-        for c in range(n):
-            prow = a[c]
-            p = prow[c]
-            if p <= 0:
-                return False
-            for r in range(c + 1, n):
-                cur = a[r]
-                f = cur[c]
-                a[r] = [(p * x - f * y) // prev for x, y in zip(cur, prow)]
-            prev = p
-        return True
+        return all(d > 0 for d in _leading_minors(self.num))
+
+
+def _leading_minors(num) -> list[int]:
+    """The leading principal minors Delta_1, Delta_2, ... of the square
+    integer matrix ``num``, up to and including the first that is <= 0.
+
+    One Bareiss pass without row exchanges: the k-th pivot is Delta_k, and
+    the pass stops there when it is <= 0, since no later pivot is then
+    defined.  For a symmetric positive-definite Q = ``num`` / den the
+    pivots of Q = L D L^T are d_k = Delta_k / (Delta_{k-1} den).
+    """
+    a = [list(r) for r in num]
+    n = len(a)
+    minors = []
+    prev = 1
+    for c in range(n):
+        prow = a[c]
+        p = prow[c]
+        minors.append(p)
+        if p <= 0:
+            break
+        for r in range(c + 1, n):
+            cur = a[r]
+            f = cur[c]
+            a[r] = [(p * x - f * y) // prev for x, y in zip(cur, prow)]
+        prev = p
+    return minors
 
 
 def _scaled_blocks(mats):

@@ -18,15 +18,15 @@ terms left out add up to at most
 for R >= sqrt(g/2) + rho/2 (Theorem 2 of Deconinck, Heil, Bobenko, van
 Hoeij and Schmies, "Computing Riemann theta functions", Math. Comp. 73,
 2004), in dimension g.  rho = sqrt(pi lambda_min) bounds the shortest
-vector of the lattice from below; lambda_min is an exact rational lower
-bound for the least eigenvalue of the Gram, the largest multiple of (least
-diagonal entry) / 2^80 below it: a 140-bit eigenvalue estimate proposes it
-and exact Sylvester tests over Q confirm it.  It is memoised per Gram.  R
-is the least one on a grid of R^2 / pi whose bound, evaluated in
+vector of the lattice from below: lambda_min is the least pivot of the
+exact LDL^T factorisation of the Gram, at most the Gram's value at every
+nonzero integer vector (:func:`min_eigenvalue_bound`), from the same
+fraction-free elimination that decides positivity.  It is memoised per
+Gram.  R is the least one on a grid of R^2 / pi whose bound, evaluated in
 outward-rounded 53-bit mpmath.libmp intervals, is at most TAIL_SHARE * tol;
-a double-precision estimate proposes it.  The bound
-depends only on the Gram, tol and max(0, -mu), so the search is memoised
-on the Gram, tol and max(0, -mu) rounded up to a sixteenth.  The tail bound
+a double-precision estimate proposes it.  The bound depends only on the
+Gram, tol and max(0, -mu), so the search is memoised on the Gram, tol and
+max(0, -mu) rounded up to a sixteenth.  The tail bound
 covers truncation only: the floating-point rounding of the summed terms is
 not included.
 
@@ -60,7 +60,6 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterator, Optional, Sequence
 
-import mpmath
 from mpmath.libmp import (
     from_int, mpf_lt, mpf_pi, mpi_add, mpi_div, mpi_exp, mpi_mul, mpi_neg,
     mpi_pow, mpi_sqrt, mpi_sub, round_ceiling, round_floor, to_float,
@@ -73,7 +72,8 @@ from .errors import (
     NotPositiveDefinite,
     TruncationBudgetExceeded,
 )
-from .exact import RatMat, _int_vec, exact_int, int_entries, rat, vec_dot
+from .exact import (RatMat, _int_vec, _leading_minors, exact_int, int_entries,
+                    rat, vec_dot)
 from .summation import exp_pi, get_context
 
 # -- lattice enumeration ------------------------------------------------------
@@ -195,22 +195,6 @@ def lattice_sum(ctx, box, limit: Fraction, decay, turns):
 
 # -- certified truncation -----------------------------------------------------
 
-LAMBDA_BITS = 80  # lambda_min is resolved to (least diagonal entry) / 2^80
-
-_GUESS_MP = mpmath.mp.clone()
-_GUESS_MP.prec = 140
-
-
-def _eigen_guess(s_mat: RatMat, unit: Fraction) -> int:
-    """ceil(lambda / unit) - 1 from a 140-bit estimate of the least
-    eigenvalue lambda; only a proposal, confirmed exactly by the caller."""
-    mp = _GUESS_MP
-    a = mp.matrix([[mp.mpf(x.numerator) / x.denominator for x in row]
-                   for row in s_mat.rows])
-    lam = min(mp.eigsy(a, eigvals_only=True))
-    return int(mp.ceil(lam * unit.denominator / unit.numerator)) - 1
-
-
 def _last_true(pred, guess: int, top: int) -> int:
     """Largest k in [0, top) with pred(k), for a predicate that is true up
     to some point and false after it, with pred(0) true and pred(top) false
@@ -240,36 +224,34 @@ def _last_true(pred, guess: int, top: int) -> int:
 
 @lru_cache(maxsize=256)
 def min_eigenvalue_bound(s_mat: RatMat) -> Fraction:
-    """Exact rational lower bound for the least eigenvalue lambda of a
-    symmetric positive-definite rational matrix S.
+    """The least pivot d_min of Q = L diag(d) L^T, L unit lower-triangular,
+    for a symmetric positive-definite rational matrix Q = ``s_mat``: an
+    exact lower bound for v^T Q v over the nonzero integer vectors v, and
+    no smaller than the least eigenvalue of Q.
 
-    With h the least diagonal entry (h >= lambda) and u = h / 2^LAMBDA_BITS,
-    the bound is k u for the largest k with S - k u I positive definite,
-    i.e. k = ceil(lambda / u) - 1: the value a LAMBDA_BITS-step bisection of
-    [0, h] ends on.  A 140-bit eigenvalue estimate proposes k and exact
-    Sylvester tests prove it (S - k u I positive definite, S - (k+1) u I
-    not); a wrong proposal is corrected by the same exact test.  Results
-    are memoised per Gram; errors are not, and are raised on every call.
+    v^T Q v = sum_k d_k y_k^2 with y = L^T v, and L^T is unit
+    upper-triangular, so y_j = v_j at the last nonzero coordinate j of v:
+    for integer v that is a nonzero integer, and v^T Q v >= d_j >= d_min
+    (the Gram-Schmidt bound of Lenstra, Lenstra and Lovasz, "Factoring
+    polynomials with rational coefficients", Math. Ann. 261, 1982).  And
+    1 / d_k is the last diagonal entry of the inverse of the leading k x k
+    block, so at most 1 / (that block's least eigenvalue), and by Cauchy
+    interlacing that eigenvalue is at least the least eigenvalue of Q.
+
+    d_k = Delta_k / (Delta_{k-1} den) from the leading minors Delta_k of
+    the numerator matrix, in the one fraction-free pass
+    (:func:`toruslift.exact._leading_minors`) that also decides
+    positivity.  The name is that of the eigenvalue bound the pivot
+    replaced; ``perfbench/trace.py`` wraps it by name.  Results are
+    memoised per Gram; errors are not, and are raised on every call.
     """
-    if s_mat.T != s_mat:
+    if not s_mat.is_symmetric():
         raise NotPositiveDefinite("Gaussian form is not symmetric")
-    if not s_mat.is_positive_definite():
+    minors = _leading_minors(s_mat.num)
+    if not all(d > 0 for d in minors):
         raise NotPositiveDefinite("Gaussian form is not positive definite")
-    n = s_mat.nrows
-    top = 1 << LAMBDA_BITS
-    unit = min(s_mat[i, i] for i in range(n)) / top
-    eye = RatMat.identity(n)
-
-    def below_lambda(k):
-        return (s_mat - eye * (k * unit)).is_positive_definite()
-
-    k = _last_true(below_lambda, _eigen_guess(s_mat, unit), top)
-    if k == 0:
-        raise NotPositiveDefinite(
-            f"least eigenvalue is below 2^-{LAMBDA_BITS} of the least "
-            "diagonal entry; the form is too close to singular to certify"
-        )
-    return k * unit
+    return min(Fraction(d, prev * s_mat.den)
+               for prev, d in zip([1, *minors], minors))
 
 
 @dataclass(frozen=True)
@@ -279,7 +261,10 @@ class TruncationCertificate:
     pi (decay(w) - mu) <= R^2 = pi T around the decay's minimum mu over
     R^n, which the box contains.  The terms left out add up to at most
     ``tail_bound`` (rounding is not part of it).  ``radius`` is max box[i];
-    ``lambda_min`` gave the shortest-vector bound."""
+    ``lambda_min`` gave the shortest-vector bound rho = sqrt(pi
+    lambda_min): it is the Gram's least LDL^T pivot
+    (:func:`min_eigenvalue_bound`), at least its least eigenvalue and at
+    most its value at any nonzero integer vector."""
 
     radius: int
     tail_bound: float
@@ -367,8 +352,7 @@ def _step_guess(g: int, rho: float, excess: Fraction, target: float,
                 top: int) -> int:
     """The last step below ``top`` whose Theorem 2 bound, estimated in
     doubles, exceeds ``target``: only a proposal, where the interval search
-    of :func:`_ellipsoid` starts, as :func:`_eigen_guess` is for
-    :func:`min_eigenvalue_bound`.  0 where the doubles raise."""
+    of :func:`_ellipsoid` starts.  0 where the doubles raise."""
     floor = math.sqrt(g / 2)
 
     def fails(k: int) -> bool:
@@ -399,13 +383,16 @@ def _ellipsoid(q_form: RatMat, tol: float, excess: Fraction,
                max_radius: int) -> tuple:
     """(T, tail bound, lambda_min) for the Gram ``q_form`` and a decay
     minimum mu >= -``excess``: T = k / _STEPS for the least k whose
-    :func:`_theorem2` bound is at most TAIL_SHARE * tol, with rho =
-    sqrt(pi lambda_min) rounded down.  :func:`_last_true` finds the last
-    step that fails in intervals (step 0, R = 0, always fails), starting at
-    :func:`_step_guess`: a right guess costs two interval bounds, and no
-    guess changes the result.  No T above (max_radius + 1)^2 times the least
-    diagonal entry is tried, as every box would exceed the cap there.
-    Memoised on its inputs; errors are not cached."""
+    :func:`_theorem2` bound is at most TAIL_SHARE * tol, with rho' =
+    sqrt(pi lambda_min) rounded down, lambda_min the Gram's least LDL^T
+    pivot (:func:`min_eigenvalue_bound`): every nonzero lattice vector is
+    at least rho' long, which is all Theorem 2 asks of rho'.
+    :func:`_last_true` finds the last step that fails in intervals (step
+    0, R = 0, always fails), starting at :func:`_step_guess`: a right
+    guess costs two interval bounds, and no guess changes the result.  No
+    T above (max_radius + 1)^2 times the least diagonal entry is tried, as
+    every box would exceed the cap there.  Memoised on its inputs; errors
+    are not cached."""
     lam = min_eigenvalue_bound(q_form)
     g = q_form.nrows
     rho = mpi_sqrt(mpi_mul(_PI, _interval(lam), _PREC), _PREC)[0]
@@ -427,29 +414,29 @@ def _ellipsoid(q_form: RatMat, tol: float, excess: Fraction,
 
 
 @lru_cache(maxsize=256)
-def _inverse(gram: tuple) -> tuple:
-    """The inverse of a primitive symmetric integer matrix as (integer
-    rows, denominator), memoised per Gram."""
-    inv = RatMat(gram).inv()
-    return inv.num, inv.den
+def _inverse(q_form: RatMat) -> tuple:
+    """(h, integer rows, denominator) of a Gram: the gcd h of its
+    numerators and the inverse of the primitive integer matrix num / h,
+    memoised per Gram."""
+    h = gcd(*(x for row in q_form.num for x in row))
+    inv = RatMat([[x // h for x in row] for row in q_form.num]).inv()
+    return h, inv.num, inv.den
 
 
-def _centre(decay) -> tuple:
+def _centre(decay, q_form: RatMat) -> tuple:
     """(mu, v, s, diag) of a :func:`lattice_sum` decay form (den, quad,
-    lin, const): with P the symmetric integer matrix of 2 x its quadratic
-    part, decay(w) = mu + (w - w0)^T P (w - w0) / (2 den) for the centre
-    w0 = -P^{-1} lin = -v / s, and diag / s is the diagonal of P^{-1}.
+    lin, const) whose quadratic part is w^T ``q_form`` w: with P = 2 den
+    q_form, the symmetric integer matrix of 2 x that part, decay(w) = mu +
+    (w - w0)^T P (w - w0) / (2 den) for the centre w0 = -P^{-1} lin = -v /
+    s, and diag / s is the diagonal of P^{-1}.  P is g times the primitive
+    matrix of :func:`_inverse` for g = 2 den h / q_form.den, an integer.
     mu = (const - lin^T P^{-1} lin / 2) / den is exact."""
-    den, quad, lin, const = decay
-    n = len(lin)
-    p = [[quad[min(i, j)][max(i, j)] * (1 + (i == j)) for j in range(n)]
-         for i in range(n)]
-    g = gcd(*(x for row in p for x in row))
-    inv, e = _inverse(tuple(tuple(x // g for x in row) for row in p))
+    den, _, lin, const = decay
+    h, inv, e = _inverse(q_form)
     v = [sum(map(mul, row, lin)) for row in inv]
-    s = e * g
+    s = e * (2 * den * h // q_form.den)
     mu = Fraction(2 * s * const - sum(map(mul, lin, v)), 2 * s * den)
-    return mu, v, s, [inv[i][i] for i in range(n)]
+    return mu, v, s, [inv[i][i] for i in range(len(lin))]
 
 
 def _box(v, s: int, diag, den: int, offset: Fraction) -> tuple:
@@ -489,7 +476,7 @@ def truncation_radius(q_form: RatMat, tol: float = 1e-10, *, decay,
             quad[i][j] * q_form.den == (2 - (i == j)) * den * q_form.num[i][j]
             for i in range(n) for j in range(i, n)):
         raise ValueError("the decay's quadratic part is not q_form")
-    mu, v, s, diag = _centre(decay)
+    mu, v, s, diag = _centre(decay, q_form)
     excess = Fraction(max(0, math.ceil(-mu * _EXCESS_STEPS)), _EXCESS_STEPS)
     offset, tail, lam = _ellipsoid(q_form, float(tol), excess, max_radius)
     box = _box(v, s, diag, den, offset)

@@ -41,7 +41,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .errors import DualityAssumptionViolated, NotSplit, SingularModulus, InadmissibleD
+from .errors import DualityAssumptionViolated, NotSplit, SingularModulus
 from .exact import RatMat, hstack, int_matmul, ratvec, vstack
 
 
@@ -242,15 +242,6 @@ class MirrorCoords:
     tau_re: RatMat
     tau_im: RatMat
 
-    @property
-    def tau_u(self) -> tuple[RatMat, RatMat]:
-        return (self.tau_re, self.tau_im)
-
-    @property
-    def tau_v(self) -> tuple[RatMat, RatMat]:
-        # -conj(tau)
-        return (-self.tau_re, self.tau_im)
-
     def u_coord(self, r, kappa, phi) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
         """u = tau^T (r - kappa) - phi, returned as (Re u, Im u)."""
         r, kappa, phi = ratvec(r), ratvec(kappa), ratvec(phi)
@@ -273,28 +264,3 @@ class MirrorCoords:
         """The (r, phi, theta_hat, kappa) sample with kappa = 0, v = 0."""
         phi = ratvec(phi)
         return (ratvec(r), phi, tuple(-p for p in phi), tuple(Fraction(0) for _ in phi))
-
-
-def mirror_of_double(t: Torus) -> MirrorCoords:
-    if not t.is_split:
-        raise NotSplit("mirror coordinates need a split torus")
-    re, im = t.period()
-    return MirrorCoords(re, im)
-
-
-def mirror_chern(d: RatMat, t: Torus) -> RatMat:
-    """Integer Gram of the mirror bundle's first Chern form on (r, phi).
-
-    The (r, r) block is Re(tau) D^T - D Re(tau)^T and the mixed block is D;
-    integrality is checked and InadmissibleD raised otherwise.
-    """
-    from .brane import admissible_d  # local import to avoid a cycle
-
-    re, im = t.period()
-    admissible_d(re, im, d, require_positive=False)
-    rr = re @ d.T - d @ re.T
-    z = RatMat.zeros(d.nrows, d.nrows)
-    gram = vstack(hstack(rr, d), hstack(-d.T, z))
-    if not gram.is_integer():
-        raise InadmissibleD("mirror Chern form is not integral for this D")
-    return gram

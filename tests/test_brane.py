@@ -11,7 +11,6 @@ from toruslift import brane as brane_module
 from toruslift.brane import (
     Brane,
     admissible_d,
-    check_xi_pairs,
     fiber_brane,
     full_torus_brane,
     graph_brane,
@@ -264,15 +263,6 @@ def test_xi_cocycle(f01, bits, m, mp):
     left = (b.xi_value([m[0] + mp[0], m[1] + mp[1]]) - b.xi_value(m) - b.xi_value(mp)) % 2
     pairing = (f01 * (m[0] * mp[1] + m[1] * mp[0])) % 2
     assert left == pairing
-
-
-def test_check_xi_pairs():
-    b = t4_space_filling_brane()
-    # xi(e_i + e_j) = F_ij mod 2 with all linear bits zero
-    declared = {(0, 3): 1, (1, 2): 1, (0, 1): 0}
-    check_xi_pairs(b, declared)
-    with pytest.raises(InvalidXi, match=r"\(0, 3\)"):
-        check_xi_pairs(b, {(0, 3): 0})
 
 
 def test_transition_matches_normative_equation():

@@ -7,7 +7,7 @@ import pytest
 
 from test_cli import FULL_JOB
 from toruslift import cli, config, runner
-from toruslift.config import _fmt_value, _parse_value, echo_config, parse_config
+from toruslift.config import _fmt_value, _value, echo_config, parse_config
 from toruslift.errors import ParseError
 
 # one key of every value type, each written in canonical form, so the echo
@@ -171,9 +171,9 @@ def test_every_value_type_round_trips_through_echo():
 ])
 def test_codec_round_trip(vtype, text):
     # each text is canonical: it is its own echo
-    value = _parse_value(vtype, text, 1, text)
+    value = _value(vtype, text)
     assert _fmt_value(vtype, value) == text
-    assert _parse_value(vtype, _fmt_value(vtype, value), 1, text) == value
+    assert _value(vtype, _fmt_value(vtype, value)) == value
 
 
 @pytest.mark.parametrize("token, canonical", [
@@ -183,7 +183,7 @@ def test_codec_round_trip(vtype, text):
     ("1e-3", "1/1000"),
 ])
 def test_complex_tokens_echo_canonically(token, canonical):
-    assert _fmt_value("cvec", _parse_value("cvec", token, 1, token)) == canonical
+    assert _fmt_value("cvec", _value("cvec", token)) == canonical
 
 
 @pytest.mark.parametrize("token, pair", [
@@ -202,11 +202,19 @@ def test_exponents_parse_in_either_part_of_a_complex_token(token, pair):
     assert cfg.tasks[0].get("tau_grid") == (pair,)
 
 
+# a section and key of each matrix type
+MATRIX_KEYS = {"rmat": ("task theta", "d"), "cmat": ("torus", "tau"),
+               "rrows": ("task usub", "points"),
+               "irows": ("task diagram", "k_list"),
+               "crows": ("task identity2", "uv_grid")}
+
+
 @pytest.mark.parametrize("vtype", ["rmat", "cmat", "rrows", "irows", "crows"])
 @pytest.mark.parametrize("text", ["1 0 ; 1", "1 ; 1 0", "; 1", "1 ;"])
 def test_ragged_rows_are_rejected(vtype, text):
+    section, key = MATRIX_KEYS[vtype]
     with pytest.raises(ParseError) as err:
-        _parse_value(vtype, text, 4, f"k = {text}")
+        parse_config(f"# a ragged matrix\n\n[{section}]\n{key} = {text}")
     assert str(err.value) == "line 4: matrix rows have unequal lengths"
 
 

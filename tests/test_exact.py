@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toruslift.exact import RatMat, hstack, rat, ratvec, vec_dot, vstack
+from toruslift.exact import (RatMat, _leading_minors, hstack, rat, ratvec,
+                             vec_dot, vstack)
 
 rationals = st.fractions(
     min_value=-9, max_value=9, max_denominator=7
@@ -335,6 +336,27 @@ def test_positive_definite_matches_leading_minors(seed):
         for m, ref in cases:
             _same(m, ref)
             assert m.is_positive_definite() == _ref_positive_definite(ref)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-6, 6), min_size=n, max_size=n),
+    min_size=n, max_size=n)))
+def test_leading_minors_stop_at_the_first_non_positive(rows):
+    # the one pass behind is_positive_definite and the certificates' pivot
+    # bound: the leading minors of the symmetric part, up to and including
+    # the first one <= 0, and the verdict is that they are all positive
+    n = len(rows)
+    sym = [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    ref = [[Fraction(x) for x in r] for r in sym]
+    want = []
+    for k in range(1, n + 1):
+        want.append(_ref_det([r[:k] for r in ref[:k]]))
+        if want[-1] <= 0:
+            break
+    assert _leading_minors(sym) == want
+    assert RatMat(sym).is_positive_definite() == _ref_positive_definite(ref)
+    assert RatMat(sym).is_positive_definite() == all(d > 0 for d in want)
 
 
 def test_positive_definite_edge_cases():

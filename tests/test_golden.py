@@ -287,9 +287,9 @@ GOLDEN = {
     "theta-n1-double":
         "e83ab1aa1520d56a661a97957c872be00b81235add97a1e719d14c88ebba03f2",
     "theta-n2-dd":
-        "d844a83c4ad1fe06835b80d96b661c5de38f59f1a5c8646538dca67f022df927",
+        "8b3ff0f726cd3459bfce3e838987ac773ed24ace1a91de76256cccb2ca7909dc",
     "theta-n2-double":
-        "be94687092b6c544d93f0adb4f27b973a487d3edd4f35a60114f718d829d6073",
+        "d63c76bd84d6b6d0bab63d1c644e77fdfbaf1bd135c0be7c9b8ee0ab25f9f775",
     "usub-n2":
         "45e8ebb62122087f86da5fe5e1811d9f5b2ba8fb2565f23a5e1edb47385dd0d6",
     "diagram-n2":
@@ -303,7 +303,7 @@ GOLDEN = {
     "usub-n1-dd":
         "abff98fd4c0c5393e9ad0ffffed8ea77445bdd816e2d590df2f62d200b52d889",
     "theta-n2-re":
-        "b6ff4b470c78d44ee23ae29fc297b424569202d0cd5e08a23dd8b4f6fc28a0c4",
+        "49babebf0954e02100ca505bae8ff9d408829afc8ee20f149dd7cea929e70fde",
     "lift-fiber":
         "fe0a3deaa1936f4c957a3d129227fe28440cc6e918093b1f525db59a259b2594",
     "lift-graph":

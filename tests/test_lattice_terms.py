@@ -755,7 +755,7 @@ def test_the_kept_set_is_the_ellipsoid_of_a_wider_cube(seed):
     gram, decay, turns, tol, excess = ellipsoid_case(seed)
     dim = gram.nrows
     cert = theta.truncation_radius(gram, tol, decay=decay)
-    mu = theta._centre(decay)[0]
+    mu = theta._centre(decay, gram)[0]
     assert mu == -excess
     assert ((cert.limit - mu) * theta._STEPS).denominator == 1
     assert 0 < cert.tail_bound <= tol * theta.TAIL_SHARE

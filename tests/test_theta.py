@@ -1,6 +1,8 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
+from operator import mul
 
 import mpmath
 import pytest
@@ -192,26 +194,104 @@ def test_a_decay_of_another_gram_is_rejected():
 
 
 def test_min_eigenvalue_bound_is_a_lower_bound():
+    # pivots 2 and 3/2; the least eigenvalue is 1, and the lattice minimum
+    # is 2, at (1, 0), (0, 1) and (1, -1)
     lam = min_eigenvalue_bound(RatMat([[2, 1], [1, 2]]))
-    assert Fraction(9, 10) < lam <= 1  # exact smallest eigenvalue is 1
+    assert lam == Fraction(3, 2)
+    assert_pivot_bound(RatMat([[2, 1], [1, 2]]))
 
 
-# --- lambda_min equals the 80-step bisection ------------------------------------
+# --- lambda_min is the Gram's least LDL^T pivot ------------------------------
 
 
-def bisection_lambda(s_mat: RatMat) -> Fraction:
-    """Reference: the exact 80-step bisection of [0, least diagonal entry]
-    with Sylvester's criterion, for a positive-definite Gram."""
-    hi = min(s_mat[i, i] for i in range(s_mat.nrows))
-    lo = Fraction(0)
-    eye = RatMat.identity(s_mat.nrows)
-    for _ in range(80):
-        mid = (lo + hi) / 2
-        if (s_mat - eye * mid).is_positive_definite():
-            lo = mid
-        else:
-            hi = mid
-    return lo
+def ldl_pivots(gram: RatMat) -> list:
+    """Reference: the pivots d of gram = L diag(d) L^T, by Fraction
+    elimination."""
+    a = [list(r) for r in gram.rows]
+    n = len(a)
+    for k in range(n):
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return [a[k][k] for k in range(n)]
+
+
+def least_eigenvalue(gram: RatMat):
+    """The least eigenvalue of a symmetric Gram at 200 bits."""
+    mp = MP200
+    a = mp.matrix([[mp.mpf(x.numerator) / x.denominator for x in row]
+                   for row in gram.rows])
+    return min(mp.eigsy(a, eigvals_only=True))
+
+
+def covering_radii(gram: RatMat) -> list:
+    """floor(sqrt(h (Q^{-1})_ii)), h the least diagonal entry: the box of
+    these radii holds every v with v^T Q v <= h, so every shortest
+    vector."""
+    h = min(gram[i, i] for i in range(gram.nrows))
+    inv = gram.inv()
+    return [math.isqrt(math.floor(h * inv[i, i])) for i in range(gram.nrows)]
+
+
+def covering_box(gram: RatMat) -> list:
+    """The nonzero integer vectors of the covering box."""
+    return [v for v in product(*(range(-r, r + 1)
+                                 for r in covering_radii(gram))) if any(v)]
+
+
+def lattice_minimum(gram: RatMat) -> Fraction:
+    """min v^T Q v over the nonzero integer vectors v, exactly."""
+    num = gram.num
+    return min(Fraction(sum(x * sum(map(mul, row, v))
+                            for x, row in zip(v, num)), gram.den)
+               for v in covering_box(gram))
+
+
+def assert_pivot_bound(gram: RatMat) -> Fraction:
+    """The bound is the least LDL^T pivot, at most the lattice minimum and
+    at least the least eigenvalue (up to the 200-bit estimate's error)."""
+    lam = min_eigenvalue_bound(gram)
+    assert lam == min(ldl_pivots(gram))
+    assert lam <= lattice_minimum(gram)
+    assert MP200.mpf(lam.numerator) / lam.denominator >= (
+        least_eigenvalue(gram) * (1 - MP200.mpf(2) ** -150))
+    return lam
+
+
+def _scaled_gram(entries, scale):
+    """B^T B / scale for the square integer matrix B of ``entries``."""
+    n = math.isqrt(len(entries))
+    b = [entries[i * n:(i + 1) * n] for i in range(n)]
+    return RatMat([[Fraction(sum(r[i] * r[j] for r in b), scale)
+                    for j in range(n)] for i in range(n)])
+
+
+pivot_grams = st.sampled_from((1, 2, 4)).flatmap(
+    lambda n: st.builds(_scaled_gram,
+                        st.lists(st.integers(-3, 3), min_size=n * n,
+                                 max_size=n * n),
+                        st.sampled_from((1, 2, 3, 7)))).filter(
+    # definite, with a covering box small enough to walk
+    lambda g: g.is_positive_definite() and math.prod(
+        2 * r + 1 for r in covering_radii(g)) <= 20000)
+
+
+@settings(max_examples=80, deadline=None)
+@given(pivot_grams)
+def test_min_eigenvalue_bound_is_the_least_pivot(gram):
+    assert_pivot_bound(gram)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((1, 2, 4)).flatmap(lambda n: st.lists(
+    st.fractions(Fraction(1, 9), 20, max_denominator=9), min_size=n,
+    max_size=n)))
+def test_min_eigenvalue_bound_of_a_diagonal_gram_is_its_minimum(diagonal):
+    # the pivots are the diagonal entries, and the least of them is the
+    # value at a unit vector: the bound is the lattice minimum itself
+    gram = RatMat.diag(diagonal)
+    assert min_eigenvalue_bound(gram) == lattice_minimum(gram) == min(diagonal)
+    assert_pivot_bound(gram)
 
 
 def seeded_grams(seed: int, dim: int, count: int):
@@ -227,11 +307,11 @@ def seeded_grams(seed: int, dim: int, count: int):
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
-def test_min_eigenvalue_bound_matches_bisection(dim):
+def test_min_eigenvalue_bound_on_seeded_grams(dim):
     singular = 0
     for gram in seeded_grams(100 + dim, dim, 20):
         if gram.is_positive_definite():
-            assert min_eigenvalue_bound(gram) == bisection_lambda(gram)
+            assert_pivot_bound(gram)
         else:
             singular += 1
             with pytest.raises(NotPositiveDefinite):
@@ -245,7 +325,7 @@ def edge_grams():
                                         RatMat([[2, 0], [0, 1]])))
     return {
         "diag(1,5)": RatMat.diag([1, 5]),  # lambda is the least diagonal entry
-        "[[2,1],[1,2]]": RatMat([[2, 1], [1, 2]]),  # lambda = 2^79 u exactly
+        "[[2,1],[1,2]]": RatMat([[2, 1], [1, 2]]),  # lambda = 1, pivot 3/2
         "doubled 4-D": doubled,
         "scalar": RatMat([[Fraction(3, 7)]]),
     }
@@ -253,30 +333,7 @@ def edge_grams():
 
 @pytest.mark.parametrize("name", sorted(edge_grams()))
 def test_min_eigenvalue_bound_edge_cases(name):
-    gram = edge_grams()[name]
-    assert min_eigenvalue_bound(gram) == bisection_lambda(gram)
-
-
-def test_min_eigenvalue_bound_on_an_exact_multiple_of_the_unit():
-    # lambda = 1 = 2^79 (2 / 2^80): the bisection stops one unit below
-    lam = min_eigenvalue_bound(RatMat([[2, 1], [1, 2]]))
-    assert lam == Fraction(2 ** 79 - 1, 2 ** 79)
-
-
-@pytest.mark.parametrize("offset", [-(2 ** 81), -(2 ** 40), -3, -1, 1, 2, 7,
-                                    2 ** 40, 2 ** 81])
-def test_min_eigenvalue_bound_corrects_a_wrong_estimate(monkeypatch, offset):
-    """A proposal off by any amount (clamped at either end of the range)
-    is corrected by the exact test: the result is still the bisection's."""
-    true_guess = theta_module._eigen_guess
-    monkeypatch.setattr(theta_module, "_eigen_guess",
-                        lambda s, unit: true_guess(s, unit) + offset)
-    min_eigenvalue_bound.cache_clear()
-    try:
-        for gram in edge_grams().values():
-            assert min_eigenvalue_bound(gram) == bisection_lambda(gram)
-    finally:
-        min_eigenvalue_bound.cache_clear()
+    assert_pivot_bound(edge_grams()[name])
 
 
 def test_min_eigenvalue_bound_is_memoised_per_gram():
@@ -291,13 +348,22 @@ def test_min_eigenvalue_bound_is_memoised_per_gram():
     [[1, 1], [1, 1]],  # singular
     [[0, 1], [1, 0]],  # indefinite
     [[1, 2], [0, 1]],  # not symmetric
-    [[1, 1], [1, 1 + Fraction(1, 2 ** 90)]],  # lambda below 2^-80 h
 ])
 def test_non_certifiable_gram_raises_on_every_call(rows):
     gram = RatMat(rows)
     for _ in range(3):
         with pytest.raises(NotPositiveDefinite):
             min_eigenvalue_bound(gram)
+
+
+def test_a_near_singular_gram_certifies_up_to_the_radius_cap():
+    # definite, with least pivot 2^-90: rho' is about 2^-44, so no radius
+    # within the cap reaches the tail
+    gram = RatMat([[1, 1], [1, 1 + Fraction(1, 2 ** 90)]])
+    assert min_eigenvalue_bound(gram) == Fraction(1, 2 ** 90)
+    for _ in range(2):
+        with pytest.raises(TruncationBudgetExceeded):
+            centred_radius(gram, tol=1e-10)
 
 
 # --- the radius search against Theorem 2 at 200 bits -----------------------------

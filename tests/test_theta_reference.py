@@ -116,7 +116,7 @@ def _gram(dim, scale, shear):
 grams = st.one_of(
     st.builds(_gram, st.integers(1, 4), fractions(Fraction(1, 100), 50)
               .filter(lambda x: x > 0), st.integers(-2, 2)),
-    # ~90-bit entries, as min_eigenvalue_bound returns for real Grams
+    # ~90-bit entries: wide numerators and denominators for the intervals
     st.builds(lambda dim, m, e: RatMat.identity(dim) * Fraction(m | 1 << 89,
                                                                 1 << e),
               st.integers(1, 4), st.integers(0, 2 ** 89),

@@ -6,18 +6,16 @@ from hypothesis import strategies as st
 
 from toruslift.errors import (
     DualityAssumptionViolated,
-    InadmissibleD,
     NotSplit,
     SingularModulus,
 )
 from toruslift import torus as torus_module
 from toruslift.exact import RatMat, hstack, vstack
 from toruslift.torus import (
+    MirrorCoords,
     Torus,
     double_torus,
     dual_torus,
-    mirror_chern,
-    mirror_of_double,
 )
 
 fracs = st.fractions(min_value=-2, max_value=2, max_denominator=3)
@@ -158,8 +156,7 @@ def test_double_is_cached():
 
 
 def test_mirror_point_with_v_zero():
-    t = Torus.from_period(RatMat([[1]]), RatMat([[2]]))
-    mc = mirror_of_double(t)
+    mc = MirrorCoords(RatMat([[1]]), RatMat([[2]]))
     r, phi = (Fraction(1, 3),), (Fraction(1, 5),)
     r_, phi_, theta_hat, kappa = mc.point_with_v_zero(r, phi)
     re_v, im_v = mc.v_coord(kappa, theta_hat, phi_)
@@ -168,33 +165,3 @@ def test_mirror_point_with_v_zero():
     re_u, im_u = mc.u_coord(r_, kappa, phi_)
     assert re_u == (Fraction(1, 3) - Fraction(1, 5),)
     assert im_u == (Fraction(2, 3),)
-
-
-def test_mirror_factor_periods():
-    mc = mirror_of_double(Torus.from_period(RatMat([[1]]), RatMat([[2]])))
-    assert mc.tau_u == (RatMat([[1]]), RatMat([[2]]))
-    assert mc.tau_v == (RatMat([[-1]]), RatMat([[2]]))  # -conj(tau)
-
-
-def test_mirror_chern_example():
-    t = Torus.from_period(
-        RatMat([[0, Fraction(1, 2)], [0, 0]]), RatMat.identity(2)
-    )
-    d = RatMat([[1, 0], [0, 2]])
-    gram = mirror_chern(d, t)
-    assert gram == RatMat([
-        [0, 1, 1, 0],
-        [-1, 0, 0, 2],
-        [-1, 0, 0, 0],
-        [0, -2, 0, 0],
-    ])
-
-
-def test_mirror_chern_nonintegral_rejected():
-    # A = Re(tau)D - D^T Re(tau)^T is integral here, but the mirror block
-    # Re(tau)D^T - D Re(tau)^T is not: the two differ by tr(Re) (D^T - D).
-    re = RatMat([[Fraction(1, 2), 0], [0, 0]])
-    im = RatMat([[1, 1], [2, 1]])  # Im(tau) D symmetric for this D
-    d = RatMat([[1, 2], [1, 1]])
-    with pytest.raises(InadmissibleD):
-        mirror_chern(d, Torus.from_period(re, im))
